@@ -22,7 +22,7 @@
 
 use crate::{build_datapath, build_datapath_cached, AccelError, AcceleratorSpec, Result};
 use clapped_imgproc::{ConvMode, Image};
-use clapped_netlist::{pack_bus_samples, transpose8x8, Netlist};
+use clapped_netlist::{pack_bus_samples, transpose8x8, FaultSet, Netlist};
 
 /// Words per wide evaluation block: every datapath evaluation carries
 /// `64 × BLOCK_WORDS` output positions.
@@ -252,7 +252,12 @@ fn run_pe_grid(
             }
         }
         datapath
-            .simulate_blocks_into::<BLOCK_WORDS>(&inputs, &mut scratch, &mut outs)
+            .simulate_blocks_into::<BLOCK_WORDS>(
+                &inputs,
+                &FaultSet::empty(),
+                &mut scratch,
+                &mut outs,
+            )
             .map_err(sim_err)?;
         clapped_obs::count("accel.streamsim.evals", 1);
         clapped_obs::count("accel.streamsim.lanes_active", chunk as u64);

@@ -6,7 +6,7 @@
 //! accumulation datapaths).
 
 use clapped_netlist::bus::{self, sign_extend};
-use clapped_netlist::{pack_bus_samples, unpack_bus_samples, Netlist};
+use clapped_netlist::{FaultSet, Netlist};
 use std::fmt;
 use std::sync::Arc;
 
@@ -161,26 +161,10 @@ pub fn standard_adders() -> Vec<Arc<AxAdd>> {
     v
 }
 
+/// The 9-bit sums of all 65 536 input pairs, sign-extended.
 fn build_add_table(netlist: &Netlist) -> Vec<i16> {
-    assert_eq!(netlist.inputs().len(), 16);
-    assert_eq!(netlist.outputs().len(), 9);
-    let mut table = vec![0i16; 65_536];
-    let pairs: Vec<(i8, i8)> = crate::exhaustive_pairs().collect();
-    for chunk in pairs.chunks(64) {
-        let a_vals: Vec<i64> = chunk.iter().map(|p| p.0 as i64).collect();
-        let b_vals: Vec<i64> = chunk.iter().map(|p| p.1 as i64).collect();
-        let mut words = pack_bus_samples(&a_vals, 8);
-        words.extend(pack_bus_samples(&b_vals, 8));
-        let outs = netlist
-            .simulate_words(&words)
-            .expect("adder netlist interface verified above");
-        let sums = unpack_bus_samples(&outs, chunk.len(), true);
-        for (&(a, b), &s) in chunk.iter().zip(&sums) {
-            let idx = ((a as u8 as usize) << 8) | (b as u8 as usize);
-            table[idx] = s as i16;
-        }
-    }
-    table
+    crate::table::exhaustive_table(netlist, &FaultSet::empty(), 9)
+        .expect("an empty fault set is always valid")
 }
 
 #[cfg(test)]

@@ -8,16 +8,17 @@
 //! application models — which is how gate-level fault injection is
 //! propagated to application-level quality in `clapped-core`.
 
-use crate::table::exhaustive_pairs;
+use crate::table::{exhaustive_pairs, exhaustive_table};
 use crate::{AxMul, Mul8s};
 use clapped_exec::{Memo, StructDigest};
-use clapped_netlist::{pack_bus_samples, unpack_bus_samples, FaultSet, Netlist};
+use clapped_netlist::{FaultSet, Netlist};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 /// Builds the 256×256 product table of a multiplier netlist simulated
-/// under `faults`. With an empty fault set the table is bit-identical to
-/// [`crate::build_mul_table`]'s.
+/// under `faults`, through the same wide exhaustive sweep as
+/// [`crate::build_mul_table`]. With an empty fault set the table is
+/// bit-identical to [`crate::build_mul_table`]'s.
 ///
 /// # Errors
 ///
@@ -32,37 +33,7 @@ pub fn build_mul_table_with_faults(
     netlist: &Netlist,
     faults: &FaultSet,
 ) -> clapped_netlist::Result<Vec<i16>> {
-    assert_eq!(netlist.inputs().len(), 16, "expected 16 inputs (a, b)");
-    assert_eq!(netlist.outputs().len(), 16, "expected a 16-bit product");
-    let mut table = vec![0i16; 65_536];
-    let mut batch: Vec<(i8, i8)> = Vec::with_capacity(64);
-    let flush = |batch: &mut Vec<(i8, i8)>,
-                 table: &mut Vec<i16>|
-     -> clapped_netlist::Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let a_vals: Vec<i64> = batch.iter().map(|p| p.0 as i64).collect();
-        let b_vals: Vec<i64> = batch.iter().map(|p| p.1 as i64).collect();
-        let mut words = pack_bus_samples(&a_vals, 8);
-        words.extend(pack_bus_samples(&b_vals, 8));
-        let outs = netlist.simulate_words_with_faults(&words, faults)?;
-        let products = unpack_bus_samples(&outs, batch.len(), true);
-        for (&(a, b), &p) in batch.iter().zip(&products) {
-            let idx = ((a as u8 as usize) << 8) | (b as u8 as usize);
-            table[idx] = p as i16;
-        }
-        batch.clear();
-        Ok(())
-    };
-    for (a, b) in exhaustive_pairs() {
-        batch.push((a, b));
-        if batch.len() == 64 {
-            flush(&mut batch, &mut table)?;
-        }
-    }
-    flush(&mut batch, &mut table)?;
-    Ok(table)
+    exhaustive_table(netlist, faults, 16)
 }
 
 /// An operator with injected gate-level faults, usable anywhere a

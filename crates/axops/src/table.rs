@@ -9,7 +9,7 @@
 //! process ever**, and all operator instances share one allocation.
 
 use clapped_exec::{Memo, MemoStats};
-use clapped_netlist::{pack_bus_samples, transpose8x8, unpack_bus_samples, Netlist};
+use clapped_netlist::{pack_bus_samples, transpose8x8, unpack_bus_samples, FaultSet, Netlist};
 use std::sync::{Arc, OnceLock};
 
 /// Iterates over all 65 536 signed 8-bit input pairs, `a` outermost.
@@ -30,25 +30,50 @@ pub fn exhaustive_pairs() -> impl Iterator<Item = (i8, i8)> {
 ///
 /// The netlist must have inputs `a[0..8]` then `b[0..8]` and a 16-bit
 /// signed product output. Table index is `(a as u8) << 8 | (b as u8)`.
-///
-/// The exhaustive sweep has exploitable structure at this width: within
-/// each 256-lane quarter of a block the `a` byte is constant (each bit
-/// broadcasts to all-zeros or all-ones per quarter) and the `b` byte
-/// counts `0..=255`, so its bit patterns are the same fixed blocks for
-/// every pass. Inputs are therefore assembled with a handful of word
-/// writes per pass instead of per-lane packing, the evaluation scratch
-/// is reused across all 64 passes, and the product rows are unpacked
-/// from the output bitplanes eight lanes at a time through
-/// [`transpose8x8`]. Bit-identical to [`build_mul_table_ref64`], which
-/// is pinned by tests over the whole standard catalog.
+/// Bit-identical to [`build_mul_table_ref64`], which is pinned by tests
+/// over the whole standard catalog.
 ///
 /// # Panics
 ///
 /// Panics if the netlist interface does not match (wrong input/output
 /// arity).
 pub fn build_mul_table(netlist: &Netlist) -> Vec<i16> {
+    exhaustive_table(netlist, &FaultSet::empty(), 16).expect("an empty fault set is always valid")
+}
+
+/// The exhaustive sweep behind every 8×8 operator table: all 65 536
+/// `(a, b)` pairs through the wide evaluation kernel under `faults`.
+/// The netlist has inputs `a[0..8]` then `b[0..8]` and `out_width`
+/// (1..=16) two's-complement output bits, sign-extended into the
+/// `i16` entries; table index is `(a as u8) << 8 | (b as u8)`.
+///
+/// The sweep has exploitable structure at this width: within each
+/// 256-lane quarter of a 1024-lane block the `a` byte is constant (each
+/// bit broadcasts to all-zeros or all-ones per quarter) and the `b`
+/// byte counts `0..=255`, so its bit patterns are the same fixed blocks
+/// for every pass. Inputs are therefore assembled with a handful of
+/// word writes per pass instead of per-lane packing, the evaluation
+/// scratch is reused across all 64 passes, and the rows are unpacked
+/// from the output bitplanes eight lanes at a time through
+/// [`transpose8x8`]. Lane `l` of a pass drives `b as u8 = l % 256`, so
+/// a transient fault's lane mask flips the same `b` values that it
+/// flips in the 64-lane batches of [`build_mul_table_ref64`].
+///
+/// # Errors
+///
+/// Returns [`clapped_netlist::NetlistError::InvalidFaultSite`] for a
+/// fault outside the netlist.
+///
+/// # Panics
+///
+/// Panics if the netlist interface does not match.
+pub(crate) fn exhaustive_table(
+    netlist: &Netlist,
+    faults: &FaultSet,
+    out_width: usize,
+) -> clapped_netlist::Result<Vec<i16>> {
     assert_eq!(netlist.inputs().len(), 16, "expected 16 inputs (a, b)");
-    assert_eq!(netlist.outputs().len(), 16, "expected a 16-bit product");
+    assert_eq!(netlist.outputs().len(), out_width, "expected {out_width} output bits");
     const W: usize = 16;
     const LANES: usize = 64 * W;
     // Words per 256-lane quarter (one `a` value spans one quarter).
@@ -76,12 +101,13 @@ pub fn build_mul_table(netlist: &Netlist) -> Vec<i16> {
                 input[sub * QW..(sub + 1) * QW].fill(word);
             }
         }
-        netlist
-            .simulate_blocks_into::<W>(&inputs, &mut scratch, &mut outs)
-            .expect("operator netlist interface verified above");
-        // Rebuild the product rows from the 16 output bitplanes, eight
-        // lanes per transpose (low byte from planes 0..8, high from
-        // 8..16).
+        netlist.simulate_blocks_into::<W>(&inputs, faults, &mut scratch, &mut outs)?;
+        // Sign-extend in bitplane form: planes above `out_width` repeat
+        // the top one, so the unpack always sees 16.
+        let top = outs[out_width - 1];
+        outs.resize(16, top);
+        // Rebuild the rows from the output bitplanes, eight lanes per
+        // transpose (low byte from planes 0..8, high from 8..16).
         let (lo_planes, hi_planes) = outs.split_at(8);
         for sub in 0..A_PER_PASS {
             let a_byte = pass * A_PER_PASS + sub;
@@ -107,20 +133,22 @@ pub fn build_mul_table(netlist: &Netlist) -> Vec<i16> {
             }
         }
     }
-    table
+    Ok(table)
 }
 
 /// The retained 64-lane reference table builder: per-batch `Vec`
-/// packing through [`pack_bus_samples`]/[`unpack_bus_samples`] exactly
-/// as shipped before the wide-word simulator. [`build_mul_table`] is
-/// pinned bit-identical to this path by tests and benchmarked against
-/// it in `bench_sim`.
+/// packing through [`pack_bus_samples`]/[`unpack_bus_samples`], one
+/// [`Netlist::simulate_words_with_faults`] call per 64 pairs, exactly as
+/// shipped before the wide-word simulator. The wide sweep behind
+/// [`build_mul_table`] and [`crate::build_mul_table_with_faults`] is
+/// pinned bit-identical to this path by tests (with and without faults)
+/// and benchmarked against it in `bench_sim`.
 ///
 /// # Panics
 ///
 /// Panics if the netlist interface does not match (wrong input/output
-/// arity).
-pub fn build_mul_table_ref64(netlist: &Netlist) -> Vec<i16> {
+/// arity) or a fault references a signal outside the netlist.
+pub fn build_mul_table_ref64(netlist: &Netlist, faults: &FaultSet) -> Vec<i16> {
     assert_eq!(netlist.inputs().len(), 16, "expected 16 inputs (a, b)");
     assert_eq!(netlist.outputs().len(), 16, "expected a 16-bit product");
     let mut table = vec![0i16; 65_536];
@@ -134,8 +162,8 @@ pub fn build_mul_table_ref64(netlist: &Netlist) -> Vec<i16> {
         let mut words = pack_bus_samples(&a_vals, 8);
         words.extend(pack_bus_samples(&b_vals, 8));
         let outs = netlist
-            .simulate_words(&words)
-            .expect("operator netlist interface verified above");
+            .simulate_words_with_faults(&words, faults)
+            .expect("interface verified above; fault sites must be in range");
         let products = unpack_bus_samples(&outs, batch.len(), true);
         for (&(a, b), &p) in batch.iter().zip(&products) {
             // lint-allow(no-silent-truncation): i8→u8 is a lossless bit reinterpretation for indexing
@@ -200,7 +228,7 @@ mod tests {
         let b = n.input_bus("b", 8);
         let p = bus::baugh_wooley_mul(&mut n, &a, &b);
         n.output_bus("p", &p);
-        assert_eq!(build_mul_table(&n), build_mul_table_ref64(&n));
+        assert_eq!(build_mul_table(&n), build_mul_table_ref64(&n, &FaultSet::empty()));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! bit-identical to lane-by-lane `simulate_words` for
 //! W ∈ {1, 2, 4, 8, 16} (partial final blocks included), and the wide
 //! exhaustive table builder must reproduce the 64-lane reference table
-//! exactly.
+//! exactly, with and without injected faults.
 
-use clapped_axops::{build_mul_table, build_mul_table_ref64, Catalog, Mul8s};
-use clapped_netlist::Netlist;
+use clapped_axops::{
+    build_mul_table, build_mul_table_ref64, build_mul_table_with_faults, Catalog, Mul8s,
+};
+use clapped_netlist::{FaultKind, FaultSet, Netlist, SignalId};
 
 /// Deterministic xorshift stimulus — no RNG crates in test inputs.
 struct Stim(u64);
@@ -71,8 +73,29 @@ fn catalog_wide_tables_match_ref64_tables() {
         let n = m.netlist();
         assert_eq!(
             build_mul_table(n),
-            build_mul_table_ref64(n),
+            build_mul_table_ref64(n, &FaultSet::empty()),
             "{name}: wide table diverges from 64-lane reference"
         );
+    }
+}
+
+#[test]
+fn faulted_wide_tables_match_ref64_tables() {
+    let cat = Catalog::standard();
+    for name in ["mul8s_exact", "mul8s_tr4"] {
+        let op = cat.get(name).expect("catalog operator");
+        let n = op.netlist();
+        let mid = SignalId::from_index(n.len() / 2);
+        let out7 = n.outputs()[7].1;
+        for faults in [
+            FaultSet::empty().stuck_at(mid, FaultKind::StuckAt1),
+            // Lane-specific upsets: the wide sweep must flip the same
+            // (a, b) pairs as the 64-lane batches of the reference.
+            FaultSet::empty().transient(out7, 0x8000_0000_0000_0101).transient(mid, 0xf0),
+        ] {
+            let wide = build_mul_table_with_faults(n, &faults).expect("fault sites are in range");
+            assert_eq!(wide, build_mul_table_ref64(n, &faults), "{name}: {faults:?}");
+            assert_ne!(wide, build_mul_table(n), "{name}: {faults:?} must corrupt the table");
+        }
     }
 }

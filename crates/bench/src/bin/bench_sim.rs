@@ -17,6 +17,7 @@ use clapped_accel::{simulate_stream, simulate_stream_ref, AcceleratorSpec};
 use clapped_axops::{build_mul_table, build_mul_table_ref64, Catalog};
 use clapped_bench::{print_table, save_json};
 use clapped_imgproc::{Image, QuantKernel, SynthKind};
+use clapped_netlist::FaultSet;
 use serde_json::json;
 use std::time::Instant;
 
@@ -51,8 +52,12 @@ fn main() {
     for name in &table_ops {
         let op = catalog.get(name).expect("catalog operator");
         let n = op.netlist();
-        assert_eq!(build_mul_table(n), build_mul_table_ref64(n), "{name}: table divergence");
-        let t_ref = time_best(reps, || build_mul_table_ref64(n));
+        assert_eq!(
+            build_mul_table(n),
+            build_mul_table_ref64(n, &FaultSet::empty()),
+            "{name}: table divergence"
+        );
+        let t_ref = time_best(reps, || build_mul_table_ref64(n, &FaultSet::empty()));
         let t_wide = time_best(reps, || build_mul_table(n));
         let speedup = t_ref / t_wide;
         worst_table_speedup = worst_table_speedup.min(speedup);

@@ -6,7 +6,7 @@
 //! misbehaves?* It supports
 //!
 //! - **permanent faults** — stuck-at-0 / stuck-at-1 on any net, applied
-//!   as per-signal masks inside the 64-lane word-parallel simulator, and
+//!   as per-signal masks inside the bit-parallel evaluation kernel, and
 //! - **transient faults** — per-lane bit-flip (XOR) masks modelling SEU
 //!   style upsets,
 //!
@@ -16,7 +16,7 @@
 //! Application-level quality impact of these sites is measured one layer
 //! up, in `clapped-core`.
 
-use crate::ir::{Gate, Netlist, SignalId};
+use crate::ir::{Netlist, SignalId};
 use crate::NetlistError;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -116,9 +116,23 @@ impl FaultSet {
         }
     }
 
-    /// Largest signal index referenced (validation helper).
-    pub(crate) fn max_index(&self) -> Option<usize> {
-        self.entries.iter().map(|e| e.0).max()
+    /// The mask entries in the form the evaluation kernel takes: sorted
+    /// by signal index.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::InvalidFaultSite`] if an entry references
+    /// a signal at or beyond `signals`.
+    pub(crate) fn sorted_masks(
+        &self,
+        signals: usize,
+    ) -> crate::Result<Vec<(usize, u64, u64, u64)>> {
+        if let Some(index) = self.entries.iter().map(|e| e.0).max().filter(|&i| i >= signals) {
+            return Err(NetlistError::InvalidFaultSite { index, signals });
+        }
+        let mut masks = self.entries.clone();
+        masks.sort_unstable_by_key(|e| e.0);
+        Ok(masks)
     }
 
     /// The raw `(signal index, and, or, xor)` mask entries, for content
@@ -236,64 +250,7 @@ impl Netlist {
         input_words: &[u64],
         faults: &FaultSet,
     ) -> crate::Result<Vec<u64>> {
-        if let Some(max) = faults.max_index() {
-            if max >= self.len() {
-                return Err(NetlistError::InvalidFaultSite {
-                    index: max,
-                    signals: self.len(),
-                });
-            }
-        }
-        if input_words.len() != self.inputs().len() {
-            return Err(NetlistError::InputCountMismatch {
-                expected: self.inputs().len(),
-                found: input_words.len(),
-            });
-        }
-        let mut vals = vec![0u64; self.len()];
-        let mut next_input = 0;
-        // Sparse per-signal fault masks, densified once per call.
-        let mut masks: Vec<Option<(u64, u64, u64)>> = vec![None; self.len()];
-        for &(i, and_mask, or_mask, xor_mask) in &faults.entries {
-            masks[i] = Some((and_mask, or_mask, xor_mask));
-        }
-        for (i, gate) in self.gates().iter().enumerate() {
-            let v = match *gate {
-                Gate::Input { .. } => {
-                    let w = input_words[next_input];
-                    next_input += 1;
-                    w
-                }
-                Gate::Const(c) => {
-                    if c {
-                        u64::MAX
-                    } else {
-                        0
-                    }
-                }
-                Gate::Buf(a) => vals[a.index()],
-                Gate::Not(a) => !vals[a.index()],
-                Gate::And(a, b) => vals[a.index()] & vals[b.index()],
-                Gate::Or(a, b) => vals[a.index()] | vals[b.index()],
-                Gate::Xor(a, b) => vals[a.index()] ^ vals[b.index()],
-                Gate::Nand(a, b) => !(vals[a.index()] & vals[b.index()]),
-                Gate::Nor(a, b) => !(vals[a.index()] | vals[b.index()]),
-                Gate::Xnor(a, b) => !(vals[a.index()] ^ vals[b.index()]),
-                Gate::Mux { sel, t, f } => {
-                    let s = vals[sel.index()];
-                    (s & vals[t.index()]) | (!s & vals[f.index()])
-                }
-                Gate::Maj(a, b, c) => {
-                    let (x, y, z) = (vals[a.index()], vals[b.index()], vals[c.index()]);
-                    (x & y) | (x & z) | (y & z)
-                }
-            };
-            vals[i] = match masks[i] {
-                Some((and_mask, or_mask, xor_mask)) => ((v & and_mask) | or_mask) ^ xor_mask,
-                None => v,
-            };
-        }
-        Ok(vals)
+        self.eval_words_masked(input_words, &faults.sorted_masks(self.len())?)
     }
 
     /// Primary outputs under injected faults, 64 lanes at a time.
@@ -306,8 +263,7 @@ impl Netlist {
         input_words: &[u64],
         faults: &FaultSet,
     ) -> crate::Result<Vec<u64>> {
-        let vals = self.eval_words_with_faults(input_words, faults)?;
-        Ok(self.outputs().iter().map(|(_, s)| vals[s.index()]).collect())
+        Ok(self.output_words(&self.eval_words_with_faults(input_words, faults)?))
     }
 
     /// All injectable fault sites: every signal with both stuck-at
@@ -693,6 +649,10 @@ impl Netlist {
             .iter()
             .map(|b| self.simulate_words_with_faults(b, &FaultSet::empty()))
             .collect::<crate::Result<_>>()?;
+        if self.is_empty() {
+            // No net to upset.
+            return Ok(Vec::new());
+        }
         for _ in 0..rounds {
             for (batch, gold) in input_batches.iter().zip(&golden) {
                 let target = (rng.next_u64() % self.len() as u64) as usize;
@@ -1014,6 +974,13 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, NetlistError::InvalidFaultSite { index: 99, .. }));
+    }
+
+    #[test]
+    fn transient_campaign_on_empty_netlist_is_empty() {
+        let n = Netlist::new("empty");
+        assert_eq!(n.transient_campaign(&[vec![], vec![]], 4, 7).unwrap(), Vec::<f64>::new());
+        assert!(n.transient_campaign(&[vec![0]], 4, 7).is_err(), "batch arity still checked");
     }
 
     #[test]

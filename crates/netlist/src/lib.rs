@@ -10,7 +10,8 @@
 //!
 //! - a combinational gate-level IR ([`Netlist`]) that is a DAG by
 //!   construction,
-//! - 64-way bit-parallel simulation,
+//! - bit-parallel simulation in `W × 64`-lane blocks, through one
+//!   evaluation kernel,
 //! - constant folding / dead-code elimination ([`optimize`]),
 //! - structural arithmetic builders ([`bus`]): ripple-carry adders,
 //!   Baugh-Wooley signed multipliers, compressors, barrel shifters,
@@ -46,7 +47,6 @@ mod map;
 mod opt;
 mod power;
 mod sim;
-mod sim_wide;
 mod synth;
 mod timing;
 pub mod verilog;
@@ -64,8 +64,7 @@ pub use lint::{lint_netlist, live_cone, NetlistStats, StructFinding, StructRepor
 pub use map::{map_luts, MapStrategy, MappedLut, MappedNetlist};
 pub use opt::optimize;
 pub use power::{estimate_power, PowerModel, PowerReport};
-pub use sim::{pack_bus_samples, unpack_bus_samples};
-pub use sim_wide::{pack_bus_samples_blocks, transpose8x8, unpack_bus_samples_blocks};
+pub use sim::{pack_bus_samples, transpose8x8, unpack_bus_samples};
 pub use synth::{synthesize, SynthConfig, SynthReport};
 pub use timing::TimingModel;
 

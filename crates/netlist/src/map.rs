@@ -4,13 +4,15 @@
 //! cuts with dominance pruning), selects a representative cut per node
 //! (depth-oriented or area-oriented), and covers the netlist from its
 //! outputs. Each selected cut becomes one K-input LUT whose truth table is
-//! extracted by simulating the cut's cone.
+//! extracted by simulating the cut's cone. A mapped network is simulated
+//! by lowering it back to a gate-level netlist of mux trees.
 
 // lint-allow-file(no-silent-truncation): cut leaves store gate indices
 // as u32; every cast round-trips a `SignalId(u32)` index through usize,
 // so the value always fits.
 
 use crate::ir::{Gate, Netlist, SignalId};
+use crate::sim::eval_gate;
 use crate::NetlistError;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -67,60 +69,21 @@ impl MappedNetlist {
         self.luts.len()
     }
 
-    /// Evaluates the LUT network for 64 parallel lanes.
-    ///
-    /// `input_words[k]` drives the k-th primary input. Returns the values
-    /// of every signal that the mapping defines (primary inputs, constants
-    /// and LUT roots), keyed by source-netlist signal id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::InputCountMismatch`] on input arity mismatch.
-    // lint-allow(hash-containers): keyed scratch/result values; callers look up by SignalId, never iterate
-    pub fn eval_words(&self, input_words: &[u64]) -> crate::Result<HashMap<SignalId, u64>> {
-        if input_words.len() != self.inputs.len() {
-            return Err(NetlistError::InputCountMismatch {
-                expected: self.inputs.len(),
-                found: input_words.len(),
-            });
-        }
-        // lint-allow(hash-containers): lookup-only value table, never iterated
-        let mut vals: HashMap<SignalId, u64> = HashMap::new();
-        for (&sig, &w) in self.inputs.iter().zip(input_words) {
-            vals.insert(sig, w);
-        }
-        for (&sig, &c) in &self.constants {
-            vals.insert(sig, if c { u64::MAX } else { 0 });
-        }
-        for lut in &self.luts {
-            let mut out = 0u64;
-            // Evaluate per lane: build the truth-table index from input bits.
-            for lane in 0..64 {
-                let mut idx = 0usize;
-                for (j, inp) in lut.inputs.iter().enumerate() {
-                    let v = vals
-                        .get(inp)
-                        .expect("LUT inputs precede the LUT in topological order");
-                    if (v >> lane) & 1 == 1 {
-                        idx |= 1 << j;
-                    }
-                }
-                if (lut.truth >> idx) & 1 == 1 {
-                    out |= 1 << lane;
-                }
-            }
-            vals.insert(lut.root, out);
-        }
-        Ok(vals)
-    }
-
     /// Rebuilds the LUT network as a gate-level [`Netlist`] (each LUT
     /// becomes a mux tree over its truth table), e.g. for re-synthesis
     /// or formal equivalence checking against the original.
     pub fn to_netlist(&self, name: &str) -> Netlist {
+        self.lower(name).0
+    }
+
+    /// [`MappedNetlist::to_netlist`] plus the map from every source
+    /// signal the mapping defines (primary inputs, constants and LUT
+    /// roots) to its id in the rebuilt netlist. This lowering is how a
+    /// LUT network is simulated: each LUT root's lowered signal carries
+    /// the LUT's truth table applied to its inputs, lane for lane.
+    pub(crate) fn lower(&self, name: &str) -> (Netlist, BTreeMap<SignalId, SignalId>) {
         let mut n = Netlist::new(name);
-        // lint-allow(hash-containers): old-id -> new-id lookup table, never iterated
-        let mut map: HashMap<SignalId, SignalId> = HashMap::new();
+        let mut map = BTreeMap::new();
         for (i, &orig) in self.inputs.iter().enumerate() {
             let id = n.input(format!("pi{i}"));
             map.insert(orig, id);
@@ -142,21 +105,7 @@ impl MappedNetlist {
         for (name, sig) in &self.outputs {
             n.output(name.clone(), *map.get(sig).expect("outputs are mapped"));
         }
-        n
-    }
-
-    /// Evaluates the primary outputs for 64 parallel lanes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::InputCountMismatch`] on input arity mismatch.
-    pub fn simulate_words(&self, input_words: &[u64]) -> crate::Result<Vec<u64>> {
-        let vals = self.eval_words(input_words)?;
-        Ok(self
-            .outputs
-            .iter()
-            .map(|(_, s)| *vals.get(s).expect("outputs are mapped or primary"))
-            .collect())
+        (n, map)
     }
 }
 
@@ -294,13 +243,14 @@ pub fn map_luts(netlist: &Netlist, k: usize, strategy: MapStrategy) -> crate::Re
         }
     }
     let mut luts_by_root: BTreeMap<u32, MappedLut> = BTreeMap::new();
+    let mut cones = ConeScratch::new(n);
     while let Some(node) = required.pop() {
         let cut = best_cut[node as usize]
             .clone()
             .ok_or(NetlistError::Unmappable {
                 node: SignalId(node),
             })?;
-        let truth = cone_truth_table(netlist, SignalId(node), &cut)?;
+        let truth = cones.truth_table(netlist, SignalId(node), &cut)?;
         luts_by_root.insert(
             node,
             MappedLut {
@@ -403,69 +353,69 @@ fn prune_dominated(mut cuts: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
     kept
 }
 
-/// Extracts the truth table of `root`'s cone over the cut leaves by
-/// simulating the cone with the canonical input patterns.
-fn cone_truth_table(netlist: &Netlist, root: SignalId, cut: &[u32]) -> crate::Result<u64> {
-    debug_assert!(cut.len() <= 6);
-    // Canonical variable patterns: var j toggles with period 2^(j+1).
-    const PATTERNS: [u64; 6] = [
-        0xAAAA_AAAA_AAAA_AAAA,
-        0xCCCC_CCCC_CCCC_CCCC,
-        0xF0F0_F0F0_F0F0_F0F0,
-        0xFF00_FF00_FF00_FF00,
-        0xFFFF_0000_FFFF_0000,
-        0xFFFF_FFFF_0000_0000,
-    ];
-    // lint-allow(hash-containers): memoized cone values, looked up by id only
-    let mut vals: HashMap<u32, u64> = HashMap::new();
-    for (j, &leaf) in cut.iter().enumerate() {
-        vals.insert(leaf, PATTERNS[j]);
-    }
-    let word = eval_cone(netlist, root, &mut vals);
-    let bits = 1usize << cut.len();
-    let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-    Ok(word & mask)
+/// Reusable buffers for cone truth-table extraction: one value block
+/// and one visit stamp per source signal.
+struct ConeScratch {
+    vals: Vec<[u64; 1]>,
+    seen: Vec<usize>,
+    stamp: usize,
 }
 
-// lint-allow(hash-containers): memoized cone values, looked up by id only
-fn eval_cone(netlist: &Netlist, sig: SignalId, vals: &mut HashMap<u32, u64>) -> u64 {
-    if let Some(&v) = vals.get(&sig.0) {
-        return v;
+impl ConeScratch {
+    fn new(signals: usize) -> ConeScratch {
+        ConeScratch { vals: vec![[0]; signals], seen: vec![0; signals], stamp: 0 }
     }
-    let v = match *netlist.gate(sig) {
-        Gate::Input { .. } => {
-            unreachable!("cut leaves cover all primary inputs of the cone")
+
+    /// Extracts the truth table of `root`'s cone over the cut leaves:
+    /// the leaves are driven with the canonical variable patterns and
+    /// the cone's gates are evaluated in topological order by the
+    /// simulator's per-gate step.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::Unmappable`] if the cone reaches a
+    /// primary input that is not a leaf (the cut does not cover it).
+    fn truth_table(
+        &mut self,
+        netlist: &Netlist,
+        root: SignalId,
+        cut: &[u32],
+    ) -> crate::Result<u64> {
+        debug_assert!(cut.len() <= 6);
+        // Canonical variable patterns: var j toggles with period 2^(j+1).
+        const PATTERNS: [u64; 6] = [
+            0xAAAA_AAAA_AAAA_AAAA,
+            0xCCCC_CCCC_CCCC_CCCC,
+            0xF0F0_F0F0_F0F0_F0F0,
+            0xFF00_FF00_FF00_FF00,
+            0xFFFF_0000_FFFF_0000,
+            0xFFFF_FFFF_0000_0000,
+        ];
+        self.stamp += 1;
+        for (j, &leaf) in cut.iter().enumerate() {
+            self.vals[leaf as usize] = [PATTERNS[j]];
+            self.seen[leaf as usize] = self.stamp;
         }
-        Gate::Const(c) => {
-            if c {
-                u64::MAX
-            } else {
-                0
+        // The gates between the leaves and the root; ascending index
+        // order is topological.
+        let mut cone = Vec::new();
+        let mut stack = vec![root.index()];
+        while let Some(s) = stack.pop() {
+            if self.seen[s] != self.stamp {
+                self.seen[s] = self.stamp;
+                cone.push(s);
+                stack.extend(netlist.gates()[s].fanins().map(SignalId::index));
             }
         }
-        Gate::Buf(a) => eval_cone(netlist, a, vals),
-        Gate::Not(a) => !eval_cone(netlist, a, vals),
-        Gate::And(a, b) => eval_cone(netlist, a, vals) & eval_cone(netlist, b, vals),
-        Gate::Or(a, b) => eval_cone(netlist, a, vals) | eval_cone(netlist, b, vals),
-        Gate::Xor(a, b) => eval_cone(netlist, a, vals) ^ eval_cone(netlist, b, vals),
-        Gate::Nand(a, b) => !(eval_cone(netlist, a, vals) & eval_cone(netlist, b, vals)),
-        Gate::Nor(a, b) => !(eval_cone(netlist, a, vals) | eval_cone(netlist, b, vals)),
-        Gate::Xnor(a, b) => !(eval_cone(netlist, a, vals) ^ eval_cone(netlist, b, vals)),
-        Gate::Mux { sel, t, f } => {
-            let s = eval_cone(netlist, sel, vals);
-            (s & eval_cone(netlist, t, vals)) | (!s & eval_cone(netlist, f, vals))
+        cone.sort_unstable();
+        for s in cone {
+            self.vals[s] = eval_gate(&netlist.gates()[s], &self.vals)
+                .ok_or(NetlistError::Unmappable { node: root })?;
         }
-        Gate::Maj(a, b, c) => {
-            let (x, y, z) = (
-                eval_cone(netlist, a, vals),
-                eval_cone(netlist, b, vals),
-                eval_cone(netlist, c, vals),
-            );
-            (x & y) | (x & z) | (y & z)
-        }
-    };
-    vals.insert(sig.0, v);
-    v
+        let bits = 1usize << cut.len();
+        let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
+        Ok(self.vals[root.index()][0] & mask)
+    }
 }
 
 /// Verifies that a mapping is functionally equivalent to its source
@@ -483,10 +433,11 @@ pub(crate) fn verify_mapping(
 ) -> crate::Result<()> {
     use rand::{Rng, SeedableRng};
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let lowered = mapped.to_netlist("verify");
     for _ in 0..rounds {
         let words: Vec<u64> = (0..netlist.inputs().len()).map(|_| rng.gen()).collect();
         let want = netlist.simulate_words(&words)?;
-        let got = mapped.simulate_words(&words)?;
+        let got = lowered.simulate_words(&words)?;
         if want != got {
             return Err(NetlistError::MappingMismatch);
         }
@@ -585,7 +536,7 @@ mod tests {
         n.output("y", c);
         let mapped = map_and_verify(&n, 6, MapStrategy::Depth);
         assert_eq!(mapped.lut_count(), 0);
-        let out = mapped.simulate_words(&[0]).unwrap();
+        let out = mapped.to_netlist("k").simulate_words(&[0]).unwrap();
         assert_eq!(out[0], u64::MAX);
     }
 

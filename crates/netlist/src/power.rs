@@ -1,12 +1,13 @@
 //! Switching-activity power estimation for mapped LUT networks.
 //!
 //! Dynamic power is estimated from per-net toggle rates measured by
-//! simulating random input vectors (a vectored analogue of Vivado's
-//! default 12.5% toggle-rate assumption, but derived from the actual
-//! logic). Power is split into *logic* power (consumed inside LUTs) and
-//! *signal* power (consumed charging routed nets, which scales with
-//! fanout) — the same decomposition the paper's Table I uses as MLP
-//! features — plus a static component proportional to utilized resources.
+//! simulating random input vectors through the LUT network's mux-tree
+//! lowering (a vectored analogue of Vivado's default 12.5% toggle-rate
+//! assumption, but derived from the actual logic). Power is split into
+//! *logic* power (consumed inside LUTs) and *signal* power (consumed
+//! charging routed nets, which scales with fanout) — the same
+//! decomposition the paper's Table I uses as MLP features — plus a
+//! static component proportional to utilized resources.
 
 use crate::map::MappedNetlist;
 use rand::{Rng, SeedableRng};
@@ -78,9 +79,14 @@ impl PowerReport {
 
 /// Estimates the power of a mapped netlist under random stimulus.
 ///
+/// The LUT network is lowered once to its mux-tree netlist
+/// ([`MappedNetlist::to_netlist`]) and each round of stimulus runs
+/// through the simulator's evaluation kernel; toggles are counted on the
+/// lowered signals of the primary inputs and LUT roots.
+///
 /// # Errors
 ///
-/// Propagates simulation errors from [`MappedNetlist::eval_words`].
+/// Propagates simulation errors from the evaluation kernel.
 pub fn estimate_power(mapped: &MappedNetlist, model: &PowerModel) -> crate::Result<PowerReport> {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(model.seed);
     // Fanout of each mapped net = number of LUTs (plus outputs) reading it.
@@ -103,15 +109,18 @@ pub fn estimate_power(mapped: &MappedNetlist, model: &PowerModel) -> crate::Resu
     // Deterministic net order: primary inputs, then LUT roots.
     let mut nets: Vec<crate::SignalId> = mapped.inputs.clone();
     nets.extend(roots.iter().copied());
+    let (lowered, ids) = mapped.lower("power");
+    let lowered_nets: Vec<usize> = nets.iter().map(|s| ids[s].index()).collect();
+    let mut vals: Vec<[u64; 1]> = Vec::new();
     for _ in 0..model.rounds.max(1) {
-        let words: Vec<u64> = (0..mapped.inputs.len()).map(|_| rng.gen()).collect();
-        let vals = mapped.eval_words(&words)?;
+        let words: Vec<[u64; 1]> = (0..mapped.inputs.len()).map(|_| [rng.gen()]).collect();
+        lowered.eval_blocks_masked(&words, &[], &mut vals)?;
         // Adjacent lanes model consecutive random input patterns: count
         // bit flips between lane i and lane i+1 (63 valid pairs per word;
         // bit 63 of v ^ (v >> 1) compares lane 63 against zero fill and is
         // excluded).
-        for &sig in &nets {
-            let v = vals[&sig];
+        for (&sig, &at) in nets.iter().zip(&lowered_nets) {
+            let [v] = vals[at];
             let x = v ^ (v >> 1);
             // lint-allow(no-silent-truncation): masked to a single bit
             let flips = f64::from(x.count_ones() - ((v >> 63) & 1) as u32);
@@ -171,6 +180,24 @@ mod tests {
         let p2 = estimate_power(&m, &model).unwrap();
         assert!(p1.total_mw() > 0.0);
         assert_eq!(p1, p2, "same seed must give identical results");
+    }
+
+    #[test]
+    fn power_reports_are_pinned_bit_for_bit() {
+        // Bit patterns of (logic, signal, static, activity) recorded from
+        // the per-lane LUT interpreter this estimator used before it
+        // simulated the lowered mux-tree netlist.
+        let m = mapped_adder(8);
+        let pinned: [(usize, [u64; 4]); 3] = [
+            (1, [0x3ff8a0ea0ea0ea0e, 0x4006e93e93e93e93, 0x403205604189374c, 0x3fdee1ee1ee1ee1f]),
+            (3, [0x3ff8db6db6db6db7, 0x400797b425ed097b, 0x403205604189374c, 0x3fdf6ca174c1f6ca]),
+            (16, [0x3ff938af8af8af8c, 0x4008060b60b60b60, 0x403205604189374c, 0x3fdfe1a8c536fe1b]),
+        ];
+        for (rounds, bits) in pinned {
+            let p = estimate_power(&m, &PowerModel { rounds, ..PowerModel::default() }).unwrap();
+            let got = [p.logic_mw, p.signal_mw, p.static_mw, p.mean_activity].map(f64::to_bits);
+            assert_eq!(got, bits, "rounds={rounds}: {p:?}");
+        }
     }
 
     #[test]
