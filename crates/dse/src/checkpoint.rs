@@ -8,9 +8,10 @@
 //! deterministic key order, making checkpoints diffable and
 //! byte-comparable.
 
-use crate::mbo::{MboConfig, MboState};
+use crate::mbo::{check_reference, MboConfig, MboState};
 use crate::space::Configuration;
 use crate::{DseError, Result};
+use clapped_exec::json::{self, FieldError, FromJson};
 use clapped_imgproc::ConvMode;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -42,42 +43,13 @@ fn bad(reason: impl Into<String>) -> DseError {
     DseError::Checkpoint { reason: reason.into() }
 }
 
-fn get<'a>(obj: &'a Value, key: &str) -> Result<&'a Value> {
-    match obj.get(key) {
-        Some(v) => Ok(v),
-        None => Err(bad(format!("missing field `{key}`"))),
-    }
-}
-
-fn as_f64(v: &Value, key: &str) -> Result<f64> {
-    v.as_f64().ok_or_else(|| bad(format!("field `{key}` is not a number")))
-}
-
-fn as_u64(v: &Value, key: &str) -> Result<u64> {
-    v.as_u64().ok_or_else(|| bad(format!("field `{key}` is not an unsigned integer")))
-}
-
-fn as_usize(v: &Value, key: &str) -> Result<usize> {
-    Ok(as_u64(v, key)? as usize)
-}
-
-fn as_array<'a>(v: &'a Value, key: &str) -> Result<&'a [Value]> {
-    v.as_array()
-        .map(Vec::as_slice)
-        .ok_or_else(|| bad(format!("field `{key}` is not an array")))
-}
-
-fn f64_vec(v: &Value, key: &str) -> Result<Vec<f64>> {
-    as_array(v, key)?.iter().map(|x| as_f64(x, key)).collect()
-}
-
 impl CheckpointCodec for Vec<f64> {
     fn to_checkpoint_json(&self) -> Value {
         Value::from(self.clone())
     }
 
     fn from_checkpoint_json(value: &Value) -> Result<Vec<f64>> {
-        f64_vec(value, "candidate")
+        Ok(Vec::from_json(value, "candidate")?)
     }
 }
 
@@ -97,23 +69,52 @@ impl CheckpointCodec for Configuration {
     }
 
     fn from_checkpoint_json(value: &Value) -> Result<Configuration> {
-        let mode = match get(value, "mode")?.as_str() {
-            Some("2d") => ConvMode::TwoD,
-            Some("separable") => ConvMode::Separable,
-            other => return Err(bad(format!("unknown conv mode {other:?}"))),
+        let mode = match json::field(value, "mode")? {
+            "2d" => ConvMode::TwoD,
+            "separable" => ConvMode::Separable,
+            other => return Err(bad(format!("unknown conv mode `{other}`"))),
         };
         Ok(Configuration {
-            window: as_usize(get(value, "window")?, "window")?,
-            stride: as_usize(get(value, "stride")?, "stride")?,
-            downsample: get(value, "downsample")?
-                .as_bool()
-                .ok_or_else(|| bad("field `downsample` is not a bool"))?,
+            window: json::field(value, "window")?,
+            stride: json::field(value, "stride")?,
+            downsample: json::field(value, "downsample")?,
             mode,
-            scale: as_usize(get(value, "scale")?, "scale")?,
-            mul_indices: as_array(get(value, "mul_indices")?, "mul_indices")?
-                .iter()
-                .map(|v| as_usize(v, "mul_indices"))
-                .collect::<Result<_>>()?,
+            scale: json::field(value, "scale")?,
+            mul_indices: json::field(value, "mul_indices")?,
+        })
+    }
+}
+
+impl MboConfig {
+    /// Encodes the configuration as the JSON object MBO checkpoints
+    /// and serve job specs embed; [`FromJson`] decodes it.
+    pub fn to_json(&self) -> Value {
+        json!({
+            "initial_samples": self.initial_samples,
+            "iterations": self.iterations,
+            "batch": self.batch,
+            "candidates": self.candidates,
+            "reference": self.reference.clone(),
+            "kappa": self.kappa,
+            "explore_fraction": self.explore_fraction,
+            "seed": self.seed,
+        })
+    }
+}
+
+/// Reads the fields only; semantic checks (such as the reference point)
+/// are the caller's.
+impl FromJson<'_> for MboConfig {
+    fn from_json(value: &Value, _name: &str) -> std::result::Result<MboConfig, FieldError> {
+        Ok(MboConfig {
+            initial_samples: json::field(value, "initial_samples")?,
+            iterations: json::field(value, "iterations")?,
+            batch: json::field(value, "batch")?,
+            candidates: json::field(value, "candidates")?,
+            reference: json::field(value, "reference")?,
+            kappa: json::field(value, "kappa")?,
+            explore_fraction: json::field(value, "explore_fraction")?,
+            seed: json::field(value, "seed")?,
         })
     }
 }
@@ -126,16 +127,7 @@ impl<C: CheckpointCodec + Clone> MboState<C> {
         let word_pos = self.rng.get_word_pos();
         let state = json!({
             "version": CHECKPOINT_VERSION,
-            "config": {
-                "initial_samples": self.config.initial_samples,
-                "iterations": self.config.iterations,
-                "batch": self.config.batch,
-                "candidates": self.config.candidates,
-                "reference": self.config.reference.clone(),
-                "kappa": self.config.kappa,
-                "explore_fraction": self.config.explore_fraction,
-                "seed": self.config.seed,
-            },
+            "config": self.config.to_json(),
             "rng": {
                 "seed": self.rng.get_seed().iter().map(|&b| u64::from(b)).collect::<Vec<_>>(),
                 "word_pos_hi": (word_pos >> 64) as u64,
@@ -168,51 +160,35 @@ impl<C: CheckpointCodec + Clone> MboState<C> {
     /// # Errors
     ///
     /// Returns [`DseError::Checkpoint`] on malformed JSON, an unknown
-    /// schema version, or inconsistent fields.
+    /// schema version, an unusable reference point, or inconsistent
+    /// fields.
     pub fn from_checkpoint(text: &str) -> Result<MboState<C>> {
         let root: Value =
             serde_json::from_str(text).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-        let version = as_u64(get(&root, "version")?, "version")?;
-        if version == 0 || version > CHECKPOINT_VERSION {
-            return Err(bad(format!(
-                "unsupported checkpoint version {version} (expected 1..={CHECKPOINT_VERSION})"
-            )));
-        }
+        let version = json::version(&root, 1..=CHECKPOINT_VERSION)?;
 
-        let c = get(&root, "config")?;
-        let config = MboConfig {
-            initial_samples: as_usize(get(c, "initial_samples")?, "initial_samples")?,
-            iterations: as_usize(get(c, "iterations")?, "iterations")?,
-            batch: as_usize(get(c, "batch")?, "batch")?,
-            candidates: as_usize(get(c, "candidates")?, "candidates")?,
-            reference: f64_vec(get(c, "reference")?, "reference")?,
-            kappa: as_f64(get(c, "kappa")?, "kappa")?,
-            explore_fraction: as_f64(get(c, "explore_fraction")?, "explore_fraction")?,
-            seed: as_u64(get(c, "seed")?, "seed")?,
-        };
+        let config: MboConfig = json::field(&root, "config")?;
+        check_reference(&config.reference).map_err(|e| bad(e.to_string()))?;
 
-        let r = get(&root, "rng")?;
-        let seed_words = as_array(get(r, "seed")?, "seed")?;
+        let r: &Value = json::field(&root, "rng")?;
+        let seed_words: Vec<u64> = json::field(r, "seed")?;
         if seed_words.len() != 32 {
             return Err(bad(format!("rng seed has {} bytes, expected 32", seed_words.len())));
         }
         let mut seed = [0u8; 32];
-        for (dst, v) in seed.iter_mut().zip(seed_words) {
-            let byte = as_u64(v, "seed")?;
-            if byte > 255 {
-                return Err(bad(format!("rng seed byte {byte} out of range")));
-            }
-            *dst = byte as u8;
+        for (dst, &byte) in seed.iter_mut().zip(&seed_words) {
+            *dst = u8::try_from(byte)
+                .map_err(|_| bad(format!("rng seed byte {byte} out of range")))?;
         }
-        let hi = as_u64(get(r, "word_pos_hi")?, "word_pos_hi")?;
-        let lo = as_u64(get(r, "word_pos_lo")?, "word_pos_lo")?;
+        let hi: u64 = json::field(r, "word_pos_hi")?;
+        let lo: u64 = json::field(r, "word_pos_lo")?;
         let mut rng = ChaCha8Rng::from_seed(seed);
         rng.set_word_pos((u128::from(hi) << 64) | u128::from(lo));
 
         let mut evaluated = Vec::new();
-        for entry in as_array(get(&root, "evaluated")?, "evaluated")? {
-            let candidate = C::from_checkpoint_json(get(entry, "candidate")?)?;
-            let objectives = f64_vec(get(entry, "objectives")?, "objectives")?;
+        for entry in json::field::<&[Value]>(&root, "evaluated")? {
+            let candidate = C::from_checkpoint_json(json::field(entry, "candidate")?)?;
+            let objectives: Vec<f64> = json::field(entry, "objectives")?;
             if objectives.len() != config.reference.len() {
                 return Err(bad(format!(
                     "objective vector of dim {} vs reference dim {}",
@@ -226,10 +202,7 @@ impl<C: CheckpointCodec + Clone> MboState<C> {
         // Version 1 predates digest tracking: default to zero ("no
         // digest recorded"), which downstream treats as un-replayable.
         let eval_digests: Vec<u64> = if version >= 2 {
-            let digests = as_array(get(&root, "eval_digests")?, "eval_digests")?
-                .iter()
-                .map(|v| as_u64(v, "eval_digests"))
-                .collect::<Result<Vec<u64>>>()?;
+            let digests: Vec<u64> = json::field(&root, "eval_digests")?;
             if digests.len() != evaluated.len() {
                 return Err(bad(format!(
                     "{} eval digests for {} evaluations",
@@ -243,18 +216,15 @@ impl<C: CheckpointCodec + Clone> MboState<C> {
         };
 
         let mut hv_trace = Vec::new();
-        for entry in as_array(get(&root, "hv_trace")?, "hv_trace")? {
-            let pair = as_array(entry, "hv_trace")?;
-            if pair.len() != 2 {
+        for pair in json::field::<Vec<&[Value]>>(&root, "hv_trace")? {
+            let [count, hv] = pair else {
                 return Err(bad("hv_trace entries must be [count, hv] pairs"));
-            }
-            hv_trace.push((as_usize(&pair[0], "hv_trace")?, as_f64(&pair[1], "hv_trace")?));
+            };
+            hv_trace.push((usize::from_json(count, "hv_trace")?, f64::from_json(hv, "hv_trace")?));
         }
 
-        let initial_done = get(&root, "initial_done")?
-            .as_bool()
-            .ok_or_else(|| bad("field `initial_done` is not a bool"))?;
-        let iterations_done = as_usize(get(&root, "iterations_done")?, "iterations_done")?;
+        let initial_done: bool = json::field(&root, "initial_done")?;
+        let iterations_done: usize = json::field(&root, "iterations_done")?;
         if iterations_done > config.iterations {
             return Err(bad(format!(
                 "iterations_done {iterations_done} exceeds configured {}",
@@ -368,6 +338,16 @@ mod tests {
         let wrong_version = r#"{"version": 99}"#;
         assert!(matches!(
             MboState::<Vec<f64>>::from_checkpoint(wrong_version),
+            Err(DseError::Checkpoint { .. })
+        ));
+        // An empty reference point would reach `hypervolume`'s
+        // dimension assertion on the first iteration step.
+        let fresh = MboState::<Vec<f64>>::new(&config()).unwrap().to_checkpoint();
+        let mut doc: Value = serde_json::from_str(&fresh).unwrap();
+        doc["config"]["reference"] = json!([]);
+        doc["initial_done"] = json!(true);
+        assert!(matches!(
+            MboState::<Vec<f64>>::from_checkpoint(&doc.to_string()),
             Err(DseError::Checkpoint { .. })
         ));
     }

@@ -100,5 +100,11 @@ impl fmt::Display for DseError {
 
 impl Error for DseError {}
 
+impl From<clapped_exec::json::FieldError> for DseError {
+    fn from(e: clapped_exec::json::FieldError) -> DseError {
+        DseError::Checkpoint { reason: e.to_string() }
+    }
+}
+
 /// Convenient result alias for this crate.
 pub type Result<T> = std::result::Result<T, DseError>;

@@ -58,6 +58,23 @@ impl Default for MboConfig {
     }
 }
 
+/// Checks that a hypervolume reference point has at least one
+/// coordinate, all finite, so that no state — new or restored from a
+/// checkpoint — can reach [`hypervolume`]'s dimension assertion.
+pub(crate) fn check_reference(reference: &[f64]) -> Result<()> {
+    if reference.is_empty() {
+        return Err(DseError::BadObjectives {
+            reason: "empty hypervolume reference point".to_string(),
+        });
+    }
+    if reference.iter().any(|r| !r.is_finite()) {
+        return Err(DseError::BadObjectives {
+            reason: format!("non-finite reference point {reference:?}"),
+        });
+    }
+    Ok(())
+}
+
 /// The outcome of a search run (MBO or a baseline).
 #[derive(Debug, Clone)]
 pub struct SearchResult<C> {
@@ -137,16 +154,7 @@ impl<C: Clone> MboState<C> {
     /// Returns [`DseError::BadObjectives`] when the hypervolume
     /// reference point is empty or contains non-finite coordinates.
     pub fn new(config: &MboConfig) -> Result<MboState<C>> {
-        if config.reference.is_empty() {
-            return Err(DseError::BadObjectives {
-                reason: "empty hypervolume reference point".to_string(),
-            });
-        }
-        if config.reference.iter().any(|r| !r.is_finite()) {
-            return Err(DseError::BadObjectives {
-                reason: format!("non-finite reference point {:?}", config.reference),
-            });
-        }
+        check_reference(&config.reference)?;
         Ok(MboState {
             config: config.clone(),
             rng: ChaCha8Rng::seed_from_u64(config.seed),

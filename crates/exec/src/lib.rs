@@ -22,6 +22,9 @@
 //! - [`Memo`] — an unbounded concurrent memo table with hit/miss
 //!   counters, used for compute-once-per-process artifacts such as
 //!   operator behavioural tables.
+//! - [`json`] — the one JSON field codec every checkpoint, job record
+//!   and wire line is decoded through: typed required/optional field
+//!   readers, one [`json::FieldError`], and the version check.
 //!
 //! Everything here is dependency-free std Rust (the disk tier uses the
 //! vendored `serde_json`); determinism is a hard design requirement, not
@@ -29,6 +32,7 @@
 
 mod cache;
 pub mod digest;
+pub mod json;
 mod memo;
 mod pool;
 

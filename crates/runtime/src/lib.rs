@@ -121,6 +121,12 @@ impl From<clapped_accel::AccelError> for RuntimeError {
     }
 }
 
+impl From<clapped_exec::json::FieldError> for RuntimeError {
+    fn from(e: clapped_exec::json::FieldError) -> RuntimeError {
+        RuntimeError::Checkpoint { reason: e.to_string() }
+    }
+}
+
 impl From<clapped_netlist::NetlistError> for RuntimeError {
     fn from(e: clapped_netlist::NetlistError) -> RuntimeError {
         RuntimeError::Netlist(e)

@@ -44,7 +44,7 @@ use crate::{
 use clapped_accel::{simulate_stream, AcceleratorSpec};
 use clapped_axops::{FaultedMul, Mul8s};
 use clapped_errmodel::ErrorStats;
-use clapped_exec::Fnv64;
+use clapped_exec::{json, Fnv64};
 use clapped_imgproc::{app_error_percent, ConvEngine, ConvMode, QuantKernel};
 use clapped_netlist::FaultSet;
 use serde_json::{json, Value};
@@ -159,29 +159,25 @@ impl StreamEvent {
     }
 
     fn from_json(v: &Value) -> Result<StreamEvent> {
-        let kind = get(v, "type")?.as_str().unwrap_or_default();
-        match kind {
+        let frame = json::field(v, "frame")?;
+        match json::field(v, "type")? {
             "swap" => Ok(StreamEvent::Swap {
-                frame: as_usize(get(v, "frame")?, "frame")?,
-                from_rung: as_usize(get(v, "from_rung")?, "from_rung")?,
-                to_rung: as_usize(get(v, "to_rung")?, "to_rung")?,
-                reason: SwapReason::from_name(get(v, "reason")?.as_str().unwrap_or_default())
+                frame,
+                from_rung: json::field(v, "from_rung")?,
+                to_rung: json::field(v, "to_rung")?,
+                reason: SwapReason::from_name(json::field(v, "reason")?)
                     .ok_or_else(|| bad("unknown swap reason"))?,
             }),
             "fault-detected" => Ok(StreamEvent::FaultDetected {
-                frame: as_usize(get(v, "frame")?, "frame")?,
-                tap: as_usize(get(v, "tap")?, "tap")?,
-                rung: as_usize(get(v, "rung")?, "rung")?,
-                latency_frames: as_usize(get(v, "latency_frames")?, "latency_frames")?,
+                frame,
+                tap: json::field(v, "tap")?,
+                rung: json::field(v, "rung")?,
+                latency_frames: json::field(v, "latency_frames")?,
             }),
-            "quarantine" => Ok(StreamEvent::Quarantine {
-                frame: as_usize(get(v, "frame")?, "frame")?,
-                rung: as_usize(get(v, "rung")?, "rung")?,
-            }),
-            "hw-divergence" => Ok(StreamEvent::HwDivergence {
-                frame: as_usize(get(v, "frame")?, "frame")?,
-                rung: as_usize(get(v, "rung")?, "rung")?,
-            }),
+            "quarantine" => Ok(StreamEvent::Quarantine { frame, rung: json::field(v, "rung")? }),
+            "hw-divergence" => {
+                Ok(StreamEvent::HwDivergence { frame, rung: json::field(v, "rung")? })
+            }
             other => Err(bad(format!("unknown event type `{other}`"))),
         }
     }
@@ -334,30 +330,6 @@ impl ControllerState {
 
 fn bad(reason: impl Into<String>) -> RuntimeError {
     RuntimeError::Checkpoint { reason: reason.into() }
-}
-
-fn get<'a>(obj: &'a Value, key: &str) -> Result<&'a Value> {
-    obj.get(key).ok_or_else(|| bad(format!("missing field `{key}`")))
-}
-
-fn as_u64(v: &Value, key: &str) -> Result<u64> {
-    v.as_u64().ok_or_else(|| bad(format!("field `{key}` is not an unsigned integer")))
-}
-
-fn as_usize(v: &Value, key: &str) -> Result<usize> {
-    Ok(as_u64(v, key)? as usize)
-}
-
-fn as_f64(v: &Value, key: &str) -> Result<f64> {
-    v.as_f64().ok_or_else(|| bad(format!("field `{key}` is not a number")))
-}
-
-fn opt_usize(v: &Value, key: &str) -> Result<Option<usize>> {
-    if v.is_null() {
-        Ok(None)
-    } else {
-        Ok(Some(as_usize(v, key)?))
-    }
 }
 
 /// The runtime supervisor. Construct with [`StreamSupervisor::new`] (or
@@ -822,26 +794,16 @@ impl StreamSupervisor {
     ) -> Result<StreamSupervisor> {
         let root: Value =
             serde_json::from_str(checkpoint).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-        let version = as_u64(get(&root, "version")?, "version")?;
-        if version != CHECKPOINT_VERSION {
-            return Err(bad(format!(
-                "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
-            )));
-        }
-        let seed = as_u64(get(&root, "seed")?, "seed")?;
+        json::version(&root, CHECKPOINT_VERSION..=CHECKPOINT_VERSION)?;
+        let seed: u64 = json::field(&root, "seed")?;
         if seed != options.seed {
             return Err(bad(format!(
                 "checkpoint seed {seed} does not match options seed {}",
                 options.seed
             )));
         }
-        let names: Vec<String> = get(&root, "ladder")?
-            .as_array()
-            .ok_or_else(|| bad("field `ladder` is not an array"))?
-            .iter()
-            .map(|v| v.as_str().unwrap_or_default().to_string())
-            .collect();
-        let actual: Vec<String> = ladder.rungs().iter().map(|r| r.name.clone()).collect();
+        let names: Vec<&str> = json::field(&root, "ladder")?;
+        let actual: Vec<&str> = ladder.rungs().iter().map(|r| r.name.as_str()).collect();
         if names != actual {
             return Err(bad(format!(
                 "checkpoint ladder {names:?} does not match the supplied ladder {actual:?}"
@@ -850,35 +812,25 @@ impl StreamSupervisor {
 
         let mut sup = StreamSupervisor::new(ladder, sla, options)?;
         let s = &mut sup.state;
-        s.frame = as_usize(get(&root, "frame")?, "frame")?;
-        s.rung = as_usize(get(&root, "rung")?, "rung")?;
-        s.phase = TrafficPhase::from_name(get(&root, "phase")?.as_str().unwrap_or_default())
+        s.frame = json::field(&root, "frame")?;
+        s.rung = json::field(&root, "rung")?;
+        s.phase = TrafficPhase::from_name(json::field(&root, "phase")?)
             .ok_or_else(|| bad("unknown traffic phase"))?;
-        s.calm_streak = as_usize(get(&root, "calm_streak")?, "calm_streak")?;
-        s.backoff_frames = as_usize(get(&root, "backoff_frames")?, "backoff_frames")?;
-        s.cooldown_until = as_usize(get(&root, "cooldown_until")?, "cooldown_until")?;
-        s.last_swap_frame = opt_usize(get(&root, "last_swap_frame")?, "last_swap_frame")?;
-        s.quarantined = get(&root, "quarantined")?
-            .as_array()
-            .ok_or_else(|| bad("field `quarantined` is not an array"))?
-            .iter()
-            .map(|v| as_usize(v, "quarantined"))
-            .collect::<Result<_>>()?;
-        s.violations = as_u64(get(&root, "violations")?, "violations")?;
-        s.true_violations = as_u64(get(&root, "true_violations")?, "true_violations")?;
-        s.swaps = as_u64(get(&root, "swaps")?, "swaps")?;
-        s.output_digest = as_u64(get(&root, "output_digest")?, "output_digest")?;
-        s.energy_uj = as_f64(get(&root, "energy_uj")?, "energy_uj")?;
-        s.pdp_pj = as_f64(get(&root, "pdp_pj")?, "pdp_pj")?;
-        s.fault_injected = get(&root, "fault_injected")?
-            .as_bool()
-            .ok_or_else(|| bad("field `fault_injected` is not a bool"))?;
-        s.fault_rung = opt_usize(get(&root, "fault_rung")?, "fault_rung")?;
-        s.fault_detected_frame =
-            opt_usize(get(&root, "fault_detected_frame")?, "fault_detected_frame")?;
-        s.events = get(&root, "events")?
-            .as_array()
-            .ok_or_else(|| bad("field `events` is not an array"))?
+        s.calm_streak = json::field(&root, "calm_streak")?;
+        s.backoff_frames = json::field(&root, "backoff_frames")?;
+        s.cooldown_until = json::field(&root, "cooldown_until")?;
+        s.last_swap_frame = json::opt_field(&root, "last_swap_frame")?;
+        s.quarantined = json::field::<Vec<usize>>(&root, "quarantined")?.into_iter().collect();
+        s.violations = json::field(&root, "violations")?;
+        s.true_violations = json::field(&root, "true_violations")?;
+        s.swaps = json::field(&root, "swaps")?;
+        s.output_digest = json::field(&root, "output_digest")?;
+        s.energy_uj = json::field(&root, "energy_uj")?;
+        s.pdp_pj = json::field(&root, "pdp_pj")?;
+        s.fault_injected = json::field(&root, "fault_injected")?;
+        s.fault_rung = json::opt_field(&root, "fault_rung")?;
+        s.fault_detected_frame = json::opt_field(&root, "fault_detected_frame")?;
+        s.events = json::field::<&[Value]>(&root, "events")?
             .iter()
             .map(StreamEvent::from_json)
             .collect::<Result<_>>()?;

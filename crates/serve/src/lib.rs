@@ -93,6 +93,14 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
+/// A structurally invalid message: a missing or mistyped field is a
+/// `malformed` request or reply.
+impl From<clapped_exec::json::FieldError> for ServeError {
+    fn from(e: clapped_exec::json::FieldError) -> Self {
+        ServeError::Protocol { code: ErrorCode::Malformed, detail: e.to_string() }
+    }
+}
+
 impl From<clapped_core::ClappedError> for ServeError {
     fn from(e: clapped_core::ClappedError) -> Self {
         ServeError::Core(e)

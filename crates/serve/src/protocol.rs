@@ -13,18 +13,19 @@
 //! <- {"ok":false,"error":"unknown-op","detail":"op `nonsense`"}
 //! ```
 //!
-//! The codec is hand-rolled over `serde_json::Value` (the vendored
-//! serde_json has no derive), mirroring the `clapped-dse` checkpoint
-//! codec: explicit field reads, structured errors, and `f64` values
-//! that survive the JSON round trip bit-exactly (shortest-round-trip
-//! formatting on encode, exact parse on decode) — the property the
-//! bit-identical resume guarantee leans on.
+//! Messages are built with `serde_json`'s `json!` and read through the
+//! workspace's one field codec, [`clapped_exec::json`]: a missing or
+//! mistyped field is a `malformed` error, an absent or `null` optional
+//! field reads as unset, and `f64` values survive the round trip
+//! bit-exactly — the property the bit-identical resume guarantee leans
+//! on. The MBO plan inside a job spec uses `clapped-dse`'s
+//! [`MboConfig`] codec, the same object its checkpoints embed.
 
 use crate::{Result, ServeError};
 use clapped_core::AppKind;
 use clapped_dse::{CheckpointCodec, Configuration, MboConfig};
-use clapped_exec::CacheStats;
-use serde_json::{json, Map, Value};
+use clapped_exec::{json, CacheStats};
+use serde_json::{json, Value};
 
 /// Default bound on one request line (bytes, newline included).
 pub const DEFAULT_MAX_REQUEST_BYTES: usize = 1 << 20;
@@ -85,67 +86,6 @@ fn bad_spec(detail: impl Into<String>) -> ServeError {
     ServeError::Protocol { code: ErrorCode::BadSpec, detail: detail.into() }
 }
 
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value> {
-    v.get(key).ok_or_else(|| malformed(format!("missing field `{key}`")))
-}
-
-fn u64_of(v: &Value, key: &str) -> Result<u64> {
-    field(v, key)?.as_u64().ok_or_else(|| malformed(format!("field `{key}` must be an integer")))
-}
-
-fn f64_of(v: &Value, key: &str) -> Result<f64> {
-    field(v, key)?.as_f64().ok_or_else(|| malformed(format!("field `{key}` must be a number")))
-}
-
-fn str_of<'a>(v: &'a Value, key: &str) -> Result<&'a str> {
-    field(v, key)?.as_str().ok_or_else(|| malformed(format!("field `{key}` must be a string")))
-}
-
-fn bool_of(v: &Value, key: &str) -> Result<bool> {
-    field(v, key)?.as_bool().ok_or_else(|| malformed(format!("field `{key}` must be a bool")))
-}
-
-fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(x) => {
-            x.as_u64().map(Some).ok_or_else(|| malformed(format!("field `{key}` must be an integer")))
-        }
-    }
-}
-
-fn opt_f64(v: &Value, key: &str) -> Result<Option<f64>> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(x) => {
-            x.as_f64().map(Some).ok_or_else(|| malformed(format!("field `{key}` must be a number")))
-        }
-    }
-}
-
-fn opt_str(v: &Value, key: &str) -> Result<Option<String>> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(x) => x
-            .as_str()
-            .map(|s| Some(s.to_string()))
-            .ok_or_else(|| malformed(format!("field `{key}` must be a string"))),
-    }
-}
-
-fn insert_opt(map: &mut Map, key: &str, value: Option<Value>) {
-    if let Some(v) = value {
-        map.insert(key.to_string(), v);
-    }
-}
-
-fn as_object(v: Value, what: &str) -> Result<Map> {
-    match v {
-        Value::Object(map) => Ok(map),
-        _ => Err(malformed(format!("{what} must be a JSON object"))),
-    }
-}
-
 /// One DSE job: the framework recipe, the MBO plan, and the tenant's
 /// quality/budget/deadline constraints.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,56 +140,23 @@ fn app_from_str(s: &str) -> Result<AppKind> {
     }
 }
 
-fn mbo_to_json(mbo: &MboConfig) -> Value {
-    json!({
-        "initial_samples": mbo.initial_samples,
-        "iterations": mbo.iterations,
-        "batch": mbo.batch,
-        "candidates": mbo.candidates,
-        "reference": mbo.reference.clone(),
-        "kappa": mbo.kappa,
-        "explore_fraction": mbo.explore_fraction,
-        "seed": mbo.seed,
-    })
-}
-
-fn mbo_from_json(v: &Value) -> Result<MboConfig> {
-    let reference = field(v, "reference")?
-        .as_array()
-        .ok_or_else(|| malformed("field `reference` must be an array"))?
-        .iter()
-        .map(|x| x.as_f64().ok_or_else(|| malformed("`reference` entries must be numbers")))
-        .collect::<Result<Vec<f64>>>()?;
-    Ok(MboConfig {
-        initial_samples: u64_of(v, "initial_samples")? as usize,
-        iterations: u64_of(v, "iterations")? as usize,
-        batch: u64_of(v, "batch")? as usize,
-        candidates: u64_of(v, "candidates")? as usize,
-        reference,
-        kappa: f64_of(v, "kappa")?,
-        explore_fraction: f64_of(v, "explore_fraction")?,
-        seed: u64_of(v, "seed")?,
-    })
-}
-
 impl JobSpec {
     /// Encodes the spec as a JSON value.
     pub fn to_json(&self) -> Value {
-        let mut map = as_object(
+        json::extend(
             json!({
                 "app": app_to_str(self.app),
                 "image_size": self.image_size,
                 "noise_sigma": self.noise_sigma,
                 "seed": self.seed,
-                "mbo": mbo_to_json(&self.mbo),
+                "mbo": self.mbo.to_json(),
             }),
-            "spec",
+            [
+                ("max_error_percent", self.max_error_percent.map(Value::from)),
+                ("max_evaluations", self.max_evaluations.map(Value::from)),
+                ("deadline_ms", self.deadline_ms.map(Value::from)),
+            ],
         )
-        .unwrap_or_default();
-        insert_opt(&mut map, "max_error_percent", self.max_error_percent.map(|x| json!(x)));
-        insert_opt(&mut map, "max_evaluations", self.max_evaluations.map(|x| json!(x)));
-        insert_opt(&mut map, "deadline_ms", self.deadline_ms.map(|x| json!(x)));
-        Value::Object(map)
     }
 
     /// Decodes a spec, validating its shape.
@@ -260,14 +167,14 @@ impl JobSpec {
     /// [`ErrorCode::BadSpec`] for well-formed but invalid jobs.
     pub fn from_json(v: &Value) -> Result<JobSpec> {
         let spec = JobSpec {
-            app: app_from_str(str_of(v, "app")?)?,
-            image_size: u64_of(v, "image_size")? as usize,
-            noise_sigma: f64_of(v, "noise_sigma")?,
-            seed: u64_of(v, "seed")?,
-            mbo: mbo_from_json(field(v, "mbo")?)?,
-            max_error_percent: opt_f64(v, "max_error_percent")?,
-            max_evaluations: opt_u64(v, "max_evaluations")?.map(|x| x as usize),
-            deadline_ms: opt_u64(v, "deadline_ms")?,
+            app: app_from_str(json::field(v, "app")?)?,
+            image_size: json::field(v, "image_size")?,
+            noise_sigma: json::field(v, "noise_sigma")?,
+            seed: json::field(v, "seed")?,
+            mbo: json::field(v, "mbo")?,
+            max_error_percent: json::opt_field(v, "max_error_percent")?,
+            max_evaluations: json::opt_field(v, "max_evaluations")?,
+            deadline_ms: json::opt_field(v, "deadline_ms")?,
         };
         if spec.image_size < 4 || spec.image_size > 4096 {
             return Err(bad_spec(format!("image_size {} outside [4, 4096]", spec.image_size)));
@@ -354,7 +261,7 @@ pub struct JobStatus {
 impl JobStatus {
     /// Encodes the status as a JSON value.
     pub fn to_json(&self) -> Value {
-        let mut map = as_object(
+        json::extend(
             json!({
                 "job": self.job.clone(),
                 "tenant": self.tenant.clone(),
@@ -364,12 +271,11 @@ impl JobStatus {
                 "iterations_done": self.iterations_done,
                 "hypervolume": self.hypervolume,
             }),
-            "status",
+            [
+                ("finish_seq", self.finish_seq.map(Value::from)),
+                ("error", self.error.clone().map(Value::from)),
+            ],
         )
-        .unwrap_or_default();
-        insert_opt(&mut map, "finish_seq", self.finish_seq.map(|x| json!(x)));
-        insert_opt(&mut map, "error", self.error.clone().map(Value::String));
-        Value::Object(map)
     }
 
     /// Decodes a status.
@@ -378,19 +284,19 @@ impl JobStatus {
     ///
     /// [`ErrorCode::Malformed`] on structural problems.
     pub fn from_json(v: &Value) -> Result<JobStatus> {
-        let state_token = str_of(v, "state")?;
+        let state_token: &str = json::field(v, "state")?;
         let state = JobState::parse(state_token)
             .ok_or_else(|| malformed(format!("unknown job state `{state_token}`")))?;
         Ok(JobStatus {
-            job: str_of(v, "job")?.to_string(),
-            tenant: str_of(v, "tenant")?.to_string(),
+            job: json::field(v, "job")?,
+            tenant: json::field(v, "tenant")?,
             state,
-            evaluations_done: u64_of(v, "evaluations_done")?,
-            evaluations_planned: u64_of(v, "evaluations_planned")?,
-            iterations_done: u64_of(v, "iterations_done")?,
-            hypervolume: f64_of(v, "hypervolume")?,
-            finish_seq: opt_u64(v, "finish_seq")?,
-            error: opt_str(v, "error")?,
+            evaluations_done: json::field(v, "evaluations_done")?,
+            evaluations_planned: json::field(v, "evaluations_planned")?,
+            iterations_done: json::field(v, "iterations_done")?,
+            hypervolume: json::field(v, "hypervolume")?,
+            finish_seq: json::opt_field(v, "finish_seq")?,
+            error: json::opt_field(v, "error")?,
         })
     }
 }
@@ -425,13 +331,13 @@ impl ParetoEntry {
     ///
     /// [`ErrorCode::Malformed`] on structural problems.
     pub fn from_json(v: &Value) -> Result<ParetoEntry> {
-        let config = Configuration::from_checkpoint_json(field(v, "config")?)
+        let config = Configuration::from_checkpoint_json(json::field(v, "config")?)
             .map_err(|e| malformed(format!("bad pareto config: {e}")))?;
         Ok(ParetoEntry {
             config,
-            error_percent: f64_of(v, "error_percent")?,
-            luts: f64_of(v, "luts")?,
-            feasible: bool_of(v, "feasible")?,
+            error_percent: json::field(v, "error_percent")?,
+            luts: json::field(v, "luts")?,
+            feasible: json::field(v, "feasible")?,
         })
     }
 }
@@ -471,14 +377,14 @@ fn cache_to_json(c: &CacheStats) -> Value {
 
 fn cache_from_json(v: &Value) -> Result<CacheStats> {
     Ok(CacheStats {
-        hits: u64_of(v, "hits")?,
-        disk_hits: u64_of(v, "disk_hits")?,
-        misses: u64_of(v, "misses")?,
-        insertions: u64_of(v, "insertions")?,
-        evictions: u64_of(v, "evictions")?,
-        disk_corrupt: u64_of(v, "disk_corrupt")?,
-        lock_contention: u64_of(v, "lock_contention")?,
-        entries: u64_of(v, "entries")? as usize,
+        hits: json::field(v, "hits")?,
+        disk_hits: json::field(v, "disk_hits")?,
+        misses: json::field(v, "misses")?,
+        insertions: json::field(v, "insertions")?,
+        evictions: json::field(v, "evictions")?,
+        disk_corrupt: json::field(v, "disk_corrupt")?,
+        lock_contention: json::field(v, "lock_contention")?,
+        entries: json::field(v, "entries")?,
     })
 }
 
@@ -503,13 +409,13 @@ impl ServerStats {
     /// [`ErrorCode::Malformed`] on structural problems.
     pub fn from_json(v: &Value) -> Result<ServerStats> {
         Ok(ServerStats {
-            jobs_submitted: u64_of(v, "jobs_submitted")?,
-            jobs_done: u64_of(v, "jobs_done")?,
-            jobs_failed: u64_of(v, "jobs_failed")?,
-            steps: u64_of(v, "steps")?,
-            requests: u64_of(v, "requests")?,
-            protocol_errors: u64_of(v, "protocol_errors")?,
-            cache: cache_from_json(field(v, "cache")?)?,
+            jobs_submitted: json::field(v, "jobs_submitted")?,
+            jobs_done: json::field(v, "jobs_done")?,
+            jobs_failed: json::field(v, "jobs_failed")?,
+            steps: json::field(v, "steps")?,
+            requests: json::field(v, "requests")?,
+            protocol_errors: json::field(v, "protocol_errors")?,
+            cache: cache_from_json(json::field(v, "cache")?)?,
         })
     }
 }
@@ -572,17 +478,17 @@ impl Request {
     /// [`ErrorCode::Malformed`] / [`ErrorCode::BadSpec`] /
     /// [`ErrorCode::UnknownOp`] as appropriate.
     pub fn from_json(v: &Value) -> Result<Request> {
-        match str_of(v, "op")? {
+        match json::field(v, "op")? {
             "ping" => Ok(Request::Ping),
             "submit" => {
-                let tenant = str_of(v, "tenant")?.to_string();
+                let tenant: String = json::field(v, "tenant")?;
                 if tenant.is_empty() {
                     return Err(bad_spec("tenant must be non-empty"));
                 }
-                Ok(Request::Submit { tenant, spec: JobSpec::from_json(field(v, "spec")?)? })
+                Ok(Request::Submit { tenant, spec: JobSpec::from_json(json::field(v, "spec")?)? })
             }
-            "status" => Ok(Request::Status { job: str_of(v, "job")?.to_string() }),
-            "result" => Ok(Request::Result { job: str_of(v, "job")?.to_string() }),
+            "status" => Ok(Request::Status { job: json::field(v, "job")? }),
+            "result" => Ok(Request::Result { job: json::field(v, "job")? }),
             "jobs" => Ok(Request::Jobs),
             "stats" => Ok(Request::Stats),
             "shutdown" => Ok(Request::Shutdown),
@@ -647,12 +553,10 @@ impl Reply {
             Reply::Submitted { job } => {
                 json!({"ok": true, "reply": "submitted", "job": job.clone()})
             }
-            Reply::Status(status) => {
-                let mut map = as_object(status.to_json(), "status").unwrap_or_default();
-                map.insert("ok".to_string(), Value::Bool(true));
-                map.insert("reply".to_string(), Value::String("status".to_string()));
-                Value::Object(map)
-            }
+            Reply::Status(status) => json::extend(
+                status.to_json(),
+                [("ok", Some(Value::Bool(true))), ("reply", Some(Value::from("status")))],
+            ),
             Reply::JobResult { status, pareto } => {
                 let entries: Vec<Value> = pareto.iter().map(ParetoEntry::to_json).collect();
                 json!({
@@ -666,12 +570,10 @@ impl Reply {
                 let entries: Vec<Value> = statuses.iter().map(JobStatus::to_json).collect();
                 json!({"ok": true, "reply": "jobs", "jobs": entries})
             }
-            Reply::Stats(stats) => {
-                let mut map = as_object(stats.to_json(), "stats").unwrap_or_default();
-                map.insert("ok".to_string(), Value::Bool(true));
-                map.insert("reply".to_string(), Value::String("stats".to_string()));
-                Value::Object(map)
-            }
+            Reply::Stats(stats) => json::extend(
+                stats.to_json(),
+                [("ok", Some(Value::Bool(true))), ("reply", Some(Value::from("stats")))],
+            ),
             Reply::Bye => json!({"ok": true, "reply": "bye"}),
             Reply::Error { code, detail } => {
                 json!({"ok": false, "error": code.as_str(), "detail": detail.clone()})
@@ -690,32 +592,29 @@ impl Reply {
     ///
     /// [`ErrorCode::Malformed`] on structural problems.
     pub fn from_json(v: &Value) -> Result<Reply> {
-        if !bool_of(v, "ok")? {
-            let token = str_of(v, "error")?;
+        if !json::field::<bool>(v, "ok")? {
+            let token: &str = json::field(v, "error")?;
             let code = ErrorCode::parse(token)
                 .ok_or_else(|| malformed(format!("unknown error code `{token}`")))?;
             return Ok(Reply::Error {
                 code,
-                detail: opt_str(v, "detail")?.unwrap_or_default(),
+                detail: json::opt_field(v, "detail")?.unwrap_or_default(),
             });
         }
-        match str_of(v, "reply")? {
+        match json::field(v, "reply")? {
             "pong" => Ok(Reply::Pong),
-            "submitted" => Ok(Reply::Submitted { job: str_of(v, "job")?.to_string() }),
+            "submitted" => Ok(Reply::Submitted { job: json::field(v, "job")? }),
             "status" => Ok(Reply::Status(JobStatus::from_json(v)?)),
             "result" => {
-                let pareto = field(v, "pareto")?
-                    .as_array()
-                    .ok_or_else(|| malformed("field `pareto` must be an array"))?
+                let pareto = json::field::<&[Value]>(v, "pareto")?
                     .iter()
                     .map(ParetoEntry::from_json)
                     .collect::<Result<Vec<ParetoEntry>>>()?;
-                Ok(Reply::JobResult { status: JobStatus::from_json(field(v, "status")?)?, pareto })
+                let status = JobStatus::from_json(json::field(v, "status")?)?;
+                Ok(Reply::JobResult { status, pareto })
             }
             "jobs" => {
-                let jobs = field(v, "jobs")?
-                    .as_array()
-                    .ok_or_else(|| malformed("field `jobs` must be an array"))?
+                let jobs = json::field::<&[Value]>(v, "jobs")?
                     .iter()
                     .map(JobStatus::from_json)
                     .collect::<Result<Vec<JobStatus>>>()?;
