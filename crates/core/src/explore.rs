@@ -1,6 +1,7 @@
 //! End-to-end cross-layer DSE: MBO over application error and LUT
 //! utilization (paper Section V-D).
 
+use crate::framework::objective_or_sentinel;
 use crate::{Clapped, ClappedError, MulRepr, Result};
 use clapped_dse::{BatchOutcome, Configuration, MboConfig, MboState, SearchResult};
 use clapped_mlp::{Regressor, TrainConfig};
@@ -175,20 +176,13 @@ pub fn explore(fw: &Clapped, opts: &ExploreOptions) -> Result<ExploreResult> {
     let objective = |c: &Configuration| -> Vec<f64> {
         let err = match (&opts.error_mode, &err_model) {
             (EstimationMode::Ml, Some(m)) => m.predict(&fw.encode(c, opts.repr)),
-            _ => fw
-                .evaluate_error(c)
-                .map(|r| r.error_percent)
-                .unwrap_or(f64::MAX / 4.0),
+            _ => objective_or_sentinel(fw.evaluate_error(c).map(|r| r.error_percent)),
         };
         let luts = match (&opts.hw_mode, &lut_model) {
-            (EstimationMode::Ml, Some(m)) => match fw.encode_hw(c) {
-                Ok(x) => m.predict(&x),
-                Err(_) => f64::MAX / 4.0,
-            },
-            _ => fw
-                .characterize_hw(c)
-                .map(|r| r.luts as f64)
-                .unwrap_or(f64::MAX / 4.0),
+            (EstimationMode::Ml, Some(m)) => {
+                objective_or_sentinel(fw.encode_hw(c).map(|x| m.predict(&x)))
+            }
+            _ => objective_or_sentinel(fw.characterize_hw(c).map(|r| r.luts as f64)),
         };
         vec![err.max(0.0), luts.max(0.0)]
     };

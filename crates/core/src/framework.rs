@@ -2,7 +2,7 @@
 
 use crate::{ClappedError, MulRepr, Result};
 use clapped_accel::{characterize, AccelReport, AcceleratorSpec, CharacterizeConfig, OpLibrary};
-use clapped_axops::{Catalog, Mul8s};
+use clapped_axops::{AxMul, Catalog, Mul8s};
 use clapped_dse::{BatchOutcome, Configuration, DesignSpace};
 use clapped_errmodel::{rank_terms, ErrorStats, PrModel};
 use clapped_exec::{CacheStats, Engine, ExecConfig, ResultCache, StructDigest, CODE_VERSION_SALT};
@@ -17,6 +17,20 @@ use std::sync::{Arc, OnceLock};
 const ROLE_ERROR: u64 = 0x4552_524f_5221;
 /// Cache-key role for cached `[error %, LUTs]` objective vectors.
 const ROLE_OBJECTIVES: u64 = 0x4f42_4a45_4354;
+
+/// The large finite objective value a failed evaluation reads as, so
+/// the search treats the configuration as "avoid this region".
+const OBJECTIVE_SENTINEL: f64 = f64::MAX / 4.0;
+
+/// An objective value, or [`OBJECTIVE_SENTINEL`] for a failed
+/// evaluation. Every sentinel written is counted on
+/// `core.objective_sentinel`, so failures are visible, not swallowed.
+pub(crate) fn objective_or_sentinel(value: Result<f64>) -> f64 {
+    value.unwrap_or_else(|_| {
+        clapped_obs::count("core.objective_sentinel", 1);
+        OBJECTIVE_SENTINEL
+    })
+}
 
 /// A labelled behavioural dataset: configurations, their encoded feature
 /// rows, and the true application-level error labels.
@@ -552,16 +566,22 @@ impl Clapped {
         config
             .active_mul_indices()
             .iter()
-            .map(|&i| match self.catalog.at(i) {
-                Some(m) => Ok(m as Arc<dyn Mul8s>),
-                None => Err(ClappedError::BadConfiguration {
-                    reason: format!(
-                        "tap index {i} outside catalog of {} operators",
-                        self.catalog.len()
-                    ),
-                }),
-            })
+            .map(|&i| self.operator(i).map(|m| m as Arc<dyn Mul8s>))
             .collect()
+    }
+
+    /// The catalog operator at tap index `i`, or
+    /// [`ClappedError::BadConfiguration`] outside the catalog.
+    fn operator(&self, i: usize) -> Result<Arc<AxMul>> {
+        match self.catalog.at(i) {
+            Some(m) => Ok(m),
+            None => Err(ClappedError::BadConfiguration {
+                reason: format!(
+                    "tap index {i} outside catalog of {} operators",
+                    self.catalog.len()
+                ),
+            }),
+        }
     }
 
     /// **True behavioral estimation**: executes the application model
@@ -626,20 +646,15 @@ impl Clapped {
     /// The cached true DSE objective vector `[application error %,
     /// LUT count]` of a configuration. Evaluation failures yield the
     /// large finite sentinel the search treats as "avoid this region"
-    /// (matching the ML-mode objective closures) and are never cached.
+    /// (matching the ML-mode objective closures), counted on
+    /// `core.objective_sentinel` and never cached.
     pub fn true_objectives_cached(&self, config: &Configuration) -> Vec<f64> {
         let key = self.config_digest(config) ^ ROLE_OBJECTIVES;
         if let Some(v) = self.eval_cache.get(key) {
             return v;
         }
-        let err = self
-            .evaluate_error(config)
-            .map(|r| r.error_percent)
-            .unwrap_or(f64::MAX / 4.0);
-        let luts = self
-            .characterize_hw(config)
-            .map(|r| r.luts as f64)
-            .unwrap_or(f64::MAX / 4.0);
+        let err = objective_or_sentinel(self.evaluate_error(config).map(|r| r.error_percent));
+        let luts = objective_or_sentinel(self.characterize_hw(config).map(|r| r.luts as f64));
         let objectives = vec![err.max(0.0), luts.max(0.0)];
         if err < f64::MAX / 8.0 && luts < f64::MAX / 8.0 {
             self.eval_cache.insert(key, objectives.clone());
@@ -662,19 +677,29 @@ impl Clapped {
 
     /// The accelerator design point implied by a configuration: the
     /// effective streamed image shrinks with DATA scaling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration indexes outside the catalog, like
+    /// [`Clapped::taps_for`]; [`Clapped::characterize_hw`] reports that
+    /// case as an error instead.
     pub fn accel_spec(&self, config: &Configuration) -> AcceleratorSpec {
-        AcceleratorSpec {
+        match self.try_accel_spec(config) {
+            Ok(spec) => spec,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    fn try_accel_spec(&self, config: &Configuration) -> Result<AcceleratorSpec> {
+        let muls = config.active_mul_indices().iter().map(|&i| self.operator(i));
+        Ok(AcceleratorSpec {
             image_size: (self.config.image_size / config.scale).max(config.window),
             window: config.window,
             stride: config.stride,
             downsample: config.downsample,
             mode: config.mode,
-            muls: config
-                .active_mul_indices()
-                .iter()
-                .map(|&i| self.catalog.at(i).expect("valid index"))
-                .collect(),
-        }
+            muls: muls.collect::<Result<_>>()?,
+        })
     }
 
     /// **True hardware estimation**: synthesizes the configuration's
@@ -682,9 +707,10 @@ impl Clapped {
     ///
     /// # Errors
     ///
-    /// Propagates synthesis failures.
+    /// Returns [`ClappedError::BadConfiguration`] for out-of-catalog tap
+    /// indices and propagates synthesis failures.
     pub fn characterize_hw(&self, config: &Configuration) -> Result<AccelReport> {
-        Ok(characterize(&self.accel_spec(config), &self.config.char_config)?)
+        Ok(characterize(&self.try_accel_spec(config)?, &self.config.char_config)?)
     }
 
     /// Encodes a configuration into a behavioral-model feature vector:
@@ -711,12 +737,15 @@ impl Clapped {
     ///
     /// # Errors
     ///
-    /// Propagates operator-library characterization failures.
+    /// Returns [`ClappedError::BadConfiguration`] for out-of-catalog tap
+    /// indices and propagates operator-library characterization
+    /// failures.
     pub fn encode_hw(&self, config: &Configuration) -> Result<Vec<f64>> {
+        let ops: Vec<Arc<AxMul>> =
+            config.mul_indices.iter().map(|&i| self.operator(i)).collect::<Result<_>>()?;
         let lib = self.op_library()?;
         let mut v = config.dof_features();
-        for &idx in &config.mul_indices {
-            let op = self.catalog.at(idx).expect("valid index");
+        for op in &ops {
             let name = Mul8s::name(op.as_ref());
             let p = lib.props(name).ok_or_else(|| {
                 ClappedError::Accel(clapped_accel::AccelError::Synth(format!(
@@ -804,6 +833,25 @@ mod tests {
         assert_eq!(fw.encode(&c, MulRepr::M1).len(), 4 + 9);
         assert_eq!(fw.encode(&c, MulRepr::M4).len(), 4 + 36);
         assert_eq!(fw.encode(&c, MulRepr::Coeffs(4)).len(), 4 + 36);
+    }
+
+    #[test]
+    fn foreign_configurations_are_errors_and_counted_sentinels() {
+        let fw = small();
+        let mut foreign = Configuration::golden(3);
+        foreign.mul_indices = vec![fw.catalog().len(); 9];
+        let bad = |r: Result<_>| matches!(r, Err(ClappedError::BadConfiguration { .. }));
+        assert!(bad(fw.characterize_hw(&foreign).map(drop)));
+        assert!(bad(fw.encode_hw(&foreign).map(drop)));
+
+        clapped_obs::enable();
+        let before = clapped_obs::metrics::counter_value("core.objective_sentinel");
+        for _ in 0..2 {
+            // Both objectives fail, and a failure is never cached.
+            assert_eq!(fw.true_objectives_cached(&foreign), vec![f64::MAX / 4.0; 2]);
+        }
+        // `>=`: other tests in this binary may write sentinels too.
+        assert!(clapped_obs::metrics::counter_value("core.objective_sentinel") >= before + 4);
     }
 
     #[test]
