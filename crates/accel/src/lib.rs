@@ -7,13 +7,11 @@
 //! `clapped-netlist` synthesis flow — the project's stand-in for the
 //! paper's 15-minute Vivado runs.
 //!
-//! Three estimation paths are provided, mirroring the paper:
+//! Two estimation paths are provided, mirroring the paper:
 //!
 //! 1. [`characterize`] — **true** characterization: full datapath
 //!    synthesis (slow, accurate),
-//! 2. [`characterize_fast`] — compositional estimate from per-operator
-//!    synthesis reports (fast, approximate),
-//! 3. ML-based prediction: [`features`] extracts the Table-I feature
+//! 2. ML-based prediction: [`features`] extracts the Table-I feature
 //!    vectors consumed by `clapped-mlp` regressors.
 //!
 //! # Examples
@@ -37,7 +35,7 @@ mod streamsim;
 
 pub use datapath::{build_datapath, build_datapath_cached, datapath_cache_stats};
 pub use features::{features, table1_rows, FeatureMode, MulProps, OpLibrary, PerfMetric};
-pub use perf::{characterize, characterize_fast, compute_duty_factor, latency_cycles, AccelReport, CharacterizeConfig};
+pub use perf::{characterize, compute_duty_factor, latency_cycles, AccelReport, CharacterizeConfig};
 pub use spec::AcceleratorSpec;
 pub use streamsim::{simulate_stream, simulate_stream_ref};
 

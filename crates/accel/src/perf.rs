@@ -1,4 +1,4 @@
-//! True and compositional accelerator characterization.
+//! True accelerator characterization and the latency/duty models.
 
 use crate::{build_datapath, AccelError, AcceleratorSpec, Result};
 use clapped_imgproc::ConvMode;
@@ -135,90 +135,12 @@ pub fn characterize(spec: &AcceleratorSpec, config: &CharacterizeConfig) -> Resu
     Ok(assemble_report(spec, config, &synth))
 }
 
-/// Fast compositional estimate: sums the per-operator synthesis reports
-/// plus an analytic adder-tree/clamp estimate instead of synthesizing the
-/// composed datapath. Within ~15 % of [`characterize`] for typical
-/// designs, at a fraction of the cost.
-///
-/// # Errors
-///
-/// Returns [`AccelError::BadSpec`] for invalid specs and
-/// [`AccelError::Synth`] if an operator fails to synthesize.
-pub fn characterize_fast(
-    spec: &AcceleratorSpec,
-    config: &CharacterizeConfig,
-    op_reports: &dyn Fn(&str) -> Option<SynthReport>,
-) -> Result<AccelReport> {
-    spec.validate()?;
-    let mut luts = 0usize;
-    let mut cpd = 0.0f64;
-    let mut logic = 0.0f64;
-    let mut signal = 0.0f64;
-    let mut statics = 0.0f64;
-    for m in &spec.muls {
-        let r = op_reports(clapped_axops::Mul8s::name(m.as_ref())).ok_or_else(|| {
-            AccelError::Synth(format!(
-                "no synthesis report for operator {}",
-                clapped_axops::Mul8s::name(m.as_ref())
-            ))
-        })?;
-        luts += r.lut_count;
-        cpd = cpd.max(r.cpd_ns);
-        logic += r.power.logic_mw;
-        signal += r.power.signal_mw;
-        statics += r.power.static_mw;
-    }
-    // Adder tree: taps−1 adders of ~20 bits, ≈ 20 LUTs each (carry
-    // logic), log2(taps) levels of delay.
-    let taps = spec.taps();
-    let tree_luts = (taps - 1) * 20 + 16;
-    let tree_levels = (usize::BITS - (taps - 1).leading_zeros()) as f64;
-    luts += tree_luts;
-    cpd += tree_levels * (config.synth.timing.lut_delay_ns + config.synth.timing.net_delay_ns) * 4.0;
-    // Deduplicate the per-operator base static power (device-level, paid
-    // once).
-    let base = config.synth.power.static_base_mw;
-    statics = base + (statics - base * spec.muls.len() as f64).max(0.0)
-        + tree_luts as f64 * config.synth.power.static_uw_per_lut / 1000.0;
-    let synth_like = SyntheticTotals {
-        luts,
-        cpd_ns: cpd,
-        logic_mw: logic,
-        signal_mw: signal,
-        static_mw: statics,
-    };
-    Ok(assemble_from_totals(spec, config, &synth_like))
-}
-
-struct SyntheticTotals {
-    luts: usize,
-    cpd_ns: f64,
-    logic_mw: f64,
-    signal_mw: f64,
-    static_mw: f64,
-}
-
 fn assemble_report(
     spec: &AcceleratorSpec,
     config: &CharacterizeConfig,
     synth: &SynthReport,
 ) -> AccelReport {
-    let totals = SyntheticTotals {
-        luts: synth.lut_count,
-        cpd_ns: synth.cpd_ns,
-        logic_mw: synth.power.logic_mw,
-        signal_mw: synth.power.signal_mw,
-        static_mw: synth.power.static_mw,
-    };
-    assemble_from_totals(spec, config, &totals)
-}
-
-fn assemble_from_totals(
-    spec: &AcceleratorSpec,
-    config: &CharacterizeConfig,
-    totals: &SyntheticTotals,
-) -> AccelReport {
-    let fmax = 1000.0 / totals.cpd_ns;
+    let fmax = 1000.0 / synth.cpd_ns;
     let clock = config.target_clock_mhz.min(fmax);
     // Memory subsystem power.
     let bram_mw = spec.line_buffer_bits() as f64 / 1024.0 * config.bram_mw_per_kbit;
@@ -228,26 +150,26 @@ fn assemble_from_totals(
     // (strided designs gate their multiplier array off-grid).
     let duty = compute_duty_factor(spec);
     let clock_ratio = clock / config.synth.power.clock_mhz;
-    let logic = totals.logic_mw * clock_ratio * duty;
-    let signal = totals.signal_mw * clock_ratio * duty;
+    let logic = synth.power.logic_mw * clock_ratio * duty;
+    let signal = synth.power.signal_mw * clock_ratio * duty;
     // Output writeback power scales with the written pixel count per
     // streamed cycle — downsampling's (small) power win.
     let s = spec.stride as f64;
     let write_ratio = if spec.downsample { 1.0 / (s * s) } else { 1.0 };
     let write_mw = 0.02 * spec.image_size as f64 * write_ratio / 32.0;
-    let total = logic + signal + totals.static_mw + bram_mw + reg_mw + write_mw;
+    let total = logic + signal + synth.power.static_mw + bram_mw + reg_mw + write_mw;
     let latency = latency_cycles(spec);
     let energy_uj = total * 1e-3 * latency as f64 * (1.0 / clock) * 1e-6 * 1e6;
     AccelReport {
-        luts: totals.luts,
-        cpd_ns: totals.cpd_ns,
+        luts: synth.lut_count,
+        cpd_ns: synth.cpd_ns,
         fmax_mhz: fmax,
         clock_mhz: clock,
         total_power_mw: total,
         logic_power_mw: logic,
         signal_power_mw: signal,
         latency_cycles: latency,
-        pdp_pj: total * totals.cpd_ns,
+        pdp_pj: total * synth.cpd_ns,
         energy_per_image_uj: energy_uj,
     }
 }
@@ -256,8 +178,6 @@ fn assemble_from_totals(
 mod tests {
     use super::*;
     use clapped_axops::Catalog;
-    use clapped_netlist::synthesize;
-    use std::collections::HashMap;
 
     #[test]
     fn latency_model_shapes() {
@@ -331,26 +251,6 @@ mod tests {
         .unwrap();
         assert!(approx.luts < exact.luts, "{} vs {}", approx.luts, exact.luts);
         assert!(approx.energy_per_image_uj < exact.energy_per_image_uj);
-    }
-
-    #[test]
-    fn fast_estimate_tracks_true_characterization() {
-        let cat = Catalog::standard();
-        let cfg = CharacterizeConfig::default();
-        // Pre-synthesize operator reports.
-        let mut reports = HashMap::new();
-        for name in ["mul8s_exact", "mul8s_tr4"] {
-            let m = cat.get(name).unwrap();
-            let r = synthesize(m.netlist(), &cfg.synth).unwrap();
-            reports.insert(name.to_string(), r);
-        }
-        let m = cat.get("mul8s_tr4").unwrap();
-        let spec = AcceleratorSpec::uniform_2d(32, 3, &m);
-        let fast = characterize_fast(&spec, &cfg, &|n| reports.get(n).cloned()).unwrap();
-        let truth = characterize(&spec, &cfg).unwrap();
-        let rel = (fast.luts as f64 - truth.luts as f64).abs() / truth.luts as f64;
-        assert!(rel < 0.5, "fast {} vs true {} LUTs", fast.luts, truth.luts);
-        assert_eq!(fast.latency_cycles, truth.latency_cycles);
     }
 
     #[test]

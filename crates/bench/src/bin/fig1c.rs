@@ -54,10 +54,8 @@ fn main() {
             "energy_uj_per_image": hw.energy_per_image_uj,
         }));
     }
-    println!(
-        "PSNR (noisy input baseline): {:.2} dB",
-        fw.app().noise_psnr()
-    );
+    let noisy_psnr = fw.app().expect("Gaussian application").noise_psnr();
+    println!("PSNR (noisy input baseline): {noisy_psnr:.2} dB");
     print_table(
         "Fig 1(c): Gaussian smoothing accuracy/energy trade-off",
         &["point", "PSNR (dB)", "energy (uJ/image)"],
@@ -66,7 +64,7 @@ fn main() {
     save_json(
         "fig1c",
         &json!({
-            "noisy_psnr_db": fw.app().noise_psnr(),
+            "noisy_psnr_db": noisy_psnr,
             "points": series,
         }),
     );

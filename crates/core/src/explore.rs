@@ -6,6 +6,7 @@ use crate::{Clapped, ClappedError, MulRepr, Result};
 use clapped_dse::{BatchOutcome, Configuration, MboConfig, MboState, SearchResult};
 use clapped_mlp::{Regressor, TrainConfig};
 use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// Which estimation path feeds an objective during DSE — the paper's
 /// true-vs-ML dichotomy.
@@ -187,46 +188,26 @@ pub fn explore(fw: &Clapped, opts: &ExploreOptions) -> Result<ExploreResult> {
         vec![err.max(0.0), luts.max(0.0)]
     };
 
-    let space = fw.space().clone();
-    // Surrogate features: behavioural representation plus, when the
-    // operator library is characterized, the hardware (Table-I) features
-    // — the LUT objective is nearly linear in the latter.
-    let hw_ready = fw.op_library().is_ok();
-    let surrogate_features = |c: &Configuration| -> Vec<f64> {
-        let mut v = fw.encode(c, opts.repr);
-        if hw_ready {
-            if let Ok(h) = fw.encode_hw(c) {
-                v.extend(h);
-            }
-        }
-        v
-    };
-    // Drive MBO through the batched stepping interface: every candidate
-    // batch fans out over the framework's evaluation engine, and each
+    // Drive MBO through the shared stepping path: every candidate batch
+    // fans out over the framework's evaluation engine, and each
     // evaluation records its configuration digest (checkpointable, and
     // replayable from a warm cache). Results are bit-identical at any
     // thread count: candidates are sampled serially, outcomes return in
     // candidate order, and the objectives are pure.
     let mut state = MboState::new(&opts.mbo).map_err(ClappedError::Dse)?;
-    let mut sample = move |rng: &mut rand_chacha::ChaCha8Rng| space.sample(rng);
     let mut evaluate_batch = |cs: &[Configuration]| -> Vec<BatchOutcome> {
         if pure_true {
             // Shared with `crate::Session`: content-addressed true
             // objectives, replayable from a warm cache.
             return fw.true_outcomes_cached(cs);
         }
-        fw.engine()
-            .evaluate_many(cs, |_, c| BatchOutcome::Value {
-                objectives: objective(c),
-                digest: fw.config_digest(c),
-            })
-            .into_iter()
-            .collect()
+        fw.engine().evaluate_many(cs, |_, c| BatchOutcome {
+            objectives: objective(c),
+            digest: fw.config_digest(c),
+        })
     };
     while !state.is_complete() {
-        state
-            .step_batched(&mut sample, &surrogate_features, &mut evaluate_batch)
-            .map_err(ClappedError::Dse)?;
+        step_mbo(fw, &mut state, opts.repr, &mut evaluate_batch)?;
     }
     let search = state.into_result();
 
@@ -250,7 +231,7 @@ pub fn explore(fw: &Clapped, opts: &ExploreOptions) -> Result<ExploreResult> {
     // Section IV refinement: local neighbourhood search around the front
     // with true evaluations.
     if opts.refine_neighbors > 0 {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(opts.mbo.seed ^ 0x5EED);
+        let mut rng = ChaCha8Rng::seed_from_u64(opts.mbo.seed ^ 0x5EED);
         let space = fw.space().clone();
         let mut candidates: Vec<ParetoPoint> = pareto.clone();
         // Mutate every neighbour first (one serial RNG stream), then
@@ -284,6 +265,33 @@ pub fn explore(fw: &Clapped, opts: &ExploreOptions) -> Result<ExploreResult> {
         pareto = front.into_iter().map(|i| candidates[i].clone()).collect();
     }
     Ok(ExploreResult { search, pareto })
+}
+
+/// Advances `state` by one MBO phase over `fw`'s design space. This is
+/// the one stepping path of [`explore`] and [`crate::Session::step`], so
+/// their trajectories agree by construction: both sample from the same
+/// space and fit the surrogate on the same features. Those features are
+/// the behavioural representation plus, when the operator library is
+/// characterized, the hardware (Table-I) features, in which the LUT
+/// objective is nearly linear.
+pub(crate) fn step_mbo(
+    fw: &Clapped,
+    state: &mut MboState<Configuration>,
+    repr: MulRepr,
+    evaluate_batch: &mut impl FnMut(&[Configuration]) -> Vec<BatchOutcome>,
+) -> Result<()> {
+    let hw_ready = fw.op_library().is_ok();
+    let features = |c: &Configuration| -> Vec<f64> {
+        let mut v = fw.encode(c, repr);
+        if hw_ready {
+            if let Ok(h) = fw.encode_hw(c) {
+                v.extend(h);
+            }
+        }
+        v
+    };
+    let mut sample = |rng: &mut ChaCha8Rng| fw.space().sample(rng);
+    state.step(&mut sample, &features, evaluate_batch).map_err(ClappedError::Dse)
 }
 
 #[cfg(test)]

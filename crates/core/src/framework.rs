@@ -270,12 +270,11 @@ impl ClappedConfig {
     /// its first operator is not exact.
     pub fn instantiate(&self) -> Result<Clapped> {
         let catalog = self.catalog.clone().unwrap_or_else(Catalog::standard);
-        if catalog.is_empty() {
+        let Some(first) = catalog.at(0) else {
             return Err(ClappedError::Unavailable {
                 reason: "operator catalog is empty".to_string(),
             });
-        }
-        let first = catalog.at(0).expect("non-empty catalog");
+        };
         if (0..32).any(|i| {
             let a = (i * 7 - 13) as i8;
             let b = (i * 3 + 5) as i8;
@@ -391,30 +390,31 @@ impl Clapped {
 
     /// The Gaussian-smoothing workload.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the framework was built with a different application;
-    /// check [`Clapped::app_kind`] first.
-    pub fn app(&self) -> &GaussianDenoise {
+    /// Returns [`ClappedError::Unavailable`] if the framework was built
+    /// with a different application; see [`Clapped::app_kind`].
+    pub fn app(&self) -> Result<&GaussianDenoise> {
         match &self.app {
-            AppModel::Gaussian(app) => app,
-            AppModel::Sobel(_) => panic!(
-                "framework was built with AppKind::SobelEdge; use sobel_app()"
-            ),
+            AppModel::Gaussian(app) => Ok(app),
+            AppModel::Sobel(_) => Err(ClappedError::Unavailable {
+                reason: "framework was built with AppKind::SobelEdge; use sobel_app()".to_string(),
+            }),
         }
     }
 
     /// The Sobel workload.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the framework was built with a different application.
-    pub fn sobel_app(&self) -> &SobelEdge {
+    /// Returns [`ClappedError::Unavailable`] if the framework was built
+    /// with a different application; see [`Clapped::app_kind`].
+    pub fn sobel_app(&self) -> Result<&SobelEdge> {
         match &self.app {
-            AppModel::Sobel(app) => app,
-            AppModel::Gaussian(_) => panic!(
-                "framework was built with AppKind::GaussianDenoise; use app()"
-            ),
+            AppModel::Sobel(app) => Ok(app),
+            AppModel::Gaussian(_) => Err(ClappedError::Unavailable {
+                reason: "framework was built with AppKind::GaussianDenoise; use app()".to_string(),
+            }),
         }
     }
 
@@ -542,22 +542,6 @@ impl Clapped {
 
     /// Resolves a configuration's tap multipliers from the catalog.
     ///
-    /// # Panics
-    ///
-    /// Panics if the configuration indexes outside the catalog (it came
-    /// from a different design space). Use [`Clapped::try_taps_for`] on
-    /// hot paths that must survive foreign configurations.
-    pub fn taps_for(&self, config: &Configuration) -> Vec<Arc<dyn Mul8s>> {
-        match self.try_taps_for(config) {
-            Ok(taps) => taps,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Resolves a configuration's tap multipliers, reporting
-    /// out-of-catalog indices as [`ClappedError::BadConfiguration`]
-    /// instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`ClappedError::BadConfiguration`] if any tap index is
@@ -663,13 +647,13 @@ impl Clapped {
     }
 
     /// Batched, cached true objective outcomes in the shape
-    /// [`clapped_dse::MboState::step_batched`] consumes: the
+    /// [`clapped_dse::MboState::step`] consumes: the
     /// configurations fan out over the evaluation engine and each
     /// returns its [`Clapped::true_objectives_cached`] vector paired
     /// with its [`Clapped::config_digest`]. Outcomes come back in input
     /// order, so results are bit-identical at any thread count.
     pub fn true_outcomes_cached(&self, configs: &[Configuration]) -> Vec<BatchOutcome> {
-        self.engine.evaluate_many(configs, |_, c| BatchOutcome::Value {
+        self.engine.evaluate_many(configs, |_, c| BatchOutcome {
             objectives: self.true_objectives_cached(c),
             digest: self.config_digest(c),
         })
@@ -680,9 +664,9 @@ impl Clapped {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration indexes outside the catalog, like
-    /// [`Clapped::taps_for`]; [`Clapped::characterize_hw`] reports that
-    /// case as an error instead.
+    /// Panics if the configuration indexes outside the catalog (it came
+    /// from a different design space); [`Clapped::characterize_hw`]
+    /// reports that case as an error instead.
     pub fn accel_spec(&self, config: &Configuration) -> AcceleratorSpec {
         match self.try_accel_spec(config) {
             Ok(spec) => spec,
@@ -881,18 +865,18 @@ mod tests {
         let (_, xs, ys) = fw.make_error_dataset(6, MulRepr::Coeffs(3), 2).unwrap();
         assert_eq!(xs.len(), 6);
         assert!(ys.iter().any(|&e| e > 0.0));
-        assert_eq!(fw.sobel_app().image_count(), 3);
+        assert_eq!(fw.sobel_app().unwrap().image_count(), 3);
     }
 
     #[test]
-    #[should_panic(expected = "use sobel_app()")]
-    fn wrong_app_accessor_panics() {
+    fn wrong_app_accessor_is_an_error() {
         let fw = Clapped::builder()
             .image_size(16)
             .application(crate::AppKind::SobelEdge)
             .build()
             .unwrap();
-        let _ = fw.app();
+        assert!(fw.app().is_err());
+        assert!(small().sobel_app().is_err());
     }
 
     #[test]

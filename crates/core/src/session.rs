@@ -9,9 +9,9 @@
 //! [`clapped_dse`] JSON format at any phase boundary, and resume
 //! bit-exactly — the contract `clapped-serve` builds crash recovery on.
 
+use crate::explore::step_mbo;
 use crate::{Clapped, ClappedError, MulRepr, ParetoPoint, Result};
 use clapped_dse::{Configuration, MboConfig, MboState};
-use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
 /// What one exploration job asks for: MBO parameters plus the
@@ -54,14 +54,22 @@ impl SessionSpec {
         let Some(budget) = self.max_evaluations else {
             return (mbo, false);
         };
-        let planned = mbo.initial_samples + mbo.iterations * mbo.batch;
-        if budget >= planned {
+        // A plan that overflows `usize` exceeds every budget.
+        if mbo.planned_evaluations().is_some_and(|planned| budget >= planned) {
             return (mbo, false);
         }
         mbo.initial_samples = mbo.initial_samples.min(budget);
         let remaining = budget - mbo.initial_samples;
         mbo.iterations = remaining.checked_div(mbo.batch).unwrap_or(0);
         (mbo, true)
+    }
+
+    /// The true evaluations a session opened from this spec plans: the
+    /// budget-clamped [`MboConfig::planned_evaluations`], which is what
+    /// [`Session::progress`] reports. `None` when the plan overflows
+    /// `usize`, which [`Session::new`] rejects.
+    pub fn planned_evaluations(&self) -> Option<usize> {
+        self.clamped_mbo().0.planned_evaluations()
     }
 }
 
@@ -149,32 +157,14 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates search errors from [`MboState::step_batched`].
+    /// Propagates search errors from [`MboState::step`].
     pub fn step(&mut self) -> Result<bool> {
         if self.state.is_complete() {
             return Ok(true);
         }
-        let fw = Arc::clone(&self.fw);
-        let space = fw.space().clone();
-        let repr = self.repr;
-        // Surrogate features: behavioural representation plus, when the
-        // operator library is characterized, the hardware (Table-I)
-        // features — identical to the `crate::explore` true-mode wiring.
-        let hw_ready = fw.op_library().is_ok();
-        let surrogate = |c: &Configuration| -> Vec<f64> {
-            let mut v = fw.encode(c, repr);
-            if hw_ready {
-                if let Ok(h) = fw.encode_hw(c) {
-                    v.extend(h);
-                }
-            }
-            v
-        };
-        let mut sample = |rng: &mut ChaCha8Rng| space.sample(rng);
+        let fw = &self.fw;
         let mut evaluate = |cs: &[Configuration]| fw.true_outcomes_cached(cs);
-        self.state
-            .step_batched(&mut sample, &surrogate, &mut evaluate)
-            .map_err(ClappedError::Dse)?;
+        step_mbo(fw, &mut self.state, self.repr, &mut evaluate)?;
         Ok(self.state.is_complete())
     }
 
@@ -350,6 +340,11 @@ mod tests {
         assert!(session.truncated());
         // 6 initial + one whole batch of 3 fits; the second batch does not.
         assert_eq!(session.progress().evaluations_planned, 9);
+        // The spec reports the same plan before any session exists, even
+        // when the budget falls between whole batches.
+        assert_eq!(spec.planned_evaluations(), Some(9));
+        let between = SessionSpec { max_evaluations: Some(10), ..spec.clone() };
+        assert_eq!(between.planned_evaluations(), Some(9));
         let generous = SessionSpec {
             mbo: small_mbo(3),
             max_evaluations: Some(100),

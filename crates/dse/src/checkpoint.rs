@@ -8,7 +8,7 @@
 //! deterministic key order, making checkpoints diffable and
 //! byte-comparable.
 
-use crate::mbo::{check_reference, MboConfig, MboState};
+use crate::mbo::{check_config, MboConfig, MboState};
 use crate::space::Configuration;
 use crate::{DseError, Result};
 use clapped_exec::json::{self, FieldError, FromJson};
@@ -160,15 +160,15 @@ impl<C: CheckpointCodec + Clone> MboState<C> {
     /// # Errors
     ///
     /// Returns [`DseError::Checkpoint`] on malformed JSON, an unknown
-    /// schema version, an unusable reference point, or inconsistent
-    /// fields.
+    /// schema version, an unusable reference point, an overflowing plan,
+    /// or inconsistent fields.
     pub fn from_checkpoint(text: &str) -> Result<MboState<C>> {
         let root: Value =
             serde_json::from_str(text).map_err(|e| bad(format!("invalid JSON: {e}")))?;
         let version = json::version(&root, 1..=CHECKPOINT_VERSION)?;
 
         let config: MboConfig = json::field(&root, "config")?;
-        check_reference(&config.reference).map_err(|e| bad(e.to_string()))?;
+        check_config(&config).map_err(|e| bad(e.to_string()))?;
 
         let r: &Value = json::field(&root, "rng")?;
         let seed_words: Vec<u64> = json::field(r, "seed")?;
@@ -248,7 +248,7 @@ impl<C: CheckpointCodec + Clone> MboState<C> {
 mod tests {
     use super::*;
     use crate::mbo::MboState;
-    use crate::DesignSpace;
+    use crate::{BatchOutcome, DesignSpace};
     use rand::Rng;
 
     fn toy_objective(c: &[f64]) -> Vec<f64> {
@@ -258,6 +258,10 @@ mod tests {
 
     fn toy_sample(rng: &mut ChaCha8Rng) -> Vec<f64> {
         vec![rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]
+    }
+
+    fn toy_batch(cs: &[Vec<f64>]) -> Vec<BatchOutcome> {
+        cs.iter().map(|c| BatchOutcome { objectives: toy_objective(c), digest: 0 }).collect()
     }
 
     fn config() -> MboConfig {
@@ -276,9 +280,8 @@ mod tests {
     fn run_to_completion(mut state: MboState<Vec<f64>>) -> crate::SearchResult<Vec<f64>> {
         let mut sample = toy_sample;
         let encode = |c: &Vec<f64>| c.clone();
-        let mut evaluate = |c: &Vec<f64>| Ok(toy_objective(c));
         while !state.is_complete() {
-            state.step(&mut sample, &encode, &mut evaluate).unwrap();
+            state.step(&mut sample, &encode, &mut toy_batch).unwrap();
         }
         state.into_result()
     }
@@ -288,9 +291,8 @@ mod tests {
         let mut state = MboState::<Vec<f64>>::new(&config()).unwrap();
         let mut sample = toy_sample;
         let encode = |c: &Vec<f64>| c.clone();
-        let mut evaluate = |c: &Vec<f64>| Ok(toy_objective(c));
-        state.step(&mut sample, &encode, &mut evaluate).unwrap();
-        state.step(&mut sample, &encode, &mut evaluate).unwrap();
+        state.step(&mut sample, &encode, &mut toy_batch).unwrap();
+        state.step(&mut sample, &encode, &mut toy_batch).unwrap();
         let text = state.to_checkpoint();
         let restored = MboState::<Vec<f64>>::from_checkpoint(&text).unwrap();
         assert_eq!(restored.to_checkpoint(), text);
@@ -304,10 +306,9 @@ mod tests {
         let mut state = MboState::<Vec<f64>>::new(&cfg).unwrap();
         let mut sample = toy_sample;
         let encode = |c: &Vec<f64>| c.clone();
-        let mut evaluate = |c: &Vec<f64>| Ok(toy_objective(c));
         // Initial phase + 2 of 4 iterations, then "crash".
         for _ in 0..3 {
-            state.step(&mut sample, &encode, &mut evaluate).unwrap();
+            state.step(&mut sample, &encode, &mut toy_batch).unwrap();
         }
         let text = state.to_checkpoint();
         drop(state);
@@ -346,6 +347,13 @@ mod tests {
         let mut doc: Value = serde_json::from_str(&fresh).unwrap();
         doc["config"]["reference"] = json!([]);
         doc["initial_done"] = json!(true);
+        assert!(matches!(
+            MboState::<Vec<f64>>::from_checkpoint(&doc.to_string()),
+            Err(DseError::Checkpoint { .. })
+        ));
+        // Nor may a restored plan overflow usize.
+        let mut doc: Value = serde_json::from_str(&fresh).unwrap();
+        doc["config"]["iterations"] = json!(usize::MAX / 2);
         assert!(matches!(
             MboState::<Vec<f64>>::from_checkpoint(&doc.to_string()),
             Err(DseError::Checkpoint { .. })

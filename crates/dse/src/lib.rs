@@ -8,9 +8,10 @@
 //! - hypervolume (2D exact, 3D by slicing) and exclusive contributions
 //!   ([`hypervolume`], [`exclusive_contributions`]),
 //! - a Gaussian-process surrogate ([`Gp`]),
-//! - **multi-objective Bayesian optimization** ([`mbo`]) whose
-//!   acquisition function ranks random candidate configurations by
-//!   predicted exclusive hypervolume contribution,
+//! - **multi-objective Bayesian optimization** ([`mbo`], stepped and
+//!   checkpointed through [`MboState`]) whose acquisition function ranks
+//!   random candidate configurations by predicted exclusive hypervolume
+//!   contribution,
 //! - baselines: random search ([`random_search`]), a light NSGA-II
 //!   ([`nsga2`]) and weighted-sum simulated annealing
 //!   ([`simulated_annealing`]).
@@ -35,7 +36,6 @@ mod gp;
 mod hv;
 mod mbo;
 mod pareto;
-mod resilient;
 mod search;
 mod space;
 
@@ -44,10 +44,6 @@ pub use gp::Gp;
 pub use hv::{exclusive_contributions, hypervolume, nonfinite_warnings};
 pub use mbo::{mbo, BatchOutcome, MboConfig, MboState, SearchResult};
 pub use pareto::{dominates, pareto_front};
-pub use resilient::{
-    mbo_resilient, mbo_resilient_checkpointed, QuarantineEntry, ResilienceConfig,
-    ResilientResult, StopReason,
-};
 pub use search::{nsga2, random_search, simulated_annealing, NsgaConfig, SaConfig};
 pub use space::{Configuration, DesignSpace};
 
@@ -66,19 +62,12 @@ pub enum DseError {
     },
     /// The surrogate model could not be fitted.
     Surrogate(String),
-    /// Evaluating one candidate failed (panic or non-finite objectives)
-    /// and the candidate was quarantined after bounded retries. The
-    /// stepping engine treats this as "skip the slot", not as a fatal
-    /// error.
-    Evaluation {
-        /// Why the candidate was rejected.
+    /// The MBO plan, `initial_samples + iterations × batch` evaluations,
+    /// does not fit in `usize`.
+    BadPlan {
+        /// Description of the problem.
         reason: String,
     },
-    /// The run was stopped early by a resilience policy (budget,
-    /// deadline or failure limit). Carried as an error so it can unwind
-    /// out of a step; [`mbo_resilient`] converts it into a graceful
-    /// [`ResilientResult`].
-    Stopped(StopReason),
     /// A checkpoint could not be parsed or is inconsistent.
     Checkpoint {
         /// Description of the problem.
@@ -91,8 +80,7 @@ impl fmt::Display for DseError {
         match self {
             DseError::BadObjectives { reason } => write!(f, "bad objectives: {reason}"),
             DseError::Surrogate(msg) => write!(f, "surrogate failure: {msg}"),
-            DseError::Evaluation { reason } => write!(f, "candidate evaluation failed: {reason}"),
-            DseError::Stopped(reason) => write!(f, "search stopped early: {reason:?}"),
+            DseError::BadPlan { reason } => write!(f, "bad MBO plan: {reason}"),
             DseError::Checkpoint { reason } => write!(f, "bad checkpoint: {reason}"),
         }
     }

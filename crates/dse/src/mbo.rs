@@ -5,8 +5,7 @@
 //! phase or one acquisition iteration. [`mbo`] is the convenience driver
 //! that steps to completion; the stepping form exists so runs can be
 //! checkpointed between iterations (`MboState::to_checkpoint`) and
-//! survive candidate-evaluation failures
-//! ([`crate::mbo_resilient`]).
+//! resumed bit-exactly.
 
 use crate::gp::Gp;
 use crate::hv::hypervolume;
@@ -58,10 +57,21 @@ impl Default for MboConfig {
     }
 }
 
-/// Checks that a hypervolume reference point has at least one
-/// coordinate, all finite, so that no state — new or restored from a
-/// checkpoint — can reach [`hypervolume`]'s dimension assertion.
-pub(crate) fn check_reference(reference: &[f64]) -> Result<()> {
+impl MboConfig {
+    /// Total true evaluations an uninterrupted run makes,
+    /// `initial_samples + iterations × batch`, or `None` when that count
+    /// does not fit in `usize`.
+    pub fn planned_evaluations(&self) -> Option<usize> {
+        self.iterations.checked_mul(self.batch)?.checked_add(self.initial_samples)
+    }
+}
+
+/// Checks what every state — new or restored from a checkpoint — relies
+/// on: a hypervolume reference point with at least one coordinate, all
+/// finite (so no step reaches [`hypervolume`]'s dimension assertion),
+/// and a plan whose evaluation count fits in `usize`.
+pub(crate) fn check_config(config: &MboConfig) -> Result<()> {
+    let reference = &config.reference;
     if reference.is_empty() {
         return Err(DseError::BadObjectives {
             reason: "empty hypervolume reference point".to_string(),
@@ -70,6 +80,14 @@ pub(crate) fn check_reference(reference: &[f64]) -> Result<()> {
     if reference.iter().any(|r| !r.is_finite()) {
         return Err(DseError::BadObjectives {
             reason: format!("non-finite reference point {reference:?}"),
+        });
+    }
+    if config.planned_evaluations().is_none() {
+        return Err(DseError::BadPlan {
+            reason: format!(
+                "{} initial samples + {} iterations * {} per batch overflows usize",
+                config.initial_samples, config.iterations, config.batch
+            ),
         });
     }
     Ok(())
@@ -119,31 +137,16 @@ pub struct MboState<C> {
     pub(crate) iterations_done: usize,
 }
 
-/// Per-candidate outcome of a batched evaluation, in candidate order.
-///
-/// The contract mirrors the serial `evaluate` closure of
-/// [`MboState::step`]: a [`BatchOutcome::Value`] records the candidate,
-/// a [`BatchOutcome::Skip`] quarantines it (its batch slot is dropped),
-/// and a [`BatchOutcome::Fail`] aborts the step at that slot — earlier
-/// outcomes in the batch are still recorded, later ones are discarded,
-/// exactly as if a serial evaluator had errored mid-batch.
+/// One candidate's true evaluation, as the batch evaluator of
+/// [`MboState::step`] returns it: one outcome per candidate, in
+/// candidate order.
 #[derive(Debug)]
-pub enum BatchOutcome {
-    /// A successful evaluation.
-    Value {
-        /// The objective vector (must match the reference dimension).
-        objectives: Vec<f64>,
-        /// Stable content digest of the evaluated configuration, or `0`
-        /// when the evaluator does not track digests.
-        digest: u64,
-    },
-    /// The candidate was quarantined; its slot is skipped.
-    Skip {
-        /// Diagnostic description of why the candidate was rejected.
-        reason: String,
-    },
-    /// Hard failure: the step aborts here.
-    Fail(DseError),
+pub struct BatchOutcome {
+    /// The objective vector (must match the reference dimension).
+    pub objectives: Vec<f64>,
+    /// Stable content digest of the evaluated configuration, or `0`
+    /// when the evaluator does not track digests.
+    pub digest: u64,
 }
 
 impl<C: Clone> MboState<C> {
@@ -152,9 +155,11 @@ impl<C: Clone> MboState<C> {
     /// # Errors
     ///
     /// Returns [`DseError::BadObjectives`] when the hypervolume
-    /// reference point is empty or contains non-finite coordinates.
+    /// reference point is empty or contains non-finite coordinates, and
+    /// [`DseError::BadPlan`] when [`MboConfig::planned_evaluations`]
+    /// overflows.
     pub fn new(config: &MboConfig) -> Result<MboState<C>> {
-        check_reference(&config.reference)?;
+        check_config(config)?;
         Ok(MboState {
             config: config.clone(),
             rng: ChaCha8Rng::seed_from_u64(config.seed),
@@ -194,16 +199,17 @@ impl<C: Clone> MboState<C> {
         self.initial_done && self.iterations_done >= self.config.iterations
     }
 
-    /// Evaluations recorded so far (skipped/quarantined slots excluded).
+    /// Evaluations recorded so far.
     pub fn evaluations_done(&self) -> usize {
         self.evaluated.len()
     }
 
-    /// Total evaluations an uninterrupted run will attempt:
-    /// `initial_samples + iterations × batch`. With `evaluations_done`
-    /// this gives a long-running job server its progress fraction.
+    /// Total evaluations an uninterrupted run makes
+    /// ([`MboConfig::planned_evaluations`], which every state's
+    /// configuration passed). With `evaluations_done` this gives a
+    /// long-running job server its progress fraction.
     pub fn planned_evaluations(&self) -> usize {
-        self.config.initial_samples + self.config.iterations * self.config.batch
+        self.config.planned_evaluations().unwrap_or(usize::MAX)
     }
 
     /// Hypervolume of the evaluated set after the most recently
@@ -230,9 +236,8 @@ impl<C: Clone> MboState<C> {
     }
 
     /// Appends the hypervolume of the current evaluated set to the
-    /// trace. Called after each completed phase; also used by the
-    /// resilient driver to seal a partially completed batch.
-    pub(crate) fn push_hv(&mut self) {
+    /// trace. Called after each completed phase.
+    fn push_hv(&mut self) {
         let objs: Vec<&[f64]> = self.evaluated.iter().map(|(_, o)| o.as_slice()).collect();
         let hv = hypervolume(&objs, &self.config.reference);
         self.hv_trace.push((self.evaluated.len(), hv));
@@ -243,17 +248,11 @@ impl<C: Clone> MboState<C> {
         );
     }
 
-    /// Records a batch of outcomes against the candidates they evaluate.
-    ///
-    /// Outcomes are consumed in candidate order: values are recorded,
-    /// skips drop their slot, and the first [`BatchOutcome::Fail`]
-    /// aborts with its error — everything recorded before it stays, which
-    /// reproduces a serial evaluator erroring mid-batch. The outcome
-    /// list may be truncated at a trailing `Fail` (a serial adapter
-    /// stops evaluating at the first hard failure); any other length
-    /// mismatch is a contract violation.
+    /// Records a batch of outcomes against the candidates they evaluate,
+    /// in candidate order. The evaluator must return exactly one outcome
+    /// per candidate, each matching the reference dimension.
     fn record_batch(&mut self, candidates: Vec<C>, outcomes: Vec<BatchOutcome>) -> Result<()> {
-        if outcomes.len() > candidates.len() {
+        if outcomes.len() != candidates.len() {
             return Err(DseError::BadObjectives {
                 reason: format!(
                     "batch evaluator returned {} outcomes for {} candidates",
@@ -262,33 +261,18 @@ impl<C: Clone> MboState<C> {
                 ),
             });
         }
-        let n_outcomes = outcomes.len();
-        let n_candidates = candidates.len();
-        for (c, outcome) in candidates.into_iter().zip(outcomes) {
-            match outcome {
-                BatchOutcome::Value { objectives, digest } => {
-                    if objectives.len() != self.config.reference.len() {
-                        return Err(DseError::BadObjectives {
-                            reason: format!(
-                                "objective dim {} vs reference dim {}",
-                                objectives.len(),
-                                self.config.reference.len()
-                            ),
-                        });
-                    }
-                    self.evaluated.push((c, objectives));
-                    self.eval_digests.push(digest);
-                }
-                BatchOutcome::Skip { .. } => {}
-                BatchOutcome::Fail(e) => return Err(e),
+        for (c, BatchOutcome { objectives, digest }) in candidates.into_iter().zip(outcomes) {
+            if objectives.len() != self.config.reference.len() {
+                return Err(DseError::BadObjectives {
+                    reason: format!(
+                        "objective dim {} vs reference dim {}",
+                        objectives.len(),
+                        self.config.reference.len()
+                    ),
+                });
             }
-        }
-        if n_outcomes < n_candidates {
-            return Err(DseError::BadObjectives {
-                reason: format!(
-                    "batch evaluator returned {n_outcomes} outcomes for {n_candidates} candidates"
-                ),
-            });
+            self.evaluated.push((c, objectives));
+            self.eval_digests.push(digest);
         }
         Ok(())
     }
@@ -297,61 +281,19 @@ impl<C: Clone> MboState<C> {
     /// on the first call, one acquisition iteration afterwards. No-op
     /// when [`MboState::is_complete`].
     ///
-    /// `evaluate` returns the objective vector for a candidate; a
-    /// [`DseError::Evaluation`] error quarantines that candidate (its
-    /// batch slot is skipped) while any other error aborts the step.
-    ///
-    /// This is the serial adapter over [`MboState::step_batched`]:
-    /// candidates are evaluated one at a time, stopping at the first
-    /// hard failure, which yields identical recorded state to the
-    /// historical per-candidate loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DseError::BadObjectives`] on objective-dimension
-    /// mismatches and propagates surrogate and evaluator failures.
-    pub fn step(
-        &mut self,
-        sample: &mut impl FnMut(&mut ChaCha8Rng) -> C,
-        encode: &impl Fn(&C) -> Vec<f64>,
-        evaluate: &mut impl FnMut(&C) -> Result<Vec<f64>>,
-    ) -> Result<()> {
-        let mut batch_evaluate = |cs: &[C]| -> Vec<BatchOutcome> {
-            let mut out = Vec::with_capacity(cs.len());
-            for c in cs {
-                match evaluate(c) {
-                    Ok(objectives) => out.push(BatchOutcome::Value { objectives, digest: 0 }),
-                    Err(DseError::Evaluation { reason }) => {
-                        out.push(BatchOutcome::Skip { reason });
-                    }
-                    Err(e) => {
-                        // Hard failure: stop evaluating the rest of the
-                        // batch, like the historical serial loop did.
-                        out.push(BatchOutcome::Fail(e));
-                        break;
-                    }
-                }
-            }
-            out
-        };
-        self.step_batched(sample, encode, &mut batch_evaluate)
-    }
-
-    /// [`MboState::step`] with batched candidate evaluation.
-    ///
     /// All candidates of the phase are sampled *before* `evaluate_batch`
-    /// runs; since candidate evaluation never touches the RNG, the RNG
-    /// stream — and therefore the whole search trajectory — is
-    /// bit-identical to the serial form. The evaluator is handed the
-    /// full batch at once and may compute the outcomes in parallel (for
-    /// example with `clapped-exec`'s `Engine`), as long as the returned
-    /// outcomes are in candidate order.
+    /// runs, and candidate evaluation never touches the RNG, so the
+    /// search trajectory depends only on the returned objectives. The
+    /// evaluator is handed the full batch at once and may compute the
+    /// outcomes in parallel (for example with `clapped-exec`'s
+    /// `Engine`), as long as it returns them in candidate order.
     ///
     /// # Errors
     ///
-    /// See [`MboState::step`]; additionally rejects outcome lists whose
-    /// length does not match the candidate batch.
-    pub fn step_batched(
+    /// Returns [`DseError::BadObjectives`] when the outcome count does
+    /// not match the batch or an objective vector does not match the
+    /// reference dimension, and propagates surrogate failures.
+    pub fn step(
         &mut self,
         sample: &mut impl FnMut(&mut ChaCha8Rng) -> C,
         encode: &impl Fn(&C) -> Vec<f64>,
@@ -458,15 +400,14 @@ impl<C: Clone> MboState<C> {
 /// hypervolume contribution** of their predicted objective vectors, and
 /// truly evaluates the `batch` top-ranked ones.
 ///
-/// This driver assumes an infallible objective; see
-/// [`crate::mbo_resilient`] for the failure-isolated variant and
-/// [`MboState`] for manual stepping with checkpoints.
+/// The objective is assumed infallible and no evaluation digests are
+/// recorded; step an [`MboState`] directly for checkpoints.
 ///
 /// # Errors
 ///
 /// Returns [`DseError::BadObjectives`] when objective dimensions are
-/// inconsistent with the reference point, and propagates surrogate
-/// failures.
+/// inconsistent with the reference point, [`DseError::BadPlan`] when the
+/// plan overflows, and propagates surrogate failures.
 pub fn mbo<C: Clone>(
     config: &MboConfig,
     mut sample: impl FnMut(&mut ChaCha8Rng) -> C,
@@ -474,9 +415,11 @@ pub fn mbo<C: Clone>(
     mut objective: impl FnMut(&C) -> Vec<f64>,
 ) -> Result<SearchResult<C>> {
     let mut state = MboState::new(config)?;
-    let mut evaluate = |c: &C| -> Result<Vec<f64>> { Ok(objective(c)) };
+    let mut evaluate_batch = |cs: &[C]| -> Vec<BatchOutcome> {
+        cs.iter().map(|c| BatchOutcome { objectives: objective(c), digest: 0 }).collect()
+    };
     while !state.is_complete() {
-        state.step(&mut sample, &encode, &mut evaluate)?;
+        state.step(&mut sample, &encode, &mut evaluate_batch)?;
     }
     Ok(state.into_result())
 }
@@ -498,6 +441,11 @@ mod tests {
 
     fn toy_sample(rng: &mut ChaCha8Rng) -> Vec<f64> {
         vec![rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]
+    }
+
+    /// [`toy_objective`] as a batch evaluator without digests.
+    fn toy_batch(cs: &[Vec<f64>]) -> Vec<BatchOutcome> {
+        cs.iter().map(|c| BatchOutcome { objectives: toy_objective(c), digest: 0 }).collect()
     }
 
     #[test]
@@ -582,10 +530,9 @@ mod tests {
         let mut state = MboState::new(&config).unwrap();
         let mut sample = toy_sample;
         let encode = |c: &Vec<f64>| c.clone();
-        let mut evaluate = |c: &Vec<f64>| Ok(toy_objective(c));
         let mut steps = 0;
         while !state.is_complete() {
-            state.step(&mut sample, &encode, &mut evaluate).unwrap();
+            state.step(&mut sample, &encode, &mut toy_batch).unwrap();
             steps += 1;
         }
         assert_eq!(steps, 1 + config.iterations);
@@ -621,11 +568,11 @@ mod tests {
                 .collect();
             out.sort_by_key(|&(i, _)| i);
             out.into_iter()
-                .map(|(i, objectives)| BatchOutcome::Value { objectives, digest: i as u64 + 1 })
+                .map(|(i, objectives)| BatchOutcome { objectives, digest: i as u64 + 1 })
                 .collect()
         };
         while !state.is_complete() {
-            state.step_batched(&mut sample, &encode, &mut evaluate_batch).unwrap();
+            state.step(&mut sample, &encode, &mut evaluate_batch).unwrap();
         }
         assert_eq!(state.eval_digests().len(), state.evaluated().len());
         assert!(state.eval_digests().iter().all(|&d| d != 0));
@@ -639,7 +586,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_skip_and_fail_semantics() {
+    fn outcome_count_must_match_the_batch() {
         let config = MboConfig {
             initial_samples: 4,
             iterations: 1,
@@ -650,50 +597,29 @@ mod tests {
             explore_fraction: 0.0,
             seed: 1,
         };
-        // Skip one slot in the initial batch.
-        let mut state = MboState::new(&config).unwrap();
         let mut sample = toy_sample;
         let encode = |c: &Vec<f64>| c.clone();
-        let mut skipping = |cs: &[Vec<f64>]| -> Vec<BatchOutcome> {
-            cs.iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    if i == 1 {
-                        BatchOutcome::Skip { reason: "quarantined".into() }
-                    } else {
-                        BatchOutcome::Value { objectives: toy_objective(c), digest: 0 }
-                    }
-                })
-                .collect()
+        let mut short = |cs: &[Vec<f64>]| -> Vec<BatchOutcome> {
+            let mut out = toy_batch(cs);
+            out.pop();
+            out
         };
-        state.step_batched(&mut sample, &encode, &mut skipping).unwrap();
-        assert_eq!(state.evaluated().len(), config.initial_samples - 1);
-
-        // A Fail mid-batch records earlier slots, then aborts.
-        let mut state = MboState::new(&config).unwrap();
-        let mut failing = |cs: &[Vec<f64>]| -> Vec<BatchOutcome> {
-            cs.iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    if i == 2 {
-                        BatchOutcome::Fail(DseError::Evaluation { reason: "hard".into() })
-                    } else {
-                        BatchOutcome::Value { objectives: toy_objective(c), digest: 0 }
-                    }
-                })
-                .collect()
+        let mut long = |cs: &[Vec<f64>]| -> Vec<BatchOutcome> {
+            let mut out = toy_batch(cs);
+            out.push(BatchOutcome { objectives: vec![0.0, 0.0], digest: 0 });
+            out
         };
-        let err = state.step_batched(&mut sample, &encode, &mut failing).unwrap_err();
-        assert!(matches!(err, DseError::Evaluation { .. }));
-        assert_eq!(state.evaluated().len(), 2, "slots before the failure stay recorded");
-
-        // An outcome-count mismatch is rejected.
         let mut state = MboState::new(&config).unwrap();
-        let mut short = |_: &[Vec<f64>]| -> Vec<BatchOutcome> { Vec::new() };
         assert!(matches!(
-            state.step_batched(&mut sample, &encode, &mut short),
+            state.step(&mut sample, &encode, &mut short),
             Err(DseError::BadObjectives { .. })
         ));
+        let mut state = MboState::new(&config).unwrap();
+        assert!(matches!(
+            state.step(&mut sample, &encode, &mut long),
+            Err(DseError::BadObjectives { .. })
+        ));
+        assert!(state.evaluated().is_empty(), "a rejected batch records nothing");
     }
 
     #[test]
@@ -715,14 +641,13 @@ mod tests {
         assert!(state.pareto_indices().is_empty());
         let mut sample = toy_sample;
         let encode = |c: &Vec<f64>| c.clone();
-        let mut evaluate = |c: &Vec<f64>| Ok(toy_objective(c));
-        state.step(&mut sample, &encode, &mut evaluate).unwrap();
+        state.step(&mut sample, &encode, &mut toy_batch).unwrap();
         assert_eq!(state.evaluations_done(), 6);
         assert!(state.current_hypervolume() > 0.0);
         let mid_front = state.pareto_indices();
         assert!(!mid_front.is_empty());
         while !state.is_complete() {
-            state.step(&mut sample, &encode, &mut evaluate).unwrap();
+            state.step(&mut sample, &encode, &mut toy_batch).unwrap();
         }
         assert_eq!(state.evaluations_done(), state.planned_evaluations());
         let final_hv = state.current_hypervolume();
@@ -738,5 +663,9 @@ mod tests {
         assert!(MboState::<Vec<f64>>::new(&empty).is_err());
         let nan = MboConfig { reference: vec![1.0, f64::NAN], ..MboConfig::default() };
         assert!(MboState::<Vec<f64>>::new(&nan).is_err());
+        // A plan whose evaluation count overflows usize.
+        let huge = MboConfig { iterations: usize::MAX / 2, batch: 3, ..MboConfig::default() };
+        assert_eq!(huge.planned_evaluations(), None);
+        assert!(matches!(MboState::<Vec<f64>>::new(&huge), Err(DseError::BadPlan { .. })));
     }
 }

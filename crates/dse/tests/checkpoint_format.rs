@@ -7,7 +7,7 @@
 //! truncation of that document is rejected and that single-byte
 //! corruptions decode to `Ok` or `Err` but never panic.
 
-use clapped_dse::{Configuration, DesignSpace, MboConfig, MboState};
+use clapped_dse::{BatchOutcome, Configuration, DesignSpace, MboConfig, MboState};
 use clapped_exec::Fnv64;
 use proptest::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -50,7 +50,9 @@ fn checkpoint() -> &'static str {
             v.extend(c.mul_indices.iter().map(|&i| i as f64));
             v
         };
-        let mut evaluate = |c: &Configuration| Ok(objectives(c));
+        let mut evaluate = |cs: &[Configuration]| -> Vec<BatchOutcome> {
+            cs.iter().map(|c| BatchOutcome { objectives: objectives(c), digest: 0 }).collect()
+        };
         for _ in 0..2 {
             state.step(&mut sample, &encode, &mut evaluate).expect("step");
         }

@@ -246,9 +246,9 @@ impl<V: Clone + CacheCodec> ResultCache<V> {
 
     /// Locks the LRU, recovering from poison: every mutation inside the
     /// critical sections below is panic-free plain-data bookkeeping, so a
-    /// poisoned lock (a caller's panic unwound while holding a guard
-    /// elsewhere on the thread, quarantined by DSE's `catch_unwind`)
-    /// still protects a consistent structure.
+    /// poisoned lock still protects a consistent structure. One cache
+    /// serves every engine worker and every session of a framework, so a
+    /// panic on one thread must not take the cache from the others.
     fn lru(&self) -> MutexGuard<'_, Lru<V>> {
         self.lru.lock().unwrap_or_else(PoisonError::into_inner)
     }

@@ -77,8 +77,9 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
     /// Locks the table, recovering from poison: a `compute` closure that
     /// panicked did so *before* its `insert`, so the table a poisoned
     /// lock protects is still consistent (the failed key is simply
-    /// absent). DSE quarantines panicking evaluations with
-    /// `catch_unwind`; the memo must stay usable afterwards.
+    /// absent). Memos are shared process-wide (the convolution plan
+    /// cache serves every engine worker), so one panicking computation
+    /// must not take the memo from the other threads.
     fn table(&self) -> MutexGuard<'_, HashMap<K, V>> {
         self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }

@@ -56,15 +56,11 @@ fn run_with_engine(
                         toy_objective(c)
                     }
                 };
-                BatchOutcome::Value { objectives, digest }
+                BatchOutcome { objectives, digest }
             })
-            .into_iter()
-            .collect()
     };
     while !state.is_complete() {
-        state
-            .step_batched(&mut sample, &encode, &mut evaluate_batch)
-            .unwrap();
+        state.step(&mut sample, &encode, &mut evaluate_batch).unwrap();
     }
     assert!(state.eval_digests().iter().all(|&d| d != 0));
     state.into_result()

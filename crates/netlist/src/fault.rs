@@ -917,7 +917,7 @@ mod tests {
         let full = n
             .stuck_at_campaign_with_options(
                 &sites,
-                &[batch.clone()],
+                std::slice::from_ref(&batch),
                 4,
                 &engine,
                 CampaignOptions::default(),
@@ -926,7 +926,7 @@ mod tests {
         let masked = n
             .stuck_at_campaign_with_options(
                 &sites,
-                &[batch.clone()],
+                std::slice::from_ref(&batch),
                 4,
                 &engine,
                 CampaignOptions { skip_dead: false, skip_masked: true },

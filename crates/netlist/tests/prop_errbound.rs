@@ -202,7 +202,7 @@ proptest! {
         let masked = n
             .stuck_at_campaign_with_options(
                 &sites, &batches, 64, &engine,
-                CampaignOptions { skip_masked: true, skip_dead: false, ..CampaignOptions::default() },
+                CampaignOptions { skip_masked: true, skip_dead: false },
             )
             .expect("masked campaign");
         prop_assert_eq!(&full.sites, &masked.sites);

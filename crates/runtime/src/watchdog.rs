@@ -106,7 +106,11 @@ mod tests {
     use clapped_imgproc::SynthKind;
     use clapped_netlist::{FaultKind, FaultSet};
 
-    fn setup() -> (Arc<AxMul>, Vec<Arc<dyn Mul8s>>, Image, Vec<i8>) {
+    /// The deployed operator, its nine taps, a noisy frame and the
+    /// kernel coefficients.
+    type Setup = (Arc<AxMul>, Vec<Arc<dyn Mul8s>>, Image, Vec<i8>);
+
+    fn setup() -> Setup {
         let op = Arc::new(AxMul::new("tr3", MulArch::Truncated { k: 3 }));
         let deployed: Vec<Arc<dyn Mul8s>> =
             (0..9).map(|_| op.clone() as Arc<dyn Mul8s>).collect();

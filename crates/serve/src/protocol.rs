@@ -185,6 +185,9 @@ impl JobSpec {
         if spec.mbo.batch == 0 || spec.mbo.candidates == 0 || spec.mbo.initial_samples == 0 {
             return Err(bad_spec("mbo batch, candidates and initial_samples must be positive"));
         }
+        if spec.mbo.planned_evaluations().is_none() {
+            return Err(bad_spec("mbo initial_samples + iterations * batch overflows"));
+        }
         if spec.mbo.reference.len() != 2 {
             return Err(bad_spec("mbo reference must have exactly 2 objectives"));
         }

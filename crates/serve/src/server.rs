@@ -332,10 +332,9 @@ fn handle_request(shared: &Arc<Shared>, request: Request) -> Reply {
                 let id = format!("j{seq}");
                 let deadline =
                     Deadline::from_budget(spec.deadline_ms.map(Duration::from_millis));
-                let planned =
-                    spec.max_evaluations.map_or(u64::MAX, |b| b as u64).min(
-                        (spec.mbo.initial_samples + spec.mbo.iterations * spec.mbo.batch) as u64,
-                    );
+                // The budget-clamped plan the session will run; `from_json`
+                // already rejected plans that overflow.
+                let planned = Shared::session_spec(&spec).planned_evaluations().unwrap_or(0);
                 let record = JobRecord {
                     id: id.clone(),
                     seq,
@@ -343,7 +342,7 @@ fn handle_request(shared: &Arc<Shared>, request: Request) -> Reply {
                     spec,
                     state: JobState::Queued,
                     evaluations_done: 0,
-                    evaluations_planned: planned,
+                    evaluations_planned: planned as u64,
                     iterations_done: 0,
                     hypervolume: 0.0,
                     finish_seq: None,

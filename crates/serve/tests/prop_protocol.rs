@@ -43,14 +43,14 @@ fn spec_of(
     limit: f64,
 ) -> JobSpec {
     JobSpec {
-        app: app_of(selector % 2 == 0),
+        app: app_of(selector.is_multiple_of(2)),
         image_size: (seed % 60 + 4) as usize,
         noise_sigma: sigma,
         seed,
         mbo: mbo_of(seed, batch, reference),
-        max_error_percent: (selector % 3 == 0).then_some(limit),
-        max_evaluations: (selector % 5 == 0).then_some((seed % 200) as usize + 1),
-        deadline_ms: (selector % 7 == 0).then_some(seed % 100_000),
+        max_error_percent: selector.is_multiple_of(3).then_some(limit),
+        max_evaluations: selector.is_multiple_of(5).then_some((seed % 200) as usize + 1),
+        deadline_ms: selector.is_multiple_of(7).then_some(seed % 100_000),
     }
 }
 
@@ -78,8 +78,8 @@ fn entry_of(window_sel: u64, scale: usize, luts: f64, err: f64, muls: Vec<usize>
     let window = (window_sel % 3) as usize * 2 + 3; // 3, 5 or 7
     let mut config = Configuration::golden(window);
     config.stride = (window_sel % 2 + 1) as usize;
-    config.downsample = window_sel % 3 == 0;
-    config.mode = if window_sel % 2 == 0 { ConvMode::TwoD } else { ConvMode::Separable };
+    config.downsample = window_sel.is_multiple_of(3);
+    config.mode = if window_sel.is_multiple_of(2) { ConvMode::TwoD } else { ConvMode::Separable };
     config.scale = scale;
     config.mul_indices = (0..window * window).map(|i| muls[i % muls.len()]).collect();
     ParetoEntry { config, error_percent: err, luts, feasible: window_sel % 2 == 1 }

@@ -9,7 +9,7 @@ use clapped_serve::{
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::thread;
@@ -82,7 +82,7 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn spawn(socket: &PathBuf, state: &PathBuf, cache: &PathBuf) -> Daemon {
+    fn spawn(socket: &Path, state: &Path, cache: &Path) -> Daemon {
         let mut child = Command::new(env!("CARGO_BIN_EXE_clapped_serve"))
             .args([
                 "--uds",
@@ -344,8 +344,34 @@ fn malformed_oversized_and_half_closed_requests_get_structured_replies() {
         Err(ServeError::Remote { code, .. }) => assert_eq!(code, ErrorCode::BadSpec),
         other => panic!("expected bad-spec error, got {other:?}"),
     }
+    // So is a plan whose `initial_samples + iterations × batch` overflows
+    // `usize`, and the connection stays usable.
+    let mut overflowing = job_spec(1, usize::MAX / 2);
+    overflowing.mbo.batch = 3;
+    match client.submit("t", overflowing) {
+        Err(ServeError::Remote { code, .. }) => assert_eq!(code, ErrorCode::BadSpec),
+        other => panic!("expected bad-spec error, got {other:?}"),
+    }
+    client.ping().expect("connection survives an overflowing plan");
 
     server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn submit_records_the_budget_clamped_plan() {
+    let root = temp_dir("plan");
+    let mut config = ServerConfig::new(Listen::Tcp("127.0.0.1:0".to_string()), root.join("state"));
+    config.workers = 1;
+    let server = Server::start(config).expect("start server");
+    let mut client = Client::connect(server.listen_addr()).expect("connect");
+    // A budget of 40 fits the 6 initial samples and 11 whole batches of
+    // 3, so the job plans 39 evaluations from submission on.
+    let spec = JobSpec { max_evaluations: Some(40), ..job_spec(7, 20) };
+    let job = client.submit("t", spec).expect("submit");
+    assert_eq!(client.status(&job).expect("status").evaluations_planned, 39);
+    client.shutdown().expect("shutdown");
     server.join();
     let _ = std::fs::remove_dir_all(&root);
 }

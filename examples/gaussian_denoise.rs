@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .expect("paper alias resolves");
 
     println!("Fig 1(c): Gaussian smoothing, 3x3 kernel, Ac/Ax x stride 1/2");
-    println!("noisy-input PSNR baseline: {:.2} dB", fw.app().noise_psnr());
+    println!("noisy-input PSNR baseline: {:.2} dB", fw.app()?.noise_psnr());
     println!("{:<8} {:>10} {:>16}", "point", "PSNR (dB)", "energy (uJ/img)");
 
     let char_cfg = CharacterizeConfig::default();
