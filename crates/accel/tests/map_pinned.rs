@@ -1,0 +1,157 @@
+//! The LUT mapper's output, pinned digest for digest: every catalog
+//! multiplier at k ∈ {4, 6} under both cut-selection strategies, and
+//! three accelerator datapaths at the characterization flow's k = 6,
+//! depth-oriented setting. A change to cut enumeration, ranking,
+//! covering or truth-table extraction that moves a single LUT, leaf or
+//! truth-table bit fails here.
+
+use clapped_accel::{build_datapath, AcceleratorSpec};
+use clapped_axops::{Catalog, Mul8s};
+use clapped_exec::Fnv64;
+use clapped_imgproc::ConvMode;
+use clapped_netlist::{map_luts, optimize, MapStrategy, MappedNetlist, Netlist};
+
+/// Digest of everything a mapping produces: `k`, depth, every LUT's
+/// `(root, inputs, truth)` in order, the outputs and the constants.
+fn mapping_digest(m: &MappedNetlist) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u64(m.k as u64);
+    h.write_u64(u64::from(m.depth));
+    h.write_u64(m.luts.len() as u64);
+    for lut in &m.luts {
+        h.write_u64(lut.root.index() as u64);
+        h.write_u64(lut.inputs.len() as u64);
+        for s in &lut.inputs {
+            h.write_u64(s.index() as u64);
+        }
+        h.write_u64(lut.truth);
+    }
+    h.write_u64(m.outputs.len() as u64);
+    for (name, s) in &m.outputs {
+        h.write_str(name);
+        h.write_u64(s.index() as u64);
+    }
+    h.write_u64(m.constants.len() as u64);
+    for (s, &v) in &m.constants {
+        h.write_u64(s.index() as u64);
+        h.write_u64(u64::from(v));
+    }
+    h.finish()
+}
+
+fn map_digest(n: &Netlist, k: usize, strategy: MapStrategy) -> u64 {
+    mapping_digest(&map_luts(&optimize(n), k, strategy).expect("mapping succeeds"))
+}
+
+/// `(operator, [k4 Depth, k4 Area, k6 Depth, k6 Area])`.
+#[rustfmt::skip]
+const MULTIPLIERS: [(&str, [u64; 4]); 24] = [
+    ("mul8s_exact", [0x6862e7a5d5e5a736, 0x22347ba846a14f99, 0x01c5e055742e0db1, 0x722716bfd5aea075]),
+    ("mul8s_tr1", [0x2235fed868532d5e, 0x03a5ff6b81aa3422, 0xda16e2f312cb3bef, 0x4472fe09564e72fb]),
+    ("mul8s_tr2", [0x637c74af54889d8a, 0x5372aeb8b4060217, 0x8716adc37004cd85, 0x3d5e6af8d55f3b01]),
+    ("mul8s_tr3", [0x99150d255d558810, 0xaa2f98db716ec0cc, 0xf9ead3da3267f30d, 0x5827497d65b9ae9e]),
+    ("mul8s_tr4", [0x99cfa1a9cc9ef609, 0x1e0648f3c837a445, 0x2fb5596a89cbf56b, 0x35e44be9c5f90ff0]),
+    ("mul8s_tr5", [0x9b7444aa8948c2c4, 0x1069a8002b29a31c, 0xfe1f98593daf9d60, 0x5753a44fad7255bc]),
+    ("mul8s_tr6", [0x38b69ea9eaf81595, 0x14e96b8002236bcb, 0x592c138cda021f29, 0x5a0df83ba6dcbbb9]),
+    ("mul8s_bam_v4_h1", [0xcc5e98a1c19acafa, 0x1b6e0afb10031302, 0x83a0b7044d9c11d3, 0x7d7783f0e380e04a]),
+    ("mul8s_bam_v6_h2", [0x517ffc04c8cf2da2, 0x277c4cd92a80ba07, 0x9636a2b6460a0429, 0xd834a7cc15d8fed0]),
+    ("mul8s_bam_v8_h3", [0x8f7255e6dff1ff11, 0xf30af0a429089870, 0x5185c9e41865b4da, 0xb862a43b6887b874]),
+    ("mul8s_cmp4", [0x1e08920aa1d9d48a, 0xce7f7d55a0e48465, 0xd17afeb7878e517d, 0x923a1e5aae8614c6]),
+    ("mul8s_cmp8", [0xdac464470dd612c0, 0xfb99a59241879fda, 0x188796d51160736c, 0x90d43dd95c77e000]),
+    ("mul8s_cmp10", [0x45f3c24156d9b38c, 0x0a3f0fdd60d240d7, 0x39925c0e5788ec7b, 0x30468ae6e925a088]),
+    ("mul8s_loa4", [0xf9dcd5cf249827c4, 0xea73ae7176b52532, 0xa1be9ad290aaebea, 0x3615a4bbeb846d8d]),
+    ("mul8s_loa6", [0xa3442afb1da2f7f1, 0x85ae43698817a958, 0x3246838b89a756f2, 0xfcd273423eba1964]),
+    ("mul8s_loa8", [0xa0181938d0287fb5, 0x8f632c5beb3b0847, 0x3fb8dd1de938c340, 0x2cfaf6dd0bc44678]),
+    ("mul8s_booth", [0x97a7422793db2704, 0x1affe253e53e1a12, 0x6ee985dd55d0945d, 0x05040f2234c507ac]),
+    ("mul8s_booth_tr3", [0x90421eaea87292ca, 0xe1ee888d7661d32f, 0xdd7df6f0b1d4f8a8, 0xfeb1ca888e5b76b7]),
+    ("mul8s_booth_tr5", [0x86cfca002397b3ac, 0xab37851795935d90, 0xb0af4702f23a36e8, 0xd0506191ebe4db69]),
+    ("mul8s_log", [0x318f7efec3901fa6, 0x7f139a67dba11ae1, 0xfaa15e042154356b, 0x291caba4d56dd70a]),
+    ("mul8s_drum3", [0x2699c832e0b69ea4, 0x95ce82cb4b50ef3b, 0xee6d3f5ff00ed8c6, 0x980fcfdf0d4cdaad]),
+    ("mul8s_drum4", [0x513591ee70f8df04, 0xf29cde70287a014e, 0x5bf6fa44c93920cc, 0xbebb273edada4fa2]),
+    ("mul8s_drum5", [0x052e168b5217688c, 0x5a653d2e7383bf24, 0xf170d52cbba6eee1, 0xe39b8a770aa9f4a7]),
+    ("mul8s_drum6", [0x297f24d541edae37, 0x8e691e5ee9f00279, 0xdc903cdc5c549b20, 0x5b697ae6a3e05344]),
+];
+
+#[test]
+fn catalog_multiplier_mappings_are_pinned() {
+    let catalog = Catalog::standard();
+    assert_eq!(catalog.len(), MULTIPLIERS.len());
+    let settings = [
+        (4, MapStrategy::Depth),
+        (4, MapStrategy::Area),
+        (6, MapStrategy::Depth),
+        (6, MapStrategy::Area),
+    ];
+    let mut mismatches = Vec::new();
+    for (name, pinned) in MULTIPLIERS {
+        let m = catalog.get(name).expect("standard operator");
+        let got = settings.map(|(k, s)| map_digest(m.netlist(), k, s));
+        if got != pinned {
+            let hex = got.map(|d| format!("{d:#018x}")).join(", ");
+            mismatches.push(format!("(\"{}\", [{hex}]),", m.name()));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "mappings moved:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+fn datapath(mode: ConvMode, window: usize, ops: &[&str]) -> Netlist {
+    let catalog = Catalog::standard();
+    let muls: Vec<_> = ops
+        .iter()
+        .map(|n| catalog.get(n).expect("standard operator"))
+        .collect();
+    let spec = AcceleratorSpec {
+        image_size: 32,
+        window,
+        stride: 1,
+        downsample: false,
+        mode,
+        muls,
+    };
+    build_datapath(&spec, 8).expect("valid spec")
+}
+
+#[test]
+fn datapath_mappings_are_pinned() {
+    let mixed_3x3 = datapath(
+        ConvMode::TwoD,
+        3,
+        &[
+            "mul8s_exact",
+            "mul8s_tr3",
+            "mul8s_bam_v6_h2",
+            "mul8s_cmp8",
+            "mul8s_loa6",
+            "mul8s_booth_tr3",
+            "mul8s_log",
+            "mul8s_drum4",
+            "mul8s_tr5",
+        ],
+    );
+    let all_ops = Catalog::standard();
+    let names: Vec<&str> = all_ops.names().into_iter().cycle().take(25).collect();
+    let mixed_5x5 = datapath(ConvMode::TwoD, 5, &names);
+    let separable_3 = datapath(
+        ConvMode::Separable,
+        3,
+        &[
+            "mul8s_exact",
+            "mul8s_drum5",
+            "mul8s_loa4",
+            "mul8s_tr2",
+            "mul8s_booth",
+            "mul8s_cmp4",
+        ],
+    );
+    let got = [&mixed_3x3, &mixed_5x5, &separable_3].map(|n| map_digest(n, 6, MapStrategy::Depth));
+    let hex = got.map(|d| format!("{d:#018x}")).join(", ");
+    assert_eq!(
+        got,
+        [0x5b66a7505ed127a0, 0xead6412e358dd100, 0x5446b8eae8c3d3f2],
+        "got [{hex}]"
+    );
+}
