@@ -839,6 +839,32 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_lut_size_is_an_error_and_a_counted_sentinel() {
+        let mut char_config = CharacterizeConfig::default();
+        char_config.synth.k = 7;
+        let fw = Clapped::builder()
+            .image_size(16)
+            .characterization(char_config)
+            .build()
+            .unwrap();
+        let golden = Configuration::golden(3);
+        let err = fw.characterize_hw(&golden).unwrap_err();
+        assert!(err.to_string().contains("LUT size 7"), "{err}");
+
+        clapped_obs::enable();
+        let before = clapped_obs::metrics::counter_value("core.objective_sentinel");
+        // The behavioural objective still evaluates; the hardware one is
+        // the sentinel.
+        assert_eq!(
+            fw.true_objectives_cached(&golden),
+            vec![0.0, f64::MAX / 4.0]
+        );
+        // `>`, not `== before + 1`: other tests in this binary may write
+        // sentinels too.
+        assert!(clapped_obs::metrics::counter_value("core.objective_sentinel") > before);
+    }
+
+    #[test]
     fn accel_spec_respects_scaling() {
         let fw = small();
         let mut c = Configuration::golden(3);

@@ -82,6 +82,11 @@ pub enum NetlistError {
         /// Number of values supplied.
         found: usize,
     },
+    /// The requested LUT size is outside the mapper's `2..=6`.
+    LutSize {
+        /// The requested LUT input count.
+        k: usize,
+    },
     /// The mapper could not cover a node with a K-feasible cut.
     Unmappable {
         /// The node that could not be covered.
@@ -116,6 +121,9 @@ impl fmt::Display for NetlistError {
         match self {
             NetlistError::InputCountMismatch { expected, found } => {
                 write!(f, "expected {expected} input values, found {found}")
+            }
+            NetlistError::LutSize { k } => {
+                write!(f, "LUT size {k} is outside the supported 2..=6")
             }
             NetlistError::Unmappable { node } => {
                 write!(f, "node {node:?} has no K-feasible cut")
