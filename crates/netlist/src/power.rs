@@ -105,33 +105,42 @@ pub fn estimate_power(mapped: &MappedNetlist, model: &PowerModel) -> crate::Resu
     let mut transitions = 0.0f64; // total observed net-transitions slots
     let mut toggle_events = 0.0f64;
 
-    let roots: Vec<crate::SignalId> = mapped.luts.iter().map(|l| l.root).collect();
-    // Deterministic net order: primary inputs, then LUT roots.
-    let mut nets: Vec<crate::SignalId> = mapped.inputs.clone();
-    nets.extend(roots.iter().copied());
+    // Every net once, in a deterministic order (primary inputs, then LUT
+    // roots): its lowered signal, whether a LUT drives it, and its
+    // fanout (0 for a net nothing reads). Every sum below adds
+    // integer-valued terms far below 2^53, so each is exact.
     let (lowered, ids) = mapped.lower("power");
-    let lowered_nets: Vec<usize> = nets.iter().map(|s| ids[s].index()).collect();
+    let inputs = mapped.inputs.iter().map(|s| (s, false));
+    let roots = mapped.luts.iter().map(|l| (&l.root, true));
+    let nets: Vec<(usize, bool, f64)> = inputs
+        .chain(roots)
+        .map(|(s, is_root)| {
+            let fo = fanout.get(s).copied().unwrap_or(0.0);
+            (ids[s].index(), is_root, fo)
+        })
+        .collect();
+    let mut words: Vec<[u64; 1]> = vec![[0]; mapped.inputs.len()];
     let mut vals: Vec<[u64; 1]> = Vec::new();
     for _ in 0..model.rounds.max(1) {
-        let words: Vec<[u64; 1]> = (0..mapped.inputs.len()).map(|_| [rng.gen()]).collect();
+        for w in &mut words {
+            *w = [rng.gen()];
+        }
         lowered.eval_blocks_masked(&words, &[], &mut vals)?;
         // Adjacent lanes model consecutive random input patterns: count
         // bit flips between lane i and lane i+1 (63 valid pairs per word;
         // bit 63 of v ^ (v >> 1) compares lane 63 against zero fill and is
         // excluded).
-        for (&sig, &at) in nets.iter().zip(&lowered_nets) {
+        for &(at, is_root, fo) in &nets {
             let [v] = vals[at];
             let x = v ^ (v >> 1);
             // lint-allow(no-silent-truncation): masked to a single bit
             let flips = f64::from(x.count_ones() - ((v >> 63) & 1) as u32);
             transitions += 63.0;
             toggle_events += flips;
-            if roots.binary_search(&sig).is_ok() {
+            if is_root {
                 toggles_logic += flips;
             }
-            if let Some(&fo) = fanout.get(&sig) {
-                toggles_signal += flips * fo;
-            }
+            toggles_signal += flips * fo;
         }
     }
 
