@@ -1,7 +1,9 @@
-//! Criterion benchmarks for the synthesis substrate — the project's
-//! analogue of the paper's "15 minutes per Vivado run" observation: a
-//! full true characterization of a 3×3 accelerator datapath versus the
-//! fast compositional and ML paths it motivates.
+//! Criterion benchmarks for the synthesis substrate, the project's
+//! stand-in for the paper's 15-minute Vivado runs: the optimize, LUT-map
+//! and full synthesis stages on the exact 8×8 multiplier, datapath
+//! generation and true characterization of a 3×3 accelerator, BDD
+//! equivalence of an 8-bit adder, and bit-true stream simulation of a
+//! 32×32 image.
 
 use clapped_accel::{build_datapath, characterize, simulate_stream, AcceleratorSpec, CharacterizeConfig};
 use clapped_axops::Catalog;
