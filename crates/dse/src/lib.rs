@@ -50,6 +50,12 @@ pub use space::{Configuration, DesignSpace};
 use std::error::Error;
 use std::fmt;
 
+/// The large finite objective value a failed evaluation reads as: worse
+/// than any reachable design, so the search avoids the region, and
+/// finite, so fronts and hypervolumes stay well defined. [`MboState`]
+/// leaves evaluations carrying it out of its surrogates' training rows.
+pub const OBJECTIVE_SENTINEL: f64 = f64::MAX / 4.0;
+
 /// Error type for DSE operations.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
