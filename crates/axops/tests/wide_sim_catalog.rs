@@ -1,13 +1,17 @@
 //! Wide-word equivalence over the whole operator catalog: for every
 //! standard multiplier netlist, `simulate_blocks::<W>` must be
 //! bit-identical to lane-by-lane `simulate_words` for
-//! W ∈ {1, 2, 4, 8, 16} (partial final blocks included), and the wide
+//! W ∈ {1, 2, 4, 8, 16} (partial final blocks included), the wide
 //! exhaustive table builder must reproduce the 64-lane reference table
-//! exactly, with and without injected faults.
+//! exactly, with and without injected faults, and the sharded stuck-at
+//! campaign must reproduce its serial reference on every multiplier
+//! and adder.
 
+use clapped_axops::adders::{standard_adders, Add8s};
 use clapped_axops::{
     build_mul_table, build_mul_table_ref64, build_mul_table_with_faults, Catalog, Mul8s,
 };
+use clapped_exec::{Engine, ExecConfig};
 use clapped_netlist::{FaultKind, FaultSet, Netlist, SignalId};
 
 /// Deterministic xorshift stimulus — no RNG crates in test inputs.
@@ -98,4 +102,33 @@ fn faulted_wide_tables_match_ref64_tables() {
             assert_ne!(wide, build_mul_table(n), "{name}: {faults:?} must corrupt the table");
         }
     }
+}
+
+#[test]
+fn catalog_campaigns_match_reference() {
+    let cat = Catalog::standard();
+    let adders = standard_adders();
+    let netlists = cat
+        .iter()
+        .map(|m| (Mul8s::name(&**m).to_string(), m.netlist()))
+        .chain(adders.iter().map(|a| (Add8s::name(&**a).to_string(), a.netlist())));
+    let engines = [Engine::serial(), Engine::new(ExecConfig::with_jobs(3))];
+    let mut stim = Stim(0xC2B2AE3D27D4EB4F);
+    let mut checked = 0;
+    for (name, n) in netlists {
+        let sites = n.fault_sites();
+        // Ten batches fill one wide block and part of a second; 64
+        // lanes and a partial lane count exercise both lane masks.
+        let batches: Vec<Vec<u64>> =
+            (0..10).map(|_| (0..n.inputs().len()).map(|_| stim.next()).collect()).collect();
+        for lanes in [64, 23] {
+            let reference = n.stuck_at_campaign_ref(&sites, &batches, lanes).expect("reference");
+            for engine in &engines {
+                let wide = n.stuck_at_campaign(&sites, &batches, lanes, engine).expect("campaign");
+                assert_eq!(wide, reference, "{name}: lanes={lanes} jobs={}", engine.jobs());
+            }
+        }
+        checked += 1;
+    }
+    assert_eq!(checked, 35, "24 multipliers and 11 adders");
 }

@@ -25,7 +25,7 @@ fn bench_fault_sweep(c: &mut Criterion) {
     group.bench_function("serial", |b| {
         b.iter(|| {
             netlist
-                .stuck_at_campaign_with(black_box(&sites), &batches, 64, &serial)
+                .stuck_at_campaign(black_box(&sites), &batches, 64, &serial)
                 .expect("sweeps")
         })
     });
@@ -34,7 +34,7 @@ fn bench_fault_sweep(c: &mut Criterion) {
     group.bench_function(&parallel_label, |b| {
         b.iter(|| {
             netlist
-                .stuck_at_campaign_with(black_box(&sites), &batches, 64, &parallel)
+                .stuck_at_campaign(black_box(&sites), &batches, 64, &parallel)
                 .expect("sweeps")
         })
     });

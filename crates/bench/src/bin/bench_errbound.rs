@@ -1,26 +1,18 @@
 //! Formal error-bound analysis snapshot: static proved bounds vs
-//! exhaustive simulation, and the fault-campaign site reduction the
-//! error-cone observability pass buys.
-//!
-//! 1. per-operator analysis wall-clock — the microsecond interval tier
-//!    and the exact BDD tier against the exhaustive 8×8 table build,
-//!    with soundness asserted on every run (proved WCE ≥ observed max,
-//!    exact counts bit-equal to the table),
-//! 2. stuck-at campaign with `skip_masked` observability masking vs the
-//!    unmasked reference — bit-identical reports asserted, simulated
-//!    sites counted.
+//! exhaustive simulation. For each operator it times the microsecond
+//! interval tier and the exact BDD tier against the exhaustive 8×8
+//! table build, with soundness asserted on every run (proved WCE ≥
+//! observed max, exact counts bit-equal to the table).
 //!
 //! Emits machine-readable numbers to `results/bench_errbound.json`.
-//! Full runs additionally enforce the acceptance floors (interval tier
-//! ≥2× faster than the already-wide-simulated table build; ≥10% of
-//! fault sites statically skipped on a truncated Booth operator);
-//! `--quick` shrinks workloads for CI
-//! smoke runs and skips the floors. `--trace[=PATH]` captures an obs
-//! JSONL trace.
+//! Full runs additionally enforce the acceptance floor (interval tier
+//! ≥2× faster than the already-wide-simulated table build); `--quick`
+//! shrinks the workload for CI smoke runs and skips the floor.
+//! `--trace[=PATH]` captures an obs JSONL trace.
 
 use clapped_axops::{build_mul_table, Catalog, MulArch};
 use clapped_bench::{print_table, save_json};
-use clapped_netlist::{analyze_error_bounds, CampaignOptions, ErrBoundConfig};
+use clapped_netlist::{analyze_error_bounds, ErrBoundConfig};
 use serde_json::json;
 use std::time::Instant;
 
@@ -62,7 +54,6 @@ fn main() {
     let interval_cfg = ErrBoundConfig { bdd_node_limit: 0, signed_outputs: true };
     let exact_cfg = ErrBoundConfig { bdd_node_limit: 2_000_000, signed_outputs: true };
 
-    // --- 1. Static analysis vs exhaustive simulation ------------------
     let ops = if quick {
         vec!["mul8s_tr4"]
     } else {
@@ -134,102 +125,11 @@ fn main() {
         &rows,
     );
 
-    // --- 2. Fault-campaign site reduction ------------------------------
-    let camp_name = "mul8s_booth_tr5";
-    let camp_op = catalog.get(camp_name).expect("catalog operator");
-    let n = camp_op.netlist();
-    let n_batches = if quick { 8 } else { 32 };
-    let mut state = 0xD1B54A32D192ED03u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let batches: Vec<Vec<u64>> =
-        (0..n_batches).map(|_| (0..n.inputs().len()).map(|_| next()).collect()).collect();
-    let sites = n.fault_sites();
-    let engine = clapped_exec::Engine::serial();
-    let full = n
-        .stuck_at_campaign_with_options(
-            &sites,
-            &batches,
-            64,
-            &engine,
-            CampaignOptions { skip_dead: false, ..CampaignOptions::default() },
-        )
-        .expect("full campaign");
-    let masked = n
-        .stuck_at_campaign_with_options(
-            &sites,
-            &batches,
-            64,
-            &engine,
-            CampaignOptions { skip_masked: true, ..CampaignOptions::default() },
-        )
-        .expect("masked campaign");
-    assert_eq!(full.sites, masked.sites, "masking changed campaign reports");
-    assert_eq!(full.ranked_sites(), masked.ranked_sites(), "masking changed rankings");
-    let skipped = full.simulated_sites - masked.simulated_sites;
-    let skipped_pct = 100.0 * skipped as f64 / sites.len() as f64;
-    let t_full = time_best(reps, || {
-        n.stuck_at_campaign_with_options(
-            &sites,
-            &batches,
-            64,
-            &engine,
-            CampaignOptions { skip_dead: false, ..CampaignOptions::default() },
-        )
-    });
-    let t_masked = time_best(reps, || {
-        n.stuck_at_campaign_with_options(
-            &sites,
-            &batches,
-            64,
-            &engine,
-            CampaignOptions { skip_masked: true, ..CampaignOptions::default() },
-        )
-    });
-    let campaign_speedup = t_full / t_masked;
-    print_table(
-        &format!(
-            "Stuck-at campaign with observability masking ({camp_name}, {} sites, best of {reps})",
-            sites.len()
-        ),
-        &["path", "simulated sites", "time ms", "speedup"],
-        &[
-            vec![
-                "unmasked".to_string(),
-                format!("{}", full.simulated_sites),
-                format!("{:.2}", t_full * 1e3),
-                "1.0x".to_string(),
-            ],
-            vec![
-                "skip_masked".to_string(),
-                format!("{}", masked.simulated_sites),
-                format!("{:.2}", t_masked * 1e3),
-                format!("{campaign_speedup:.2}x"),
-            ],
-        ],
-    );
-    println!("{skipped} of {} sites ({skipped_pct:.1}%) statically skipped", sites.len());
-
     save_json(
         "bench_errbound",
         &json!({
             "quick": quick,
             "operators": ops_json,
-            "campaign_masking": {
-                "operator": camp_name,
-                "total_sites": sites.len(),
-                "unmasked_simulated": full.simulated_sites,
-                "masked_simulated": masked.simulated_sites,
-                "skipped": skipped,
-                "skipped_pct": skipped_pct,
-                "unmasked_ms": t_full * 1e3,
-                "masked_ms": t_masked * 1e3,
-                "speedup": campaign_speedup,
-            },
         }),
     );
 
@@ -237,10 +137,6 @@ fn main() {
         assert!(
             worst_interval_speedup >= 2.0,
             "interval-tier floor missed: {worst_interval_speedup:.2}x < 2x"
-        );
-        assert!(
-            skipped_pct >= 10.0,
-            "masking floor missed: {skipped_pct:.1}% of sites skipped < 10%"
         );
     }
     if let Some(report) = clapped_obs::finish() {

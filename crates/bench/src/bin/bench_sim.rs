@@ -99,14 +99,13 @@ fn main() {
         all.into_iter().take(keep).collect::<Vec<_>>()
     };
     let engine = clapped_exec::Engine::serial();
-    let wide_report = n
-        .stuck_at_campaign_with(&sites, &batches, 64, &engine)
-        .expect("wide campaign runs");
+    let wide_report =
+        n.stuck_at_campaign(&sites, &batches, 64, &engine).expect("wide campaign runs");
     let ref_report =
         n.stuck_at_campaign_ref(&sites, &batches, 64).expect("reference campaign runs");
     assert_eq!(wide_report, ref_report, "campaign divergence");
     let t_camp_ref = time_best(reps, || n.stuck_at_campaign_ref(&sites, &batches, 64));
-    let t_camp_wide = time_best(reps, || n.stuck_at_campaign_with(&sites, &batches, 64, &engine));
+    let t_camp_wide = time_best(reps, || n.stuck_at_campaign(&sites, &batches, 64, &engine));
     let campaign_speedup = t_camp_ref / t_camp_wide;
     print_table(
         &format!(

@@ -136,7 +136,7 @@ impl Clapped {
         let sites = netlist.fault_sites();
         let screened = {
             let _span = clapped_obs::span("fault.prescreen");
-            netlist.stuck_at_campaign_with(&sites, &batches, 64, self.engine())?
+            netlist.stuck_at_campaign(&sites, &batches, 64, self.engine())?
         };
         clapped_obs::count("fault.sites_screened", sites.len() as u64);
 

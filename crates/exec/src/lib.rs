@@ -7,9 +7,9 @@
 //! execution substrate the rest of the workspace stands on:
 //!
 //! - [`Engine`] — a std-only scoped-thread evaluation pool with a
-//!   batched [`Engine::evaluate_many`] API and deterministic per-job
-//!   seeding ([`Engine::evaluate_many_seeded`]). Results are returned in
-//!   input order, so outcomes are **bit-identical at any thread count**.
+//!   batched [`Engine::evaluate_many`] API, plus [`job_seed`] for
+//!   deterministic per-job seeds. Results are returned in input order,
+//!   so outcomes are **bit-identical at any thread count**.
 //! - [`digest`] — a stable FNV-1a based content-digest toolkit
 //!   ([`Fnv64`], [`Digestible`], [`StructDigest`]) whose struct digests
 //!   are insensitive to field feeding order, plus the

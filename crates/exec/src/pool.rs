@@ -6,8 +6,8 @@
 //! input order** — the caller observes bit-identical output no matter
 //! how many threads ran or how the OS scheduled them. Determinism
 //! therefore reduces to the job function being a pure function of its
-//! inputs; for jobs that need randomness, [`Engine::evaluate_many_seeded`]
-//! hands each job an index-derived seed from the engine's base seed.
+//! inputs; a job that needs randomness derives its seed from its index
+//! with [`job_seed`].
 
 use crate::digest::mix64;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -32,33 +32,24 @@ fn run_job<C, O>(f: &(impl Fn(usize, &C) -> O + ?Sized), i: usize, c: &C) -> O {
     out
 }
 
-/// Configuration of an [`Engine`]. The default (`jobs: 0, seed: 0`)
-/// selects the host's available parallelism.
+/// Configuration of an [`Engine`]. The default (`jobs: 0`) selects the
+/// host's available parallelism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecConfig {
     /// Worker threads used per batch. `0` selects the host's available
     /// parallelism.
     pub jobs: usize,
-    /// Base seed for deterministic per-job seeding.
-    pub seed: u64,
 }
 
 impl ExecConfig {
     /// An explicit thread count (`0` = auto).
     pub fn with_jobs(jobs: usize) -> ExecConfig {
-        ExecConfig { jobs, ..ExecConfig::default() }
+        ExecConfig { jobs }
     }
 
     /// Single-threaded execution (jobs run inline on the caller).
     pub fn serial() -> ExecConfig {
         ExecConfig::with_jobs(1)
-    }
-
-    /// Replaces the base seed.
-    #[must_use]
-    pub fn seeded(mut self, seed: u64) -> ExecConfig {
-        self.seed = seed;
-        self
     }
 }
 
@@ -83,7 +74,6 @@ pub fn job_seed(base: u64, index: usize) -> u64 {
 #[derive(Debug)]
 pub struct Engine {
     jobs: usize,
-    seed: u64,
     jobs_run: AtomicU64,
     batches_run: AtomicU64,
 }
@@ -105,7 +95,6 @@ impl Engine {
         };
         Engine {
             jobs: jobs.max(1),
-            seed: config.seed,
             jobs_run: AtomicU64::new(0),
             batches_run: AtomicU64::new(0),
         }
@@ -119,11 +108,6 @@ impl Engine {
     /// Worker threads used per batch.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// The engine's base seed for per-job seeding.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Total jobs executed over this engine's lifetime.
@@ -190,19 +174,6 @@ impl Engine {
         collected.into_iter().map(|(_, o)| o).collect()
     }
 
-    /// [`Engine::evaluate_many`] with a deterministic per-job seed:
-    /// job `i` receives [`job_seed`]`(self.seed(), i)`. Identical seed +
-    /// items yield identical outputs at any thread count.
-    pub fn evaluate_many_seeded<C, O, F>(&self, items: &[C], f: F) -> Vec<O>
-    where
-        C: Sync,
-        O: Send,
-        F: Fn(usize, &C, u64) -> O + Sync,
-    {
-        let base = self.seed;
-        self.evaluate_many(items, move |i, c| f(i, c, job_seed(base, i)))
-    }
-
     /// Fallible batched evaluation: runs every job, then returns either
     /// all results (input order) or the error of the **lowest-indexed**
     /// failing job — so the reported error is also thread-count
@@ -236,20 +207,6 @@ mod tests {
             let got = engine.evaluate_many(&items, |_, &x| x.wrapping_mul(x) ^ 0xA5);
             assert_eq!(got, expect, "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn seeded_jobs_are_thread_count_independent() {
-        let items: Vec<u32> = (0..100).collect();
-        let serial = Engine::new(ExecConfig::serial().seeded(42));
-        let wide = Engine::new(ExecConfig::with_jobs(8).seeded(42));
-        let a = serial.evaluate_many_seeded(&items, |_, &x, s| s ^ u64::from(x));
-        let b = wide.evaluate_many_seeded(&items, |_, &x, s| s ^ u64::from(x));
-        assert_eq!(a, b);
-        // Different base seed changes every job seed.
-        let other = Engine::new(ExecConfig::with_jobs(8).seeded(43));
-        let c = other.evaluate_many_seeded(&items, |_, &x, s| s ^ u64::from(x));
-        assert_ne!(a, c);
     }
 
     #[test]

@@ -2,9 +2,7 @@
 //! field-order insensitivity, engine determinism across thread counts,
 //! and LRU cache behaviour.
 
-use clapped_exec::{
-    digest_of, job_seed, Engine, ExecConfig, Fnv64, ResultCache, StructDigest,
-};
+use clapped_exec::{digest_of, Engine, ExecConfig, Fnv64, ResultCache, StructDigest};
 use proptest::prelude::*;
 
 proptest! {
@@ -70,20 +68,6 @@ proptest! {
         let expect: Vec<u64> = items.iter().map(|&x| u64::from(x) * 3 + 1).collect();
         let got = engine.evaluate_many(&items, |_, &x| u64::from(x) * 3 + 1);
         prop_assert_eq!(got, expect);
-    }
-
-    /// Per-job seeds depend only on (base, index), never on thread count.
-    #[test]
-    fn job_seeds_are_schedule_independent(base in any::<u64>(), n in 1usize..40) {
-        let items: Vec<usize> = (0..n).collect();
-        let serial = Engine::new(ExecConfig::serial().seeded(base));
-        let wide = Engine::new(ExecConfig::with_jobs(7).seeded(base));
-        let a = serial.evaluate_many_seeded(&items, |_, _, s| s);
-        let b = wide.evaluate_many_seeded(&items, |_, _, s| s);
-        prop_assert_eq!(&a, &b);
-        for (i, &s) in a.iter().enumerate() {
-            prop_assert_eq!(s, job_seed(base, i));
-        }
     }
 
     /// A warm cache always answers from storage: the second lookup of

@@ -12,7 +12,7 @@
 //! | `entropy-rng` | `thread_rng`, `from_entropy`, `OsRng`, … | everywhere, tests included |
 //! | `partial-cmp-sort` | `partial_cmp` inside a sort/ordering call | everywhere |
 //! | `no-unwrap` | `.unwrap()` | library code |
-//! | `no-expect` | `.expect(` | panic-free layers (exec, obs, runtime, serve, accel, core, checkpoint, gen catalog, errbound analyzer + gate) |
+//! | `no-expect` | `.expect(` | panic-free layers (exec, obs, runtime, serve, accel, core, checkpoint, gen catalog, errbound analyzer + gate, fault campaigns) |
 //! | `no-print` | `println!` & friends | library code except `bench` |
 //! | `todo-markers` | `todo!`, `unimplemented!` | everywhere |
 //! | `cfg-test-mod` | `mod tests` without `#[cfg(test)]` | library code |
@@ -177,6 +177,7 @@ fn rules() -> Vec<Rule> {
                     || p == "crates/dse/src/checkpoint.rs"
                     || p == "crates/axops/src/gen.rs"
                     || p == "crates/netlist/src/errbound.rs"
+                    || p == "crates/netlist/src/fault.rs"
                     || p == "crates/lint/src/errbounds.rs")
                     && is_src_lib(p)
             },
@@ -508,6 +509,9 @@ mod tests {
         // a panic there reads as a crash, not a soundness finding.
         assert_eq!(rules_of(&run("crates/netlist/src/errbound.rs", bad)), ["no-expect"]);
         assert_eq!(rules_of(&run("crates/lint/src/errbounds.rs", bad)), ["no-expect"]);
+        // Fault campaigns are reachable through the facade with caller
+        // stimulus: bad input is a `NetlistError`, never a panic.
+        assert_eq!(rules_of(&run("crates/netlist/src/fault.rs", bad)), ["no-expect"]);
         assert!(run("crates/serve/src/bin/clapped_serve.rs", bad).is_empty());
         assert!(run("crates/netlist/src/x.rs", bad).is_empty());
         assert!(run("crates/axops/src/arch.rs", bad).is_empty());

@@ -40,6 +40,23 @@ struct ShardStats {
     bit_mismatches: Vec<u64>,
 }
 
+/// Checks a campaign's stimulus and returns the mask of the meaningful
+/// lanes of each batch. A batch word carries `1..=64` lanes, and a
+/// campaign over no batches has no samples to divide its counts by.
+fn campaign_lane_mask(lanes_per_batch: usize, batches: usize) -> crate::Result<u64> {
+    if !(1..=64).contains(&lanes_per_batch) || batches == 0 {
+        return Err(NetlistError::InvalidStimulus { lanes_per_batch, batches });
+    }
+    Ok(!0u64 >> (64 - lanes_per_batch))
+}
+
+/// The normalizer of a site's weighted error: the sum of every output
+/// bit's weight `2^k`, at least 1 so an output-less netlist reports
+/// zero error instead of `NaN`.
+fn max_output_weight(out_bits: usize) -> f64 {
+    (0..out_bits).map(|k| (k as f64).exp2()).sum::<f64>().max(1.0)
+}
+
 /// The permanent fault models supported on a net.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
@@ -169,38 +186,12 @@ pub struct CampaignReport {
     pub sites: Vec<FaultSiteReport>,
     /// Total samples (lanes) simulated per site.
     pub samples: usize,
-    /// How many of `sites` were actually simulated. Sites proven dead by
-    /// the cone-of-influence analysis (see [`CampaignOptions::skip_dead`])
-    /// are reported with zero impact without running the simulator, so
-    /// this can be smaller than `sites.len()`.
-    pub simulated_sites: usize,
-}
-
-/// Tuning knobs for a stuck-at campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CampaignOptions {
-    /// Skip simulating fault sites on signals outside every primary
-    /// output's cone-of-influence (computed by
-    /// [`crate::lint::live_cone`]). A stuck-at on a dead net cannot
-    /// change any output, so its report — zero mismatch rate, zero
-    /// weighted error — is emitted directly. Rankings are bit-identical
-    /// to the full campaign; only the work shrinks.
-    pub skip_dead: bool,
-    /// Skip simulating fault sites the error-cone analysis proves
-    /// unobservable ([`crate::errbound::StuckAtObservability`]): the
-    /// stuck value equals the net's proved constant (a no-op fault), or
-    /// the per-site forward D-propagation shows the corruption blocked
-    /// from every primary output by proved-constant siblings. Strictly
-    /// subsumes `skip_dead` (a dead site's corruption reaches no
-    /// output), and like it provably preserves every per-site report
-    /// bit-for-bit — only [`CampaignReport::simulated_sites`] drops.
-    pub skip_masked: bool,
 }
 
 impl CampaignReport {
     /// Site indices sorted by decreasing impact (weighted error first,
     /// mismatch rate as tie-break). NaN cannot occur: both metrics are
-    /// ratios of finite counts.
+    /// ratios of finite counts over positive denominators.
     pub fn ranked_sites(&self) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..self.sites.len()).collect();
         idx.sort_by(|&a, &b| {
@@ -282,61 +273,14 @@ impl Netlist {
     /// Runs a stuck-at campaign over `sites`, driving every batch in
     /// `input_batches` (each batch is one `eval_words` input vector
     /// carrying up to 64 lane samples; `lanes_per_batch` says how many
-    /// lanes of each batch are meaningful).
+    /// lanes of each batch are meaningful), with the per-site sweep
+    /// fanned out over `engine`'s thread pool. Pass
+    /// [`clapped_exec::Engine::serial`] to run the sweep inline.
     ///
-    /// # Errors
-    ///
-    /// See [`Netlist::eval_words_with_faults`].
-    pub fn stuck_at_campaign(
-        &self,
-        sites: &[Fault],
-        input_batches: &[Vec<u64>],
-        lanes_per_batch: usize,
-    ) -> crate::Result<CampaignReport> {
-        self.stuck_at_campaign_with(
-            sites,
-            input_batches,
-            lanes_per_batch,
-            &clapped_exec::Engine::serial(),
-        )
-    }
-
-    /// [`Netlist::stuck_at_campaign`] with the per-site sweep fanned out
-    /// over `engine`'s thread pool. Each site's simulation is an
-    /// independent pure function of the netlist and inputs, and results
-    /// are collected in site order, so the report is bit-identical to
-    /// the serial campaign at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// See [`Netlist::eval_words_with_faults`].
-    pub fn stuck_at_campaign_with(
-        &self,
-        sites: &[Fault],
-        input_batches: &[Vec<u64>],
-        lanes_per_batch: usize,
-        engine: &clapped_exec::Engine,
-    ) -> crate::Result<CampaignReport> {
-        self.stuck_at_campaign_with_options(
-            sites,
-            input_batches,
-            lanes_per_batch,
-            engine,
-            CampaignOptions::default(),
-        )
-    }
-
-    /// [`Netlist::stuck_at_campaign_with`] with explicit
-    /// [`CampaignOptions`]. With `skip_dead` set, sites on nets outside
-    /// every output cone are reported as zero-impact without simulation
-    /// — provably the result the simulator would produce, since no path
-    /// carries the forced value to an output. [`CampaignReport::simulated_sites`]
-    /// counts the sweeps that actually ran.
-    ///
-    /// Internally the sweep runs on the wide-word simulator
-    /// ([`Netlist::simulate_blocks_with_faults`]): batches are packed
-    /// into [`CAMPAIGN_BLOCK_WORDS`]-word blocks once, shared by every
-    /// site, and the work fans out over `engine` as
+    /// Every site is simulated: the sweep runs on the wide-word
+    /// simulator ([`Netlist::simulate_blocks_with_faults`]), with the
+    /// batches packed into [`CAMPAIGN_BLOCK_WORDS`]-word blocks once,
+    /// shared by every site, and the work fanned out over `engine` as
     /// `(site, batch-chunk)` shards. All mismatch statistics are
     /// accumulated as exact integers and folded in a fixed order, so
     /// the report is bit-identical to [`Netlist::stuck_at_campaign_ref`]
@@ -344,22 +288,18 @@ impl Netlist {
     ///
     /// # Errors
     ///
-    /// See [`Netlist::eval_words_with_faults`].
-    pub fn stuck_at_campaign_with_options(
+    /// Returns [`NetlistError::InvalidStimulus`] unless
+    /// `lanes_per_batch` is in `1..=64` and `input_batches` is
+    /// non-empty; otherwise see [`Netlist::eval_words_with_faults`].
+    pub fn stuck_at_campaign(
         &self,
         sites: &[Fault],
         input_batches: &[Vec<u64>],
         lanes_per_batch: usize,
         engine: &clapped_exec::Engine,
-        options: CampaignOptions,
     ) -> crate::Result<CampaignReport> {
         const W: usize = CAMPAIGN_BLOCK_WORDS;
-        assert!((1..=64).contains(&lanes_per_batch), "1..=64 lanes per batch");
-        let lane_mask: u64 = if lanes_per_batch == 64 {
-            !0
-        } else {
-            (1u64 << lanes_per_batch) - 1
-        };
+        let lane_mask = campaign_lane_mask(lanes_per_batch, input_batches.len())?;
         let n_inputs = self.inputs().len();
         // Validate batches in order (the reference's golden pass
         // surfaces the first bad batch), then sites in order (the
@@ -418,40 +358,13 @@ impl Netlist {
             .map(|blocks| self.simulate_blocks::<W>(blocks))
             .collect::<crate::Result<_>>()?;
         let out_bits = self.outputs().len();
-        let max_weight: f64 = (0..out_bits).map(|k| (k as f64).exp2()).sum();
+        let max_weight = max_output_weight(out_bits);
         let samples = input_batches.len() * lanes_per_batch;
-
-        let live = if options.skip_dead { Some(crate::lint::live_cone(self)) } else { None };
-        let obs = if options.skip_masked {
-            Some(crate::errbound::StuckAtObservability::new(self))
-        } else {
-            None
-        };
-        let keep: Vec<bool> = sites
-            .iter()
-            .map(|f| {
-                if let Some(live) = &live {
-                    if !live[f.signal.index()] {
-                        return false;
-                    }
-                }
-                if let Some(obs) = &obs {
-                    let stuck_value = matches!(f.kind, FaultKind::StuckAt1);
-                    if !obs.is_observable(f.signal, stuck_value) {
-                        return false;
-                    }
-                }
-                true
-            })
-            .collect();
-        let sim_sites: Vec<Fault> =
-            sites.iter().copied().zip(&keep).filter(|&(_, &k)| k).map(|(f, _)| f).collect();
-        let simulated_sites = sim_sites.len();
 
         // Shard the sweep over (site, batch-chunk) jobs so both many
         // sites and many batches feed the thread pool.
         let shards_per_site = n_groups.div_ceil(CAMPAIGN_GROUPS_PER_SHARD).max(1);
-        let jobs: Vec<(usize, usize, usize)> = (0..sim_sites.len())
+        let jobs: Vec<(usize, usize, usize)> = (0..sites.len())
             .flat_map(|si| {
                 (0..shards_per_site).map(move |s| {
                     let g0 = (s * CAMPAIGN_GROUPS_PER_SHARD).min(n_groups);
@@ -462,7 +375,7 @@ impl Netlist {
             .collect();
         let partials = engine.try_evaluate_many(&jobs, |_, &(si, g0, g1)| {
             self.sweep_shard(
-                sim_sites[si],
+                sites[si],
                 &grouped[g0..g1],
                 &golden[g0..g1],
                 &word_masks[g0..g1],
@@ -475,8 +388,8 @@ impl Netlist {
         // weighted sum below adds integer-valued f64 terms (count·2^k,
         // all below 2^53), which is exactly how the reference's
         // per-batch accumulation rounds — bit-identical results.
-        let mut site_reports = Vec::with_capacity(sim_sites.len());
-        for (si, fault) in sim_sites.iter().enumerate() {
+        let mut site_reports = Vec::with_capacity(sites.len());
+        for (si, fault) in sites.iter().enumerate() {
             let mut mismatched: u64 = 0;
             let mut bit_counts = vec![0u64; out_bits];
             for partial in &partials[si * shards_per_site..(si + 1) * shards_per_site] {
@@ -495,29 +408,7 @@ impl Netlist {
                 weighted_error: weighted / (samples as f64 * max_weight),
             });
         }
-
-        // Re-interleave simulated and skipped sites in injection order.
-        let sites_out = if keep.iter().all(|&k| k) {
-            site_reports
-        } else {
-            let mut simulated = site_reports.into_iter();
-            sites
-                .iter()
-                .zip(&keep)
-                .map(|(&fault, &kept)| {
-                    if kept {
-                        simulated.next().unwrap_or(FaultSiteReport {
-                            fault,
-                            mismatch_rate: 0.0,
-                            weighted_error: 0.0,
-                        })
-                    } else {
-                        FaultSiteReport { fault, mismatch_rate: 0.0, weighted_error: 0.0 }
-                    }
-                })
-                .collect()
-        };
-        Ok(CampaignReport { sites: sites_out, samples, simulated_sites })
+        Ok(CampaignReport { sites: site_reports, samples })
     }
 
     /// The retained 64-way serial reference campaign: one
@@ -528,25 +419,20 @@ impl Netlist {
     ///
     /// # Errors
     ///
-    /// See [`Netlist::eval_words_with_faults`].
+    /// As [`Netlist::stuck_at_campaign`].
     pub fn stuck_at_campaign_ref(
         &self,
         sites: &[Fault],
         input_batches: &[Vec<u64>],
         lanes_per_batch: usize,
     ) -> crate::Result<CampaignReport> {
-        assert!((1..=64).contains(&lanes_per_batch), "1..=64 lanes per batch");
-        let lane_mask: u64 = if lanes_per_batch == 64 {
-            !0
-        } else {
-            (1u64 << lanes_per_batch) - 1
-        };
+        let lane_mask = campaign_lane_mask(lanes_per_batch, input_batches.len())?;
         let golden: Vec<Vec<u64>> = input_batches
             .iter()
             .map(|b| self.simulate_words_with_faults(b, &FaultSet::empty()))
             .collect::<crate::Result<_>>()?;
         let out_bits = self.outputs().len();
-        let max_weight: f64 = (0..out_bits).map(|k| (k as f64).exp2()).sum();
+        let max_weight = max_output_weight(out_bits);
         let samples = input_batches.len() * lanes_per_batch;
         let sites_out = sites
             .iter()
@@ -554,8 +440,7 @@ impl Netlist {
                 self.sweep_one_site(fault, input_batches, &golden, lane_mask, max_weight, samples)
             })
             .collect::<crate::Result<Vec<_>>>()?;
-        let simulated_sites = sites_out.len();
-        Ok(CampaignReport { sites: sites_out, samples, simulated_sites })
+        Ok(CampaignReport { sites: sites_out, samples })
     }
 
     /// One unit of sharded campaign work: simulates a chunk of input
@@ -760,7 +645,8 @@ mod tests {
         let sites = n.fault_sites();
         // Exhaustive 8-combination batch.
         let batch = vec![0b11110000u64, 0b11001100, 0b10101010];
-        let report = n.stuck_at_campaign(&sites, &[batch], 8).unwrap();
+        let report =
+            n.stuck_at_campaign(&sites, &[batch], 8, &clapped_exec::Engine::serial()).unwrap();
         assert_eq!(report.samples, 8);
         // The output net stuck at the wrong polarity must corrupt at
         // least as much as any single input fault.
@@ -786,7 +672,9 @@ mod tests {
         let b_words = pack_bus_samples(&pairs.iter().map(|p| p.1).collect::<Vec<_>>(), 2);
         let mut batch = a_words;
         batch.extend(b_words);
-        let report = n.stuck_at_campaign(&n.fault_sites(), &[batch], 16).unwrap();
+        let report = n
+            .stuck_at_campaign(&n.fault_sites(), &[batch], 16, &clapped_exec::Engine::serial())
+            .unwrap();
         // Faulting the carry-out (highest-weight output) must outrank
         // faulting the LSB sum bit.
         let cout_sig = n.outputs().last().unwrap().1;
@@ -816,10 +704,12 @@ mod tests {
         let mut batch = a_words;
         batch.extend(b_words);
         let sites = n.fault_sites();
-        let serial = n.stuck_at_campaign(&sites, &[batch.clone()], 16).unwrap();
+        let serial = n
+            .stuck_at_campaign(&sites, &[batch.clone()], 16, &clapped_exec::Engine::serial())
+            .unwrap();
         for jobs in [2, 8] {
             let engine = clapped_exec::Engine::new(clapped_exec::ExecConfig::with_jobs(jobs));
-            let par = n.stuck_at_campaign_with(&sites, &[batch.clone()], 16, &engine).unwrap();
+            let par = n.stuck_at_campaign(&sites, &[batch.clone()], 16, &engine).unwrap();
             assert_eq!(serial, par, "jobs={jobs}");
         }
     }
@@ -832,148 +722,31 @@ mod tests {
         let mut sites = n.fault_sites();
         sites.insert(1, Fault { signal: SignalId::from_index(99), kind: FaultKind::StuckAt0 });
         let engine = clapped_exec::Engine::new(clapped_exec::ExecConfig::with_jobs(4));
-        let err = n
-            .stuck_at_campaign_with(&sites, &[vec![0b1010, 0b0110]], 4, &engine)
-            .unwrap_err();
+        let err = n.stuck_at_campaign(&sites, &[vec![0b1010, 0b0110]], 4, &engine).unwrap_err();
         assert!(matches!(err, NetlistError::InvalidFaultSite { index: 99, .. }));
     }
 
     #[test]
-    fn skip_dead_matches_full_campaign_with_fewer_sweeps() {
-        // An adder plus two gates outside the output cone: skipping the
-        // dead cone must leave every site report and the ranking
-        // bit-identical while counting fewer simulated sweeps.
-        let mut n = Netlist::new("deadwood");
-        let a = n.input_bus("a", 2);
-        let b = n.input_bus("b", 2);
-        let (sum, carry) = crate::bus::ripple_carry_add(&mut n, &a, &b, None);
-        let d1 = n.xor(sum[0], sum[1]);
-        let _d2 = n.and(d1, carry);
-        n.output_bus("s", &sum);
-        n.output("cout", carry);
-        let pairs: Vec<(i64, i64)> = (0..4).flat_map(|x| (0..4).map(move |y| (x, y))).collect();
-        let a_words = pack_bus_samples(&pairs.iter().map(|p| p.0).collect::<Vec<_>>(), 2);
-        let b_words = pack_bus_samples(&pairs.iter().map(|p| p.1).collect::<Vec<_>>(), 2);
-        let mut batch = a_words;
-        batch.extend(b_words);
-        let sites = n.fault_sites();
-        let engine = clapped_exec::Engine::serial();
-        let full = n
-            .stuck_at_campaign_with_options(
-                &sites,
-                &[batch.clone()],
-                16,
-                &engine,
-                CampaignOptions { skip_dead: false, ..CampaignOptions::default() },
-            )
-            .unwrap();
-        let skipped = n
-            .stuck_at_campaign_with_options(
-                &sites,
-                &[batch.clone()],
-                16,
-                &engine,
-                CampaignOptions { skip_dead: true, ..CampaignOptions::default() },
-            )
-            .unwrap();
-        assert_eq!(full.sites, skipped.sites, "per-site reports must be bit-identical");
-        assert_eq!(full.ranked_sites(), skipped.ranked_sites());
-        assert_eq!(full.simulated_sites, sites.len());
-        // Two dead gates x two stuck-at polarities are skipped.
-        assert_eq!(skipped.simulated_sites, sites.len() - 4);
-        // The parallel engine gives the same skipped report.
-        let engine8 = clapped_exec::Engine::new(clapped_exec::ExecConfig::with_jobs(8));
-        let par = n
-            .stuck_at_campaign_with_options(
-                &sites,
-                &[batch],
-                16,
-                &engine8,
-                CampaignOptions { skip_dead: true, ..CampaignOptions::default() },
-            )
-            .unwrap();
-        assert_eq!(skipped, par);
-    }
-
-    #[test]
-    fn skip_masked_matches_full_campaign_with_fewer_sweeps() {
-        // A circuit with statically provable masking beyond dead-cone
-        // analysis: `x` only reaches the output through an AND whose
-        // sibling is a proved constant 0, and `gated`'s stuck-at-0 is a
-        // no-op on a net proved always-0. All sites are *live* (inside
-        // the output cone), so skip_dead removes nothing, while the
-        // D-propagation masking must prune measurably — with every
-        // report and ranking bit-identical to the unmasked reference.
-        let mut n = Netlist::new("masked");
-        let x = n.input("x");
-        let y = n.input("y");
-        let zero = n.constant(false);
-        let gated = n.and(x, zero); // proved const 0
-        let out = n.or(gated, y);
-        n.output("o", out);
-        let sites = n.fault_sites();
-        let batch = vec![0b1100u64, 0b1010u64];
-        let engine = clapped_exec::Engine::serial();
-        let full = n
-            .stuck_at_campaign_with_options(
-                &sites,
-                std::slice::from_ref(&batch),
-                4,
-                &engine,
-                CampaignOptions::default(),
-            )
-            .unwrap();
-        let masked = n
-            .stuck_at_campaign_with_options(
-                &sites,
-                std::slice::from_ref(&batch),
-                4,
-                &engine,
-                CampaignOptions { skip_dead: false, skip_masked: true },
-            )
-            .unwrap();
-        assert_eq!(full.sites, masked.sites, "reports must be bit-identical");
-        assert_eq!(full.ranked_sites(), masked.ranked_sites());
-        assert_eq!(full.simulated_sites, sites.len());
-        // Provably skipped: x stuck-at-0/1 (blocked by the const-0
-        // sibling), zero stuck-at-0 and gated stuck-at-0 (no-op
-        // polarity on proved-0 nets).
-        assert!(
-            masked.simulated_sites <= sites.len() - 4,
-            "expected a measurable drop, got {}/{}",
-            masked.simulated_sites,
-            sites.len()
-        );
-        // Masking composes with skip_dead and parallel execution.
-        let engine8 = clapped_exec::Engine::new(clapped_exec::ExecConfig::with_jobs(8));
-        let both = n
-            .stuck_at_campaign_with_options(
-                &sites,
-                &[batch],
-                4,
-                &engine8,
-                CampaignOptions { skip_dead: true, skip_masked: true },
-            )
-            .unwrap();
-        assert_eq!(full.sites, both.sites);
-        assert_eq!(both.simulated_sites, masked.simulated_sites);
-    }
-
-    #[test]
-    fn skip_dead_still_reports_invalid_sites() {
+    fn campaigns_reject_unusable_stimulus() {
         let n = xor_chain();
-        let mut sites = n.fault_sites();
-        sites.insert(1, Fault { signal: SignalId::from_index(99), kind: FaultKind::StuckAt0 });
-        let err = n
-            .stuck_at_campaign_with_options(
-                &sites,
-                &[vec![0b1010, 0b0110]],
-                4,
-                &clapped_exec::Engine::serial(),
-                CampaignOptions { skip_dead: true, ..CampaignOptions::default() },
-            )
-            .unwrap_err();
-        assert!(matches!(err, NetlistError::InvalidFaultSite { index: 99, .. }));
+        let sites = n.fault_sites();
+        let batch = [vec![0b1010u64, 0b0110u64]];
+        let engine = clapped_exec::Engine::serial();
+        for (batches, lanes) in [(&batch[..], 0), (&batch[..], 65), (&[][..], 64)] {
+            let want = Err(NetlistError::InvalidStimulus {
+                lanes_per_batch: lanes,
+                batches: batches.len(),
+            });
+            assert_eq!(n.stuck_at_campaign(&sites, batches, lanes, &engine), want);
+            assert_eq!(n.stuck_at_campaign_ref(&sites, batches, lanes), want);
+        }
+        // An output-less netlist has nothing to corrupt: zero, not NaN.
+        let mut dangling = Netlist::new("dangling");
+        let a = dangling.input("a");
+        dangling.not(a);
+        let report =
+            dangling.stuck_at_campaign(&dangling.fault_sites(), &[vec![0b10]], 2, &engine).unwrap();
+        assert!(report.sites.iter().all(|s| s.mismatch_rate == 0.0 && s.weighted_error == 0.0));
     }
 
     #[test]

@@ -53,12 +53,9 @@ pub mod verilog;
 
 pub use errbound::{
     abstract_values, analyze as analyze_error_bounds, AbsVal, ErrBoundConfig, ErrorBounds,
-    ExactError, StuckAtObservability,
+    ExactError,
 };
-pub use fault::{
-    CampaignOptions, CampaignReport, Fault, FaultKind, FaultSet, FaultSiteReport,
-    CAMPAIGN_BLOCK_WORDS,
-};
+pub use fault::{CampaignReport, Fault, FaultKind, FaultSet, FaultSiteReport, CAMPAIGN_BLOCK_WORDS};
 pub use ir::{Gate, Netlist, SignalId};
 pub use lint::{lint_netlist, live_cone, NetlistStats, StructFinding, StructReport, StructSeverity};
 pub use map::{map_luts, MapStrategy, MappedLut, MappedNetlist};
@@ -114,6 +111,14 @@ pub enum NetlistError {
         /// Number of outputs in the netlist under analysis.
         found: usize,
     },
+    /// A fault campaign's stimulus is unusable: each batch word carries
+    /// `1..=64` lanes, and a campaign needs at least one batch.
+    InvalidStimulus {
+        /// The requested meaningful lanes per batch.
+        lanes_per_batch: usize,
+        /// The number of input batches supplied.
+        batches: usize,
+    },
 }
 
 impl fmt::Display for NetlistError {
@@ -140,6 +145,11 @@ impl fmt::Display for NetlistError {
             NetlistError::OutputCountMismatch { expected, found } => {
                 write!(f, "expected {expected} outputs, found {found}")
             }
+            NetlistError::InvalidStimulus { lanes_per_batch, batches } => write!(
+                f,
+                "campaign stimulus of {batches} batches with {lanes_per_batch} lanes each; \
+                 need at least one batch of 1..=64 lanes"
+            ),
         }
     }
 }

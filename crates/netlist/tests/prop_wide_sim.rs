@@ -4,7 +4,7 @@
 //! blocks), and the sharded stuck-at campaign against its serial
 //! reference.
 
-use clapped_netlist::{CampaignOptions, FaultKind, FaultSet, Netlist, SignalId};
+use clapped_netlist::{FaultKind, FaultSet, Netlist, SignalId};
 use proptest::prelude::*;
 
 /// Builds a random DAG of gates over `n_inputs` inputs from an opcode
@@ -124,7 +124,6 @@ proptest! {
         batches in proptest::collection::vec(
             proptest::collection::vec(any::<u64>(), 4), 1..=10),
         lanes_per_batch in 1usize..=64,
-        skip_dead in any::<bool>(),
     ) {
         let n = random_netlist(4, &ops);
         let sites = n.fault_sites();
@@ -134,15 +133,9 @@ proptest! {
         for jobs in [1, 3] {
             let engine = clapped_exec::Engine::new(clapped_exec::ExecConfig::with_jobs(jobs));
             let wide = n
-                .stuck_at_campaign_with_options(
-                    &sites,
-                    &batches,
-                    lanes_per_batch,
-                    &engine,
-                    CampaignOptions { skip_dead, ..CampaignOptions::default() },
-                )
+                .stuck_at_campaign(&sites, &batches, lanes_per_batch, &engine)
                 .expect("wide campaign runs");
-            prop_assert_eq!(&reference.sites, &wide.sites, "jobs={} skip_dead={}", jobs, skip_dead);
+            prop_assert_eq!(&reference.sites, &wide.sites, "jobs={}", jobs);
             prop_assert_eq!(reference.samples, wide.samples);
             prop_assert_eq!(reference.ranked_sites(), wide.ranked_sites());
         }

@@ -28,7 +28,7 @@ fn run() -> CampaignReport {
     };
     let batches: Vec<Vec<u64>> = (0..10).map(|_| (0..6).map(|_| next()).collect()).collect();
     let engine = clapped_exec::Engine::new(clapped_exec::ExecConfig::with_jobs(3));
-    n.stuck_at_campaign_with(&n.fault_sites(), &batches, 64, &engine).unwrap()
+    n.stuck_at_campaign(&n.fault_sites(), &batches, 64, &engine).unwrap()
 }
 
 #[test]

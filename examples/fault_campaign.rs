@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let batches: Vec<Vec<u64>> = (0..8)
         .map(|_| (0..netlist.inputs().len()).map(|_| rng.next_u64()).collect())
         .collect();
-    let report = netlist.stuck_at_campaign_with(&netlist.fault_sites(), &batches, 64, &engine)?;
+    let report = netlist.stuck_at_campaign(&netlist.fault_sites(), &batches, 64, &engine)?;
     println!(
         "netlist pre-screen: {} samples/site, {:.1}% of sites logically masked",
         report.samples,
