@@ -762,6 +762,9 @@ mod tests {
     use super::*;
     use clapped_dse::Configuration;
 
+    /// `ClappedConfig::default().digest()`.
+    const PINNED_DEFAULT_DIGEST: u64 = 15154327120191183568;
+
     fn small() -> Clapped {
         Clapped::builder().image_size(16).build().unwrap()
     }
@@ -897,6 +900,13 @@ mod tests {
         let fw = a.instantiate().unwrap();
         assert_eq!(fw.config().digest(), b.digest());
         assert_eq!(fw.image_size(), 16);
+    }
+
+    #[test]
+    fn default_recipe_digest_is_pinned() {
+        // The recipe digest keys every persisted cache entry and serve
+        // pool slot: it must not move while the recipe means the same.
+        assert_eq!(ClappedConfig::default().digest(), PINNED_DEFAULT_DIGEST);
     }
 
     #[test]

@@ -274,6 +274,10 @@ pub fn best_curve_fits(m: &dyn Mul8s, top_k: usize, config: &LmConfig) -> Result
 mod tests {
     use super::*;
     use clapped_axops::{AxMul, MulArch};
+    use clapped_exec::Fnv64;
+
+    /// Digest of `curve_fits_are_pinned`'s parameters and SSEs.
+    const PINNED_CURVE_FITS: u64 = 6394942593470445457;
 
     #[test]
     fn lm_fits_a_quadratic() {
@@ -334,6 +338,24 @@ mod tests {
                 fit_multiplier_surface(&m, DistKind::Normal, &LmConfig::default()).unwrap();
             assert!(fit.estimation_mae(&m) > 100.0, "{arch:?}");
         }
+    }
+
+    #[test]
+    fn curve_fits_are_pinned() {
+        // Three standard operators, two families each: the LM iteration
+        // limit, damping and tolerance all feed these bits.
+        let catalog = clapped_axops::Catalog::standard();
+        let mut h = Fnv64::new();
+        for index in [0, 5, 17] {
+            let m = catalog.at(index).expect("standard operator");
+            for fit in best_curve_fits(m.as_ref(), 2, &LmConfig::default()).unwrap() {
+                for t in &fit.theta {
+                    h.write_u64(t.to_bits());
+                }
+                h.write_u64(fit.sse.to_bits());
+            }
+        }
+        assert_eq!(h.finish(), PINNED_CURVE_FITS);
     }
 
     #[test]

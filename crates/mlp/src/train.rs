@@ -353,6 +353,10 @@ fn apply_update(mlp: &mut Mlp, g: &Gradients, state: &mut OptState, config: &Tra
 mod tests {
     use super::*;
     use crate::metrics::{mae, r2_score};
+    use clapped_exec::Fnv64;
+
+    /// Digest of `default_training_is_pinned`'s report and predictions.
+    const PINNED_DEFAULT_TRAINING: u64 = 9583056713349792401;
 
     fn grid_dataset(f: impl Fn(f64, f64) -> f64) -> (Vec<Vec<f64>>, Vec<f64>) {
         let mut xs = Vec::new();
@@ -495,6 +499,34 @@ mod tests {
         assert!(Regressor::fit(&[], &[], &[4], &config).is_err());
         assert!(Regressor::fit(&[vec![1.0]], &[1.0, 2.0], &[4], &config).is_err());
         assert!(Regressor::fit(&[vec![1.0], vec![1.0, 2.0]], &[1.0, 2.0], &[4], &config).is_err());
+    }
+
+    #[test]
+    fn default_training_is_pinned() {
+        // A seeded fit at the default configuration with two hidden
+        // layers: the split, batching, optimizer and activations all
+        // feed this digest, so any change to the arithmetic moves it.
+        let (xs, ys) = grid_dataset(|a, b| a * b + 0.5 * a - b);
+        let model = Regressor::fit(&xs, &ys, &[8, 6], &TrainConfig::default()).unwrap();
+        let report = model.report();
+        assert!(report.n_val > 0, "the pin must cover the validation split");
+        let mut h = Fnv64::new();
+        for losses in [&report.train_loss, &report.val_loss] {
+            h.write_u64(losses.len() as u64);
+            for l in losses {
+                h.write_u64(l.to_bits());
+            }
+        }
+        h.write_u64(report.stopped_epoch as u64);
+        h.write_u64(report.n_train as u64);
+        h.write_u64(report.n_val as u64);
+        let probes: Vec<Vec<f64>> = (0..16)
+            .map(|i| vec![f64::from(i) / 8.0 - 1.05, 0.95 - f64::from(i) / 9.0])
+            .collect();
+        for p in model.predict_batch(&probes) {
+            h.write_u64(p.to_bits());
+        }
+        assert_eq!(h.finish(), PINNED_DEFAULT_TRAINING);
     }
 
     #[test]
