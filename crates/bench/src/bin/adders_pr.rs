@@ -5,7 +5,7 @@
 
 use clapped_axops::adders::{standard_adders, Add8s};
 use clapped_bench::{print_table, save_json};
-use clapped_errmodel::curvefit::{fit_surface_fn, LmConfig};
+use clapped_errmodel::curvefit::fit_surface_fn;
 use clapped_errmodel::dist::DistKind;
 use clapped_errmodel::PrModel;
 use serde_json::json;
@@ -30,11 +30,7 @@ fn main() {
         let pr_mae = pr.estimation_mae_fn(f);
         let cf = [DistKind::Normal, DistKind::Logistic]
             .iter()
-            .map(|&k| {
-                fit_surface_fn(f, k, &LmConfig::default())
-                    .expect("LM converges")
-                    .estimation_mae_fn(f)
-            })
+            .map(|&k| fit_surface_fn(f, k).expect("LM converges").estimation_mae_fn(f))
             .fold(f64::INFINITY, f64::min);
         let pr_rel = 100.0 * pr_mae / mean_mag;
         let cf_rel = 100.0 * cf / mean_mag;

@@ -118,7 +118,6 @@ fn main() {
                 epochs: 40,
                 ..TrainConfig::default()
             },
-            ..PrefilterConfig::default()
         }
     } else {
         PrefilterConfig::default()

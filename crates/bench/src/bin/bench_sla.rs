@@ -190,8 +190,8 @@ fn main() {
     let mut phase = TrafficPhase::Calm;
     let mut inputs = Vec::with_capacity(frames);
     for frame in 0..frames {
-        phase = options.traffic.next_phase(SEED, frame, phase);
-        inputs.push(options.traffic.frame(SEED, frame, phase, ladder.image_size()));
+        phase = phase.next(SEED, frame);
+        inputs.push(phase.frame(SEED, frame, ladder.image_size()));
     }
     let engine = ConvEngine::new(QuantKernel::gaussian(
         ladder.conv_config().window,

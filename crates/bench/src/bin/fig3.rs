@@ -4,7 +4,7 @@
 
 use clapped_axops::Catalog;
 use clapped_bench::{print_table, save_json};
-use clapped_errmodel::curvefit::{fit_multiplier_surface, LmConfig};
+use clapped_errmodel::curvefit::fit_multiplier_surface;
 use clapped_errmodel::dist::rank_distributions;
 use clapped_errmodel::{error_samples, PrModel};
 use serde_json::json;
@@ -33,11 +33,10 @@ fn main() {
     );
 
     // Curve fitting with the top-ranked families vs the PR model.
-    let lm = LmConfig::default();
     let mut mae_rows = Vec::new();
     let mut json_fits = Vec::new();
     for (d, _) in ranked.iter().take(5) {
-        let fit = fit_multiplier_surface(m.as_ref(), d.kind(), &lm).expect("LM converges");
+        let fit = fit_multiplier_surface(m.as_ref(), d.kind()).expect("LM converges");
         let mae = fit.estimation_mae(m.as_ref());
         mae_rows.push(vec![
             format!("curve fit ({})", d.kind().name()),

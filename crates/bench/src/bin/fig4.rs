@@ -5,7 +5,7 @@
 
 use clapped_axops::{Catalog, Mul8s};
 use clapped_bench::{ascii_histogram, save_json};
-use clapped_errmodel::curvefit::{best_curve_fits, LmConfig};
+use clapped_errmodel::curvefit::best_curve_fits;
 use clapped_errmodel::PrModel;
 use serde_json::json;
 
@@ -21,7 +21,7 @@ fn main() {
     for alias in ["mul8s_1KR3", "mul8s_1KVA"] {
         let m = catalog.get(alias).expect("alias resolves");
         println!("\n################ {alias} -> {} ################", m.name());
-        let fits = best_curve_fits(m.as_ref(), 2, &LmConfig::default()).expect("LM converges");
+        let fits = best_curve_fits(m.as_ref(), 2).expect("LM converges");
         let mut methods = Vec::new();
         for fit in &fits {
             let errors = fit.estimation_errors(m.as_ref());

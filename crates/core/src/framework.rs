@@ -16,6 +16,12 @@ use std::sync::{Arc, OnceLock};
 /// Cache-key role for cached `[error %, LUTs]` objective vectors.
 const ROLE_OBJECTIVES: u64 = 0x4f42_4a45_4354;
 
+/// Degree of the operator PR models (the paper uses 3).
+const PR_DEGREE: usize = 3;
+
+/// Entries held by the in-memory result cache.
+const CACHE_CAPACITY: usize = 4096;
+
 /// An objective value, or [`OBJECTIVE_SENTINEL`] for a failed
 /// evaluation. Every sentinel written is counted on
 /// `core.objective_sentinel`, so failures are visible, not swallowed.
@@ -72,7 +78,6 @@ impl AppModel {
 /// let fw = Clapped::builder()
 ///     .image_size(32)
 ///     .noise_sigma(12.0)
-///     .pr_degree(3)
 ///     .seed(7)
 ///     .build()
 ///     .unwrap();
@@ -93,12 +98,6 @@ impl ClappedBuilder {
     /// Standard deviation of the injected Gaussian noise.
     pub fn noise_sigma(mut self, sigma: f64) -> Self {
         self.config.noise_sigma = sigma;
-        self
-    }
-
-    /// Degree of the operator PR models (the paper uses 3).
-    pub fn pr_degree(mut self, degree: usize) -> Self {
-        self.config.pr_degree = degree;
         self
     }
 
@@ -132,13 +131,6 @@ impl ClappedBuilder {
     /// wall-clock time.
     pub fn exec(mut self, config: ExecConfig) -> Self {
         self.config.exec = config;
-        self
-    }
-
-    /// Capacity of the in-memory result cache (default 4096 entries).
-    /// Zero disables caching.
-    pub fn cache_capacity(mut self, entries: usize) -> Self {
-        self.config.cache_capacity = entries;
         self
     }
 
@@ -184,8 +176,6 @@ pub struct ClappedConfig {
     pub image_size: usize,
     /// Standard deviation of the injected Gaussian noise.
     pub noise_sigma: f64,
-    /// Degree of the operator PR models.
-    pub pr_degree: usize,
     /// Master RNG seed (workload generation, dataset sampling).
     pub seed: u64,
     /// Replacement operator catalog (`None` = the standard catalog).
@@ -196,8 +186,6 @@ pub struct ClappedConfig {
     pub app_kind: AppKind,
     /// Parallel evaluation engine knobs (never affects results).
     pub exec: ExecConfig,
-    /// In-memory result-cache capacity (zero disables caching).
-    pub cache_capacity: usize,
     /// On-disk result-cache tier directory (`None` disables the tier).
     pub cache_dir: Option<PathBuf>,
 }
@@ -207,13 +195,11 @@ impl Default for ClappedConfig {
         ClappedConfig {
             image_size: 32,
             noise_sigma: 12.0,
-            pr_degree: 3,
             seed: 1,
             catalog: None,
             char_config: CharacterizeConfig::default(),
             app_kind: AppKind::GaussianDenoise,
             exec: ExecConfig::default(),
-            cache_capacity: 4096,
             cache_dir: None,
         }
     }
@@ -222,7 +208,7 @@ impl Default for ClappedConfig {
 impl ClappedConfig {
     /// Stable content digest of the recipe — two configs with equal
     /// digests produce frameworks whose cached evaluation results are
-    /// interchangeable. Execution knobs (`exec`, cache capacity and
+    /// interchangeable. Execution knobs (`exec` and the cache
     /// directory) are deliberately excluded: they change wall-clock
     /// behaviour, never results.
     pub fn digest(&self) -> u64 {
@@ -246,7 +232,8 @@ impl ClappedConfig {
         StructDigest::new("ClappedInstance")
             .field("image_size", &(self.image_size as u64))
             .field("noise_sigma", &self.noise_sigma)
-            .field("pr_degree", &(self.pr_degree as u64))
+            // A constant, still digested so persisted keys stay put.
+            .field("pr_degree", &(PR_DEGREE as u64))
             .field("seed", &self.seed)
             .field("app_kind", &(self.app_kind as u64))
             .field("catalog", &catalog_names.to_vec())
@@ -292,7 +279,7 @@ impl ClappedConfig {
         };
         let pr_models: Vec<PrModel> = catalog
             .iter()
-            .map(|m| PrModel::fit(m.as_ref(), self.pr_degree))
+            .map(|m| PrModel::fit(m.as_ref(), PR_DEGREE))
             .collect();
         let refs: Vec<&PrModel> = pr_models.iter().collect();
         let ranking = rank_terms(&refs);
@@ -318,8 +305,8 @@ impl ClappedConfig {
             .collect();
         let instance_salt = self.instance_salt(&catalog_names);
         let eval_cache = match &self.cache_dir {
-            Some(dir) => ResultCache::with_disk(self.cache_capacity, dir),
-            None => ResultCache::in_memory(self.cache_capacity),
+            Some(dir) => ResultCache::with_disk(CACHE_CAPACITY, dir),
+            None => ResultCache::in_memory(CACHE_CAPACITY),
         }
         .salted(CODE_VERSION_SALT)
         .salted(instance_salt);
@@ -439,14 +426,13 @@ impl Clapped {
             image_size: self.config.image_size,
             seed: options.seed,
             characterization: self.config.char_config.clone(),
-            traffic: options.traffic,
             ..clapped_runtime::LadderConfig::default()
         };
         let ladder = clapped_runtime::DegradationLadder::build(self.catalog.muls(), &sla, &config)?;
         Ok(clapped_runtime::StreamSupervisor::new(ladder, sla, options)?)
     }
 
-    /// Per-operator degree-`d` PR models (catalog order).
+    /// Per-operator degree-3 PR models (catalog order).
     pub fn pr_models(&self) -> &[PrModel] {
         &self.pr_models
     }
@@ -894,7 +880,7 @@ mod tests {
         // Execution knobs never partition: they cannot change results.
         let mut d = a.clone();
         d.exec = ExecConfig::with_jobs(8);
-        d.cache_capacity = 17;
+        d.cache_dir = Some(PathBuf::from("elsewhere"));
         assert_eq!(a.digest(), d.digest());
         // The instantiated framework carries its recipe, digest intact.
         let fw = a.instantiate().unwrap();

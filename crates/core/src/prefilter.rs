@@ -38,6 +38,23 @@ use clapped_axops::{Catalog, GenerativeCatalog};
 use clapped_dse::Configuration;
 use clapped_mlp::{Regressor, TrainConfig};
 
+/// Pareto band width: an entry is pruned only when another entry's
+/// *predictions* dominate it by at least this fraction of each
+/// objective's predicted range. When the band holds fewer than
+/// [`PrefilterConfig::keep_max`] entries, the pool is topped up with the
+/// next-closest predicted Pareto fronts (NSGA-style peeling) — never
+/// with the dominated interior.
+const EPSILON: f64 = 0.05;
+/// Hidden-layer sizes of both surrogate models.
+const HIDDEN: [usize; 1] = [16];
+/// Image size of the labelling application model (kept small — the
+/// labels only feed the surrogates).
+const LABEL_IMAGE_SIZE: usize = 32;
+/// Convolution window of the uniform labelling configuration.
+const LABEL_WINDOW: usize = 3;
+/// Seed of the labelling framework.
+const LABEL_SEED: u64 = 11;
+
 /// Tuning knobs of the autoAx pre-filter.
 #[derive(Debug, Clone)]
 pub struct PrefilterConfig {
@@ -47,25 +64,8 @@ pub struct PrefilterConfig {
     pub train_count: usize,
     /// Upper bound on survivors (the exact operator always survives).
     pub keep_max: usize,
-    /// Pareto band width: an entry is pruned only when another entry's
-    /// *predictions* dominate it by at least this fraction of each
-    /// objective's predicted range. When the band holds fewer than
-    /// [`keep_max`](Self::keep_max) entries, the pool is topped up with
-    /// the next-closest predicted Pareto fronts (NSGA-style peeling) —
-    /// never with the dominated interior.
-    pub epsilon: f64,
-    /// Hidden-layer sizes of both surrogate models.
-    pub hidden: Vec<usize>,
     /// Surrogate training configuration.
     pub train: TrainConfig,
-    /// Image size of the labelling application model (kept small — the
-    /// labels only feed the surrogates).
-    pub image_size: usize,
-    /// Convolution window of the uniform labelling configuration.
-    pub window: usize,
-    /// Seed for the labelling framework (forwarded to
-    /// [`Clapped::builder`](crate::Clapped::builder)).
-    pub seed: u64,
 }
 
 impl Default for PrefilterConfig {
@@ -73,12 +73,7 @@ impl Default for PrefilterConfig {
         PrefilterConfig {
             train_count: 64,
             keep_max: 40,
-            epsilon: 0.05,
-            hidden: vec![16],
             train: TrainConfig::default(),
-            image_size: 32,
-            window: 3,
-            seed: 11,
         }
     }
 }
@@ -142,13 +137,13 @@ pub fn prefilter(gen: &GenerativeCatalog, cfg: &PrefilterConfig) -> Result<Prefi
     })?;
     let fw = Clapped::builder()
         .catalog(label_catalog)
-        .image_size(cfg.image_size)
-        .seed(cfg.seed)
+        .image_size(LABEL_IMAGE_SIZE)
+        .seed(LABEL_SEED)
         .build()?;
-    let taps = cfg.window * cfg.window;
+    let taps = LABEL_WINDOW * LABEL_WINDOW;
     let label_configs: Vec<Configuration> = (0..train_indices.len())
         .map(|j| {
-            let mut c = Configuration::golden(cfg.window);
+            let mut c = Configuration::golden(LABEL_WINDOW);
             c.mul_indices = vec![j; taps];
             c
         })
@@ -174,8 +169,8 @@ pub fn prefilter(gen: &GenerativeCatalog, cfg: &PrefilterConfig) -> Result<Prefi
         .collect();
     let ys_q: Vec<f64> = labels.iter().map(|&(q, _)| (1.0 + q.max(0.0)).ln()).collect();
     let ys_c: Vec<f64> = labels.iter().map(|&(_, c)| c).collect();
-    let model_q = Regressor::fit(&xs, &ys_q, &cfg.hidden, &cfg.train)?;
-    let model_c = Regressor::fit(&xs, &ys_c, &cfg.hidden, &cfg.train)?;
+    let model_q = Regressor::fit(&xs, &ys_q, &HIDDEN, &cfg.train)?;
+    let model_c = Regressor::fit(&xs, &ys_c, &HIDDEN, &cfg.train)?;
 
     let feats: Vec<Vec<f64>> = entries
         .iter()
@@ -197,7 +192,7 @@ pub fn prefilter(gen: &GenerativeCatalog, cfg: &PrefilterConfig) -> Result<Prefi
     // DSE needs cheap *accurate* operators just as much as cheap noisy
     // ones, so quality strata get equal representation.
     let target = cfg.keep_max.max(1).min(entries.len());
-    let mut survivors = epsilon_band_survivors(&predicted_quality, &predicted_cost, cfg.epsilon);
+    let mut survivors = epsilon_band_survivors(&predicted_quality, &predicted_cost, EPSILON);
     let pruned = entries.len() - survivors.len();
     top_up_with_next_fronts(&mut survivors, &predicted_quality, &predicted_cost, target);
     let mae_of: Vec<f64> = entries.iter().map(|e| e.features.mae).collect();
@@ -414,7 +409,6 @@ mod tests {
                 epochs: 40,
                 ..TrainConfig::default()
             },
-            ..PrefilterConfig::default()
         };
         let report = prefilter(&gen, &cfg).expect("prefilter runs");
         assert!(report.catalog.len() <= 10);

@@ -16,29 +16,16 @@ use crate::{FitError, Result};
 use clapped_axops::{exhaustive_pairs, Mul8s};
 use clapped_la::{Cholesky, Mat};
 
-/// Configuration of the Levenberg–Marquardt optimizer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LmConfig {
-    /// Maximum number of accepted iterations.
-    pub max_iters: usize,
-    /// Initial damping factor.
-    pub lambda0: f64,
-    /// Convergence threshold on the relative SSE improvement.
-    pub tol: f64,
-}
-
-impl Default for LmConfig {
-    fn default() -> Self {
-        LmConfig {
-            max_iters: 60,
-            lambda0: 1e-3,
-            tol: 1e-9,
-        }
-    }
-}
+/// Maximum number of Levenberg–Marquardt iterations.
+const LM_MAX_ITERS: usize = 60;
+/// Initial Levenberg–Marquardt damping factor.
+const LM_LAMBDA0: f64 = 1e-3;
+/// Convergence threshold on the relative SSE improvement.
+const LM_TOL: f64 = 1e-9;
 
 /// Minimizes `sum(residual(theta)^2)` with Levenberg–Marquardt using a
-/// finite-difference Jacobian.
+/// finite-difference Jacobian (at most 60 iterations, initial damping
+/// 1e-3, stopping once the relative SSE improvement falls below 1e-9).
 ///
 /// `residuals(theta, out)` must fill `out` with one residual per sample;
 /// the residual count must stay constant across calls.
@@ -50,7 +37,6 @@ impl Default for LmConfig {
 pub fn levenberg_marquardt(
     mut residuals: impl FnMut(&[f64], &mut Vec<f64>),
     theta0: &[f64],
-    config: &LmConfig,
 ) -> Result<(Vec<f64>, f64)> {
     let p = theta0.len();
     let mut theta = theta0.to_vec();
@@ -61,11 +47,11 @@ pub fn levenberg_marquardt(
         return Err(FitError::TooFewSamples { got: m, need: p });
     }
     let mut sse: f64 = r.iter().map(|x| x * x).sum();
-    let mut lambda = config.lambda0;
+    let mut lambda = LM_LAMBDA0;
     let mut jac = vec![vec![0.0f64; m]; p];
     let mut r_pert = Vec::new();
 
-    for _ in 0..config.max_iters {
+    for _ in 0..LM_MAX_ITERS {
         // Finite-difference Jacobian.
         for j in 0..p {
             let h = 1e-6 * theta[j].abs().max(1e-3);
@@ -110,7 +96,7 @@ pub fn levenberg_marquardt(
                 sse = cand_sse;
                 lambda = (lambda / 3.0).max(1e-12);
                 improved = true;
-                if rel < config.tol {
+                if rel < LM_TOL {
                     return Ok((theta, sse));
                 }
                 break;
@@ -210,12 +196,8 @@ fn unit_dist(kind: DistKind) -> Dist {
 /// # Errors
 ///
 /// Propagates numeric failures from the optimizer.
-pub fn fit_multiplier_surface(
-    m: &dyn Mul8s,
-    kind: DistKind,
-    config: &LmConfig,
-) -> Result<SurfaceFit> {
-    fit_surface_fn(|a, b| f64::from(m.mul(a, b)), kind, config)
+pub fn fit_multiplier_surface(m: &dyn Mul8s, kind: DistKind) -> Result<SurfaceFit> {
+    fit_surface_fn(|a, b| f64::from(m.mul(a, b)), kind)
 }
 
 /// Closure-operator variant of [`fit_multiplier_surface`] (used for
@@ -224,11 +206,7 @@ pub fn fit_multiplier_surface(
 /// # Errors
 ///
 /// Propagates numeric failures from the optimizer.
-pub fn fit_surface_fn(
-    f: impl Fn(i8, i8) -> f64,
-    kind: DistKind,
-    config: &LmConfig,
-) -> Result<SurfaceFit> {
+pub fn fit_surface_fn(f: impl Fn(i8, i8) -> f64, kind: DistKind) -> Result<SurfaceFit> {
     let samples: Vec<(i8, i8, f64)> = exhaustive_pairs()
         .step_by(16)
         .map(|(a, b)| (a, b, f(a, b)))
@@ -243,7 +221,7 @@ pub fn fit_surface_fn(
         );
     };
     let n = samples.len();
-    let (theta, sse) = levenberg_marquardt(residuals, &theta0, config)?;
+    let (theta, sse) = levenberg_marquardt(residuals, &theta0)?;
     Ok(SurfaceFit {
         kind,
         theta,
@@ -259,12 +237,12 @@ pub fn fit_surface_fn(
 /// # Errors
 ///
 /// Propagates numeric failures from the optimizer.
-pub fn best_curve_fits(m: &dyn Mul8s, top_k: usize, config: &LmConfig) -> Result<Vec<SurfaceFit>> {
+pub fn best_curve_fits(m: &dyn Mul8s, top_k: usize) -> Result<Vec<SurfaceFit>> {
     let errors = error_samples(m);
     let ranked = rank_distributions(&errors);
     let mut fits = Vec::new();
     for (dist, _ks) in ranked.into_iter().take(top_k) {
-        fits.push(fit_multiplier_surface(m, dist.kind(), config)?);
+        fits.push(fit_multiplier_surface(m, dist.kind())?);
     }
     fits.sort_by(|a, b| a.sse.total_cmp(&b.sse));
     Ok(fits)
@@ -292,7 +270,7 @@ mod tests {
                     .map(|(t, y)| theta[0] + theta[1] * t * t - y),
             );
         };
-        let (theta, sse) = levenberg_marquardt(res, &[0.0, 0.0], &LmConfig::default()).unwrap();
+        let (theta, sse) = levenberg_marquardt(res, &[0.0, 0.0]).unwrap();
         assert!((theta[0] - 2.0).abs() < 1e-4, "{theta:?}");
         assert!((theta[1] - 3.0).abs() < 1e-5, "{theta:?}");
         assert!(sse < 1e-6);
@@ -310,7 +288,7 @@ mod tests {
                     .map(|(t, y)| theta[0] * (theta[1] * t).exp() - y),
             );
         };
-        let (theta, _) = levenberg_marquardt(res, &[1.0, -0.1], &LmConfig::default()).unwrap();
+        let (theta, _) = levenberg_marquardt(res, &[1.0, -0.1]).unwrap();
         assert!((theta[0] - 5.0).abs() < 1e-3, "{theta:?}");
         assert!((theta[1] + 0.7).abs() < 1e-3, "{theta:?}");
     }
@@ -318,8 +296,7 @@ mod tests {
     #[test]
     fn surface_fit_improves_over_initial_guess() {
         let m = AxMul::new("e", MulArch::Exact);
-        let fit =
-            fit_multiplier_surface(&m, DistKind::Normal, &LmConfig::default()).unwrap();
+        let fit = fit_multiplier_surface(&m, DistKind::Normal).unwrap();
         // The optimizer must at least beat the trivial zero prediction.
         let zero_mae: f64 = clapped_axops::exhaustive_pairs()
             .map(|(a, b)| f64::from(m.mul(a, b)).abs())
@@ -334,8 +311,7 @@ mod tests {
         // structure entirely — the core observation of paper Section II.
         for arch in [MulArch::Exact, MulArch::Mitchell] {
             let m = AxMul::new("m", arch);
-            let fit =
-                fit_multiplier_surface(&m, DistKind::Normal, &LmConfig::default()).unwrap();
+            let fit = fit_multiplier_surface(&m, DistKind::Normal).unwrap();
             assert!(fit.estimation_mae(&m) > 100.0, "{arch:?}");
         }
     }
@@ -348,7 +324,7 @@ mod tests {
         let mut h = Fnv64::new();
         for index in [0, 5, 17] {
             let m = catalog.at(index).expect("standard operator");
-            for fit in best_curve_fits(m.as_ref(), 2, &LmConfig::default()).unwrap() {
+            for fit in best_curve_fits(m.as_ref(), 2).unwrap() {
                 for t in &fit.theta {
                     h.write_u64(t.to_bits());
                 }
@@ -361,7 +337,7 @@ mod tests {
     #[test]
     fn best_curve_fits_returns_sorted() {
         let m = AxMul::new("t", MulArch::Truncated { k: 4 });
-        let fits = best_curve_fits(&m, 3, &LmConfig::default()).unwrap();
+        let fits = best_curve_fits(&m, 3).unwrap();
         assert_eq!(fits.len(), 3);
         for w in fits.windows(2) {
             assert!(w[0].sse() <= w[1].sse());

@@ -24,7 +24,7 @@
 //!    means another process is publishing the *same content-addressed
 //!    value*; the loser skips its redundant write and counts
 //!    [`CacheStats::lock_contention`]. Locks left behind by a killed
-//!    writer expire after a TTL and are broken by the next writer.
+//!    writer expire after 30 s and are broken by the next writer.
 
 use serde_json::Value;
 use std::collections::{BTreeMap, HashMap};
@@ -39,7 +39,7 @@ use crate::digest::mix64;
 /// How long an advisory lock file may exist before any writer may break
 /// it — generous against slow NFS-style renames, small against a
 /// permanently wedged entry after a `kill -9` mid-write.
-const DEFAULT_LOCK_TTL: Duration = Duration::from_secs(30);
+const LOCK_TTL: Duration = Duration::from_secs(30);
 
 /// Conversion between a cached value and its on-disk JSON form.
 ///
@@ -189,7 +189,6 @@ pub struct ResultCache<V> {
     lru: Mutex<Lru<V>>,
     disk_dir: Option<PathBuf>,
     salt: u64,
-    lock_ttl: Duration,
     hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
@@ -206,7 +205,6 @@ impl<V: Clone + CacheCodec> ResultCache<V> {
             lru: Mutex::new(Lru::new(capacity)),
             disk_dir: None,
             salt: 0,
-            lock_ttl: DEFAULT_LOCK_TTL,
             hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -231,16 +229,6 @@ impl<V: Clone + CacheCodec> ResultCache<V> {
     #[must_use]
     pub fn salted(mut self, salt: u64) -> ResultCache<V> {
         self.salt = self.salt.wrapping_add(mix64(salt));
-        self
-    }
-
-    /// Replaces the advisory-lock expiry (default 30 s). A lock older
-    /// than this is treated as the residue of a killed writer and
-    /// broken; `Duration::ZERO` makes every pre-existing lock breakable
-    /// (useful in tests).
-    #[must_use]
-    pub fn with_lock_ttl(mut self, ttl: Duration) -> ResultCache<V> {
-        self.lock_ttl = ttl;
         self
     }
 
@@ -283,8 +271,8 @@ impl<V: Clone + CacheCodec> ResultCache<V> {
 
     /// Claims the advisory write lock with `create_new` (`O_EXCL`).
     /// Returns `false` when another live writer holds it; a lock file
-    /// older than [`ResultCache::with_lock_ttl`] is the residue of a
-    /// killed writer and is broken and re-claimed.
+    /// older than 30 s is the residue of a killed writer and is broken
+    /// and re-claimed.
     fn claim_lock(&self, lock: &Path) -> bool {
         let try_claim = || {
             std::fs::OpenOptions::new()
@@ -309,7 +297,7 @@ impl<V: Clone + CacheCodec> ResultCache<V> {
             .and_then(|m| m.modified())
             .ok()
             .and_then(|t| t.elapsed().ok())
-            .is_some_and(|age| age >= self.lock_ttl);
+            .is_some_and(|age| age >= LOCK_TTL);
         if expired {
             let _ = std::fs::remove_file(lock);
             return try_claim();
@@ -425,6 +413,7 @@ impl<V: Clone + CacheCodec> ResultCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::SystemTime;
 
     #[test]
     fn warm_cache_skips_recompute() {
@@ -560,12 +549,15 @@ mod tests {
             .join(format!("clapped-exec-test-stale-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        // TTL zero: any pre-existing lock counts as a killed writer.
-        let cache: ResultCache<Vec<f64>> =
-            ResultCache::with_disk(8, &dir).with_lock_ttl(Duration::ZERO);
+        let cache: ResultCache<Vec<f64>> = ResultCache::with_disk(8, &dir);
         let mixed = cache.mixed(4);
         let lock = dir.join(format!("{mixed:016x}.lock"));
-        std::fs::write(&lock, "42").unwrap();
+        // A lock last touched past the TTL is a killed writer's residue.
+        let planted = std::fs::File::create(&lock).unwrap();
+        planted
+            .set_modified(SystemTime::now() - LOCK_TTL - Duration::from_secs(1))
+            .unwrap();
+        drop(planted);
         cache.insert(4, vec![7.0, 8.0]);
         assert_eq!(cache.stats().lock_contention, 0, "stale lock is broken, not contended");
         assert!(!lock.exists(), "broken lock is cleaned up after the write");

@@ -8,7 +8,7 @@
 //! The paper trains MLPs to predict (a) an application's output quality
 //! from a cross-layer configuration (Section II-B) and (b) accelerator
 //! performance metrics from design features (Section III). This crate
-//! provides the network, a deterministic Adam/SGD trainer with validation
+//! provides the network, a deterministic Adam trainer with validation
 //! split and early stopping, and a feature-standardizing [`Regressor`]
 //! wrapper.
 //!
@@ -33,8 +33,8 @@ mod net;
 mod train;
 
 pub use metrics::{fidelity, mae, r2_score, rmse};
-pub use net::{Activation, Mlp};
-pub use train::{Optimizer, Regressor, TrainConfig, TrainReport};
+pub use net::Mlp;
+pub use train::{Regressor, TrainConfig, TrainReport};
 
 use std::error::Error;
 use std::fmt;

@@ -1,57 +1,15 @@
-//! The MLP network: dense layers, activations, forward and backward
-//! passes.
+//! The MLP network: dense layers (ReLU hidden, linear output), forward
+//! and backward passes.
 
 use clapped_la::Mat;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Activation functions supported by [`Mlp`] layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Activation {
-    /// Rectified linear unit.
-    Relu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// Identity (linear output layer).
-    Identity,
-}
-
-impl Activation {
-    fn apply(self, x: f64) -> f64 {
-        match self {
-            Activation::Relu => x.max(0.0),
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Identity => x,
-        }
-    }
-
-    /// Derivative expressed in terms of the pre-activation `x` and the
-    /// activation output `y`.
-    fn derivative(self, x: f64, y: f64) -> f64 {
-        match self {
-            Activation::Relu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::Tanh => 1.0 - y * y,
-            Activation::Sigmoid => y * (1.0 - y),
-            Activation::Identity => 1.0,
-        }
-    }
-}
-
-/// One dense layer: `y = act(W x + b)`.
+/// One dense layer: `y = W x + b`, followed by ReLU on hidden layers.
 #[derive(Debug, Clone)]
 pub(crate) struct Layer {
     pub(crate) w: Mat,
     pub(crate) b: Vec<f64>,
-    pub(crate) act: Activation,
 }
 
 /// A multi-layer perceptron for regression.
@@ -86,26 +44,21 @@ impl Mlp {
     /// (`[input, hidden…, output]`) using Xavier-uniform initialization
     /// seeded deterministically.
     ///
-    /// Hidden layers use `hidden_act`; the output layer uses `out_act`.
+    /// Hidden layers use ReLU; the output layer is linear.
     ///
     /// # Panics
     ///
     /// Panics if fewer than two sizes are given or any size is zero.
-    pub fn new(sizes: &[usize], hidden_act: Activation, out_act: Activation, seed: u64) -> Mlp {
+    pub fn new(sizes: &[usize], seed: u64) -> Mlp {
         assert!(sizes.len() >= 2, "need at least input and output sizes");
         assert!(sizes.iter().all(|&s| s > 0), "layer sizes must be positive");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut layers = Vec::with_capacity(sizes.len() - 1);
-        for (li, w) in sizes.windows(2).enumerate() {
+        for w in sizes.windows(2) {
             let (fan_in, fan_out) = (w[0], w[1]);
             let bound = (6.0 / (fan_in + fan_out) as f64).sqrt();
             let wmat = Mat::from_fn(fan_out, fan_in, |_, _| rng.gen_range(-bound..bound));
-            let act = if li + 2 == sizes.len() { out_act } else { hidden_act };
-            layers.push(Layer {
-                w: wmat,
-                b: vec![0.0; fan_out],
-                act,
-            });
+            layers.push(Layer { w: wmat, b: vec![0.0; fan_out] });
         }
         Mlp { layers }
     }
@@ -141,13 +94,17 @@ impl Mlp {
         assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
         let mut activations = vec![x.to_vec()];
         let mut zs = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
+        for (li, layer) in self.layers.iter().enumerate() {
             let prev = activations.last().expect("non-empty");
             let mut z = layer.w.matvec(prev).expect("dimensions verified");
             for (zi, bi) in z.iter_mut().zip(&layer.b) {
                 *zi += bi;
             }
-            let a: Vec<f64> = z.iter().map(|&v| layer.act.apply(v)).collect();
+            let a: Vec<f64> = if li + 1 < self.layers.len() {
+                z.iter().map(|&v| v.max(0.0)).collect()
+            } else {
+                z.clone()
+            };
             zs.push(z);
             activations.push(a);
         }
@@ -160,16 +117,9 @@ impl Mlp {
         let l_count = self.layers.len();
         let mut dw = Vec::with_capacity(l_count);
         let mut db = Vec::with_capacity(l_count);
-        // delta of the output layer.
+        // delta of the (linear) output layer.
         let y_hat = trace.activations.last().expect("output");
-        let mut delta: Vec<f64> = y_hat
-            .iter()
-            .zip(target)
-            .zip(&trace.zs[l_count - 1])
-            .map(|((&yh, &y), &z)| {
-                (yh - y) * self.layers[l_count - 1].act.derivative(z, yh)
-            })
-            .collect();
+        let mut delta: Vec<f64> = y_hat.iter().zip(target).map(|(&yh, &y)| yh - y).collect();
         for li in (0..l_count).rev() {
             let prev_a = &trace.activations[li];
             let layer = &self.layers[li];
@@ -187,13 +137,9 @@ impl Mlp {
                         *nd += d * wv;
                     }
                 }
-                let below = &self.layers[li - 1];
-                for ((nd, &z), &a) in next_delta
-                    .iter_mut()
-                    .zip(&trace.zs[li - 1])
-                    .zip(&trace.activations[li])
-                {
-                    *nd *= below.act.derivative(z, a);
+                // Through the ReLU of the hidden layer below.
+                for (nd, &z) in next_delta.iter_mut().zip(&trace.zs[li - 1]) {
+                    *nd *= if z > 0.0 { 1.0 } else { 0.0 };
                 }
                 delta = next_delta;
             }
@@ -210,7 +156,7 @@ mod tests {
 
     #[test]
     fn shapes_and_parameter_count() {
-        let m = Mlp::new(&[3, 5, 2], Activation::Relu, Activation::Identity, 1);
+        let m = Mlp::new(&[3, 5, 2], 1);
         assert_eq!(m.input_dim(), 3);
         assert_eq!(m.output_dim(), 2);
         assert_eq!(m.parameter_count(), 3 * 5 + 5 + 5 * 2 + 2);
@@ -220,25 +166,16 @@ mod tests {
 
     #[test]
     fn deterministic_initialization() {
-        let a = Mlp::new(&[2, 4, 1], Activation::Tanh, Activation::Identity, 42);
-        let b = Mlp::new(&[2, 4, 1], Activation::Tanh, Activation::Identity, 42);
+        let a = Mlp::new(&[2, 4, 1], 42);
+        let b = Mlp::new(&[2, 4, 1], 42);
         assert_eq!(a.forward(&[0.5, -0.5]), b.forward(&[0.5, -0.5]));
-        let c = Mlp::new(&[2, 4, 1], Activation::Tanh, Activation::Identity, 43);
+        let c = Mlp::new(&[2, 4, 1], 43);
         assert_ne!(a.forward(&[0.5, -0.5]), c.forward(&[0.5, -0.5]));
     }
 
     #[test]
-    fn activations_behave() {
-        assert_eq!(Activation::Relu.apply(-1.0), 0.0);
-        assert_eq!(Activation::Relu.apply(2.0), 2.0);
-        assert!((Activation::Sigmoid.apply(0.0) - 0.5).abs() < 1e-12);
-        assert_eq!(Activation::Identity.apply(3.5), 3.5);
-        assert!((Activation::Tanh.apply(100.0) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn gradients_match_finite_differences() {
-        let mut m = Mlp::new(&[2, 3, 1], Activation::Tanh, Activation::Identity, 7);
+        let mut m = Mlp::new(&[2, 3, 1], 7);
         let x = [0.3, -0.7];
         let target = [0.25];
         let loss = |m: &Mlp| -> f64 {
@@ -285,7 +222,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "input dimension mismatch")]
     fn wrong_input_panics() {
-        let m = Mlp::new(&[2, 2], Activation::Relu, Activation::Identity, 1);
+        let m = Mlp::new(&[2, 2], 1);
         let _ = m.forward(&[1.0]);
     }
 }

@@ -1,37 +1,29 @@
-//! Deterministic minibatch training (SGD / Adam) and the standardizing
+//! Deterministic minibatch Adam training and the standardizing
 //! [`Regressor`] wrapper.
 
-use crate::net::{Activation, Gradients, Mlp};
+use crate::net::{Gradients, Mlp};
 use crate::{MlpError, Result};
 use clapped_la::{Mat, Standardizer};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Gradient-descent flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Optimizer {
-    /// Plain stochastic gradient descent.
-    Sgd,
-    /// Adam with the usual (0.9, 0.999) moment decays.
-    #[default]
-    Adam,
-}
+/// Minibatch size.
+const BATCH_SIZE: usize = 32;
 
-/// Training hyper-parameters.
+/// Fraction of the training data held out for validation (the paper
+/// uses 20 %). Rounding it never takes the last training sample:
+/// `round(0.2 n) <= n - 1` for every `n >= 1`.
+const VALIDATION_FRACTION: f64 = 0.2;
+
+/// Training hyper-parameters. Training is minibatch Adam with the
+/// usual (0.9, 0.999) moment decays.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Maximum number of epochs.
     pub epochs: usize,
-    /// Minibatch size.
-    pub batch_size: usize,
     /// Learning rate.
     pub learning_rate: f64,
-    /// Optimizer flavour.
-    pub optimizer: Optimizer,
-    /// Fraction of the training data held out for validation
-    /// (the paper uses 20 %).
-    pub validation_fraction: f64,
     /// Stop after this many epochs without validation improvement
     /// (0 disables early stopping).
     pub patience: usize,
@@ -43,10 +35,7 @@ impl Default for TrainConfig {
     fn default() -> Self {
         TrainConfig {
             epochs: 200,
-            batch_size: 32,
             learning_rate: 1e-3,
-            optimizer: Optimizer::Adam,
-            validation_fraction: 0.2,
             patience: 30,
             seed: 1,
         }
@@ -64,13 +53,13 @@ pub struct TrainReport {
     pub stopped_epoch: usize,
     /// Samples used for gradient updates (always at least 1).
     pub n_train: usize,
-    /// Samples held out for validation. When 0 — a tiny dataset or a
-    /// `validation_fraction` that rounds to nothing — early stopping
+    /// Samples held out for validation. When 0 — a dataset of two
+    /// rows or fewer, whose 20 % rounds to nothing — early stopping
     /// monitors the training loss instead.
     pub n_val: usize,
 }
 
-/// Adam/SGD state per layer.
+/// Adam state per layer.
 struct OptState {
     m_w: Vec<Mat>,
     v_w: Vec<Mat>,
@@ -144,7 +133,7 @@ impl Regressor {
         let mut sizes = vec![dim];
         sizes.extend_from_slice(hidden);
         sizes.push(1);
-        let mut mlp = Mlp::new(&sizes, Activation::Relu, Activation::Identity, config.seed);
+        let mut mlp = Mlp::new(&sizes, config.seed);
         let report = train(&mut mlp, &xt, &yt, config);
         Ok(Regressor {
             x_std,
@@ -189,12 +178,8 @@ pub(crate) fn train(
     config: &TrainConfig,
 ) -> TrainReport {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(0x9E37_79B9));
-    let n = xs.len();
-    // Clamp the split so at least one training sample always remains,
-    // even when `validation_fraction` rounds up to the whole dataset.
-    let n_val = (((n as f64) * config.validation_fraction).round() as usize)
-        .min(n.saturating_sub(1));
-    let mut order: Vec<usize> = (0..n).collect();
+    let n_val = ((xs.len() as f64) * VALIDATION_FRACTION).round() as usize;
+    let mut order: Vec<usize> = (0..xs.len()).collect();
     order.shuffle(&mut rng);
     let (val_idx, train_idx) = order.split_at(n_val);
     let train_idx: Vec<usize> = train_idx.to_vec();
@@ -212,7 +197,7 @@ pub(crate) fn train(
     for epoch in 0..config.epochs {
         epoch_order.shuffle(&mut rng);
         let mut epoch_loss = 0.0;
-        for batch in epoch_order.chunks(config.batch_size.max(1)) {
+        for batch in epoch_order.chunks(BATCH_SIZE) {
             let mut acc: Option<Gradients> = None;
             for &i in batch {
                 let trace = mlp.forward_traced(&xs[i]);
@@ -249,7 +234,7 @@ pub(crate) fn train(
                         *x *= scale;
                     }
                 }
-                apply_update(mlp, &g, &mut state, config);
+                apply_update(mlp, &g, &mut state, config.learning_rate);
             }
         }
         let tloss = epoch_loss / train_idx.len().max(1) as f64;
@@ -300,51 +285,34 @@ pub(crate) fn train(
     }
 }
 
-fn apply_update(mlp: &mut Mlp, g: &Gradients, state: &mut OptState, config: &TrainConfig) {
-    let lr = config.learning_rate;
-    match config.optimizer {
-        Optimizer::Sgd => {
-            for (li, layer) in mlp.layers.iter_mut().enumerate() {
-                for r in 0..layer.w.rows() {
-                    for c in 0..layer.w.cols() {
-                        layer.w[(r, c)] -= lr * g.dw[li][(r, c)];
-                    }
-                }
-                for (b, gb) in layer.b.iter_mut().zip(&g.db[li]) {
-                    *b -= lr * gb;
-                }
+fn apply_update(mlp: &mut Mlp, g: &Gradients, state: &mut OptState, lr: f64) {
+    const B1: f64 = 0.9;
+    const B2: f64 = 0.999;
+    const EPS: f64 = 1e-8;
+    state.t += 1;
+    let t = state.t as f64;
+    let bc1 = 1.0 - B1.powf(t);
+    let bc2 = 1.0 - B2.powf(t);
+    for (li, layer) in mlp.layers.iter_mut().enumerate() {
+        for r in 0..layer.w.rows() {
+            for c in 0..layer.w.cols() {
+                let grad = g.dw[li][(r, c)];
+                let m = &mut state.m_w[li][(r, c)];
+                *m = B1 * *m + (1.0 - B1) * grad;
+                let v = &mut state.v_w[li][(r, c)];
+                *v = B2 * *v + (1.0 - B2) * grad * grad;
+                let mhat = state.m_w[li][(r, c)] / bc1;
+                let vhat = state.v_w[li][(r, c)] / bc2;
+                layer.w[(r, c)] -= lr * mhat / (vhat.sqrt() + EPS);
             }
         }
-        Optimizer::Adam => {
-            const B1: f64 = 0.9;
-            const B2: f64 = 0.999;
-            const EPS: f64 = 1e-8;
-            state.t += 1;
-            let t = state.t as f64;
-            let bc1 = 1.0 - B1.powf(t);
-            let bc2 = 1.0 - B2.powf(t);
-            for (li, layer) in mlp.layers.iter_mut().enumerate() {
-                for r in 0..layer.w.rows() {
-                    for c in 0..layer.w.cols() {
-                        let grad = g.dw[li][(r, c)];
-                        let m = &mut state.m_w[li][(r, c)];
-                        *m = B1 * *m + (1.0 - B1) * grad;
-                        let v = &mut state.v_w[li][(r, c)];
-                        *v = B2 * *v + (1.0 - B2) * grad * grad;
-                        let mhat = state.m_w[li][(r, c)] / bc1;
-                        let vhat = state.v_w[li][(r, c)] / bc2;
-                        layer.w[(r, c)] -= lr * mhat / (vhat.sqrt() + EPS);
-                    }
-                }
-                for bi in 0..layer.b.len() {
-                    let grad = g.db[li][bi];
-                    state.m_b[li][bi] = B1 * state.m_b[li][bi] + (1.0 - B1) * grad;
-                    state.v_b[li][bi] = B2 * state.v_b[li][bi] + (1.0 - B2) * grad * grad;
-                    let mhat = state.m_b[li][bi] / bc1;
-                    let vhat = state.v_b[li][bi] / bc2;
-                    layer.b[bi] -= lr * mhat / (vhat.sqrt() + EPS);
-                }
-            }
+        for bi in 0..layer.b.len() {
+            let grad = g.db[li][bi];
+            state.m_b[li][bi] = B1 * state.m_b[li][bi] + (1.0 - B1) * grad;
+            state.v_b[li][bi] = B2 * state.v_b[li][bi] + (1.0 - B2) * grad * grad;
+            let mhat = state.m_b[li][bi] / bc1;
+            let vhat = state.v_b[li][bi] / bc2;
+            layer.b[bi] -= lr * mhat / (vhat.sqrt() + EPS);
         }
     }
 }
@@ -410,20 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_also_converges_on_linear() {
-        let (xs, ys) = grid_dataset(|a, b| a - b);
-        let config = TrainConfig {
-            epochs: 400,
-            optimizer: Optimizer::Sgd,
-            learning_rate: 0.05,
-            ..TrainConfig::default()
-        };
-        let model = Regressor::fit(&xs, &ys, &[8], &config).unwrap();
-        let preds = model.predict_batch(&xs);
-        assert!(r2_score(&ys, &preds) > 0.95);
-    }
-
-    #[test]
     fn early_stopping_reports_epoch() {
         let (xs, ys) = grid_dataset(|a, _| a);
         let config = TrainConfig {
@@ -437,45 +391,35 @@ mod tests {
     }
 
     #[test]
-    fn tiny_datasets_train_with_any_validation_fraction() {
-        for n in 1..=4usize {
-            for vf in [0.0, 0.5] {
-                let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64]).collect();
-                let ys: Vec<f64> = (0..n).map(|i| i as f64).collect();
-                let config = TrainConfig {
-                    epochs: 30,
-                    patience: 3,
-                    validation_fraction: vf,
-                    ..TrainConfig::default()
-                };
-                let model = Regressor::fit(&xs, &ys, &[4], &config)
-                    .unwrap_or_else(|e| panic!("n={n} vf={vf}: {e:?}"));
-                let report = model.report();
-                assert_eq!(report.n_train + report.n_val, n, "n={n} vf={vf}");
-                assert!(report.n_train >= 1, "at least one training sample must remain");
-                assert_eq!(report.val_loss.len().min(1), usize::from(report.n_val > 0));
-                if vf == 0.0 {
-                    assert_eq!(report.n_val, 0);
-                    assert!(report.val_loss.is_empty());
-                }
-                if n == 4 && vf == 0.5 {
-                    assert_eq!((report.n_train, report.n_val), (2, 2));
-                }
-                assert!(report.train_loss.iter().all(|l| l.is_finite()));
-                assert!(model.predict(&[0.5]).is_finite());
-            }
+    fn tiny_datasets_train_with_the_fixed_validation_split() {
+        // round(0.2 n) holds out 0, 0, 1, 1 rows and always leaves one
+        // to train on.
+        for (n, n_val) in [(1usize, 0usize), (2, 0), (3, 1), (4, 1)] {
+            let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64]).collect();
+            let ys: Vec<f64> = (0..n).map(|i| i as f64).collect();
+            let config = TrainConfig {
+                epochs: 30,
+                patience: 3,
+                ..TrainConfig::default()
+            };
+            let model = Regressor::fit(&xs, &ys, &[4], &config)
+                .unwrap_or_else(|e| panic!("n={n}: {e:?}"));
+            let report = model.report();
+            assert_eq!((report.n_train, report.n_val), (n - n_val, n_val), "n={n}");
+            assert_eq!(report.val_loss.is_empty(), n_val == 0, "n={n}");
+            assert!(report.train_loss.iter().all(|l| l.is_finite()));
+            assert!(model.predict(&[0.5]).is_finite());
         }
     }
 
     #[test]
     fn early_stopping_falls_back_to_training_loss_without_validation() {
-        // validation_fraction rounds to zero: round(4 * 0.1) = 0 held out.
-        let xs: Vec<Vec<f64>> = (0..4).map(|i| vec![i as f64]).collect();
-        let ys: Vec<f64> = (0..4).map(|i| i as f64).collect();
+        // Two rows hold out round(0.4) = 0 for validation.
+        let xs: Vec<Vec<f64>> = (0..2).map(|i| vec![i as f64]).collect();
+        let ys: Vec<f64> = (0..2).map(|i| i as f64).collect();
         let config = TrainConfig {
             epochs: 100,
             patience: 3,
-            validation_fraction: 0.1,
             // Zero learning rate freezes the loss, so the training-loss
             // monitor sees no improvement and patience must trigger.
             learning_rate: 0.0,

@@ -1,6 +1,6 @@
 //! Property tests for the MLP stack and its metrics.
 
-use clapped_mlp::{fidelity, mae, r2_score, rmse, Activation, Mlp};
+use clapped_mlp::{fidelity, mae, r2_score, rmse, Mlp};
 use proptest::prelude::*;
 
 proptest! {
@@ -9,7 +9,7 @@ proptest! {
     /// Forward passes are deterministic and finite for arbitrary inputs.
     #[test]
     fn forward_is_finite(x in proptest::collection::vec(-100.0f64..100.0, 3), seed: u64) {
-        let m = Mlp::new(&[3, 8, 2], Activation::Relu, Activation::Identity, seed);
+        let m = Mlp::new(&[3, 8, 2], seed);
         let y1 = m.forward(&x);
         let y2 = m.forward(&x);
         prop_assert_eq!(&y1, &y2);
@@ -70,7 +70,7 @@ proptest! {
     /// Parameter counts follow the layer algebra.
     #[test]
     fn parameter_count_formula(h1 in 1usize..16, h2 in 1usize..16) {
-        let m = Mlp::new(&[5, h1, h2, 1], Activation::Tanh, Activation::Identity, 0);
+        let m = Mlp::new(&[5, h1, h2, 1], 0);
         let expect = 5 * h1 + h1 + h1 * h2 + h2 + h2 + 1;
         prop_assert_eq!(m.parameter_count(), expect);
     }

@@ -17,7 +17,7 @@
 //! which the compiled-plan pipeline turns into a memoized LUT swap —
 //! no table rebuild, no recompilation.
 
-use crate::{Result, RuntimeError, SlaSpec, TrafficConfig, TrafficPhase};
+use crate::{Result, RuntimeError, SlaSpec, TrafficPhase};
 use clapped_accel::{characterize, AcceleratorSpec, CharacterizeConfig};
 use clapped_axops::{AxMul, Mul8s};
 use clapped_errmodel::ErrorStats;
@@ -27,6 +27,9 @@ use std::sync::Arc;
 
 /// Seed salt separating calibration frames from the live stream.
 const CALIB_SALT: u64 = 0x4C41_4444_4552_4341;
+
+/// Sigma of the Gaussian smoothing kernel every ladder serves.
+const KERNEL_SIGMA: f64 = 0.85;
 
 /// One rung: an operator deployed uniformly across the taps, with its
 /// calibrated quality and characterized cost.
@@ -60,12 +63,8 @@ pub struct LadderConfig {
     pub image_size: usize,
     /// Convolution window (odd).
     pub window: usize,
-    /// Gaussian kernel sigma.
-    pub kernel_sigma: f64,
     /// Calibration frames per traffic phase.
     pub calibration_frames: usize,
-    /// Traffic model used for calibration noise levels.
-    pub traffic: TrafficConfig,
     /// Stream seed (calibration frames are salted away from it).
     pub seed: u64,
     /// Accelerator characterization parameters.
@@ -77,9 +76,7 @@ impl Default for LadderConfig {
         LadderConfig {
             image_size: 32,
             window: 3,
-            kernel_sigma: 0.85,
             calibration_frames: 3,
-            traffic: TrafficConfig::default(),
             seed: 1,
             characterization: CharacterizeConfig::default(),
         }
@@ -93,7 +90,6 @@ impl Default for LadderConfig {
 pub struct DegradationLadder {
     rungs: Vec<LadderRung>,
     conv: ConvConfig,
-    kernel_sigma: f64,
     image_size: usize,
 }
 
@@ -118,7 +114,7 @@ impl DegradationLadder {
             });
         }
         let conv = ConvConfig { window: config.window, ..ConvConfig::default() };
-        let engine = ConvEngine::new(QuantKernel::gaussian(config.window, config.kernel_sigma));
+        let engine = ConvEngine::new(QuantKernel::gaussian(config.window, KERNEL_SIGMA));
         let exact = ops
             .iter()
             .find(|m| ErrorStats::of_multiplier(m.as_ref()).error_probability == 0.0)
@@ -136,10 +132,7 @@ impl DegradationLadder {
         let mut calib: Vec<(TrafficPhase, clapped_imgproc::Image)> = Vec::new();
         for i in 0..config.calibration_frames.max(1) {
             for phase in [TrafficPhase::Calm, TrafficPhase::Burst] {
-                calib.push((
-                    phase,
-                    config.traffic.frame(calib_seed, i, phase, config.image_size),
-                ));
+                calib.push((phase, phase.frame(calib_seed, i, config.image_size)));
             }
         }
         let goldens: Vec<clapped_imgproc::Image> = calib
@@ -220,12 +213,7 @@ impl DegradationLadder {
                 _ => rungs.push(rung),
             }
         }
-        Ok(DegradationLadder {
-            rungs,
-            conv,
-            kernel_sigma: config.kernel_sigma,
-            image_size: config.image_size,
-        })
+        Ok(DegradationLadder { rungs, conv, image_size: config.image_size })
     }
 
     /// The rungs, most accurate first.
@@ -248,9 +236,10 @@ impl DegradationLadder {
         &self.conv
     }
 
-    /// The kernel sigma the ladder was calibrated with.
+    /// The kernel sigma the ladder was calibrated with (the same for
+    /// every ladder).
     pub fn kernel_sigma(&self) -> f64 {
-        self.kernel_sigma
+        KERNEL_SIGMA
     }
 
     /// The frame side length the ladder was calibrated for.

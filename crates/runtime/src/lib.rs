@@ -22,10 +22,11 @@
 //!   reference evaluation (exact single-pixel reconvolution at a few
 //!   deterministic positions), widened into a confidence interval using
 //!   the deployed operator's `clapped-errmodel` statistics.
-//! - [`FaultWatchdog`] — probes the deployed taps against the healthy
-//!   operator's exhaustive behavioural table on inputs the current
-//!   frame actually exercised; a mismatch quarantines the rung and the
-//!   supervisor self-heals onto the nearest healthy rung.
+//! - [`probe_taps`] — the fault watchdog: probes the deployed taps
+//!   against the healthy operator's exhaustive behavioural table on
+//!   inputs the current frame actually exercised; a mismatch
+//!   quarantines the rung and the supervisor self-heals onto the
+//!   nearest healthy rung.
 //! - [`StreamSupervisor`] — the controller: asymmetric hysteresis
 //!   (quality-first step-up, damped step-down) with exponential backoff
 //!   on reconfiguration so it never flaps, checkpointable to versioned
@@ -48,14 +49,14 @@ mod traffic;
 mod watchdog;
 
 pub use ladder::{DegradationLadder, LadderConfig, LadderRung};
-pub use monitor::{MonitorConfig, QualityEstimate, QualityMonitor};
+pub use monitor::{QualityEstimate, QualityMonitor};
 pub use sla::SlaSpec;
 pub use supervisor::{
     FaultPlan, FrameRecord, StreamEvent, StreamOptions, StreamReport, StreamSupervisor,
     SwapReason, CHECKPOINT_VERSION,
 };
-pub use traffic::{TrafficConfig, TrafficPhase};
-pub use watchdog::{FaultWatchdog, WatchdogConfig, WatchdogVerdict};
+pub use traffic::TrafficPhase;
+pub use watchdog::{probe_taps, WatchdogVerdict};
 
 use std::error::Error;
 use std::fmt;

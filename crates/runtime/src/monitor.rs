@@ -11,7 +11,7 @@
 //! variance floor so a lucky all-zero subsample never reads as
 //! certainty.
 
-use crate::{frame_seed, Result, RuntimeError};
+use crate::frame_seed;
 use clapped_axops::Mul8s;
 use clapped_errmodel::ErrorStats;
 use clapped_imgproc::{ConvConfig, ConvMode, Image, QuantKernel};
@@ -21,21 +21,11 @@ use rand_chacha::ChaCha8Rng;
 /// Salt for monitor sample positions.
 const SALT_MONITOR: u64 = 0x4D4F_4E49_544F_5231;
 
-/// Monitor parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonitorConfig {
-    /// Output positions sampled per frame.
-    pub samples: usize,
-    /// Confidence multiplier `k` for the interval half-width
-    /// (`k·stderr`); 2 ≈ 95%.
-    pub confidence_k: f64,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> MonitorConfig {
-        MonitorConfig { samples: 48, confidence_k: 2.0 }
-    }
-}
+/// Output positions sampled per frame.
+const SAMPLES: usize = 48;
+/// Confidence multiplier `k` for the interval half-width (`k·stderr`);
+/// 2 ≈ 95%.
+const CONFIDENCE_K: f64 = 2.0;
 
 /// One frame's quality estimate: point estimate plus a confidence
 /// interval in application-error percent.
@@ -60,27 +50,17 @@ pub struct QualityMonitor {
     shift: u32,
     /// Tap `t`'s exact column occupies `luts[t*128..][..128]`.
     luts: Vec<i16>,
-    config: MonitorConfig,
 }
 
 impl QualityMonitor {
     /// Compiles the exact operator against the kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::BadConfig`] for a zero sample budget.
-    pub fn new(exact: &dyn Mul8s, kernel: &QuantKernel, config: MonitorConfig) -> Result<QualityMonitor> {
-        if config.samples == 0 {
-            return Err(RuntimeError::BadConfig {
-                reason: "monitor sample budget must be positive".to_string(),
-            });
-        }
+    pub fn new(exact: &dyn Mul8s, kernel: &QuantKernel) -> QualityMonitor {
         let coeffs = kernel.coeffs_2d();
         let mut luts = Vec::with_capacity(coeffs.len() * 128);
         for &c in coeffs {
             luts.extend_from_slice(&exact.column(c));
         }
-        Ok(QualityMonitor { window: kernel.window(), shift: kernel.shift(), luts, config })
+        QualityMonitor { window: kernel.window(), shift: kernel.shift(), luts }
     }
 
     /// The exact output pixel at output position `(ox, oy)` — the same
@@ -113,8 +93,8 @@ impl QualityMonitor {
     }
 
     /// Estimates the application error of `output` (the deployed
-    /// pipeline's result for `input`) by exact reconvolution at
-    /// `samples` deterministic positions. `stats` are the deployed
+    /// pipeline's result for `input`) by exact reconvolution at 48
+    /// deterministic positions. `stats` are the deployed
     /// operator's exhaustive error metrics — they set the confidence
     /// floor. Sample positions derive from `(stream seed, frame)`, so
     /// traced, untraced and resumed runs sample identically.
@@ -132,7 +112,7 @@ impl QualityMonitor {
     ) -> QualityEstimate {
         let _span = clapped_obs::span("runtime.monitor");
         debug_assert!(conv.mode == ConvMode::TwoD && conv.scale == 1);
-        let n = self.config.samples;
+        let n = SAMPLES;
         let (ow, oh) = (output.width(), output.height());
         let mut rng = ChaCha8Rng::seed_from_u64(frame_seed(stream_seed, frame, SALT_MONITOR));
         let mut sum = 0.0f64;
@@ -157,7 +137,7 @@ impl QualityMonitor {
         let prior_px = (stats.mse * taps).sqrt() / f64::from(1u32 << self.shift);
         let prior_se = (100.0 * prior_px / 255.0) / (n as f64).sqrt();
         let se = sample_se.max(prior_se);
-        let half = self.config.confidence_k * se;
+        let half = CONFIDENCE_K * se;
         QualityEstimate {
             estimate_percent: mean,
             lower_percent: (mean - half).max(0.0),
@@ -191,8 +171,7 @@ mod tests {
     #[test]
     fn exact_output_reads_as_zero_error() {
         let (engine, kernel, exact, _) = setup();
-        let monitor =
-            QualityMonitor::new(exact.as_ref(), &kernel, MonitorConfig::default()).expect("builds");
+        let monitor = QualityMonitor::new(exact.as_ref(), &kernel);
         let conv = ConvConfig::default();
         let img = Image::synthetic(SynthKind::Blobs, 24, 24, 5).with_gaussian_noise(20.0, 7);
         let out = engine.convolve(&img, &conv, &taps(&exact, 9)).expect("valid");
@@ -207,8 +186,7 @@ mod tests {
         // The single-pixel reference must agree with the engine's exact
         // output everywhere, for strided and replicated configs too.
         let (engine, kernel, exact, _) = setup();
-        let monitor =
-            QualityMonitor::new(exact.as_ref(), &kernel, MonitorConfig::default()).expect("builds");
+        let monitor = QualityMonitor::new(exact.as_ref(), &kernel);
         let img = Image::synthetic(SynthKind::Checkerboard, 17, 17, 2).with_gaussian_noise(8.0, 3);
         for (stride, downsample) in [(1, false), (2, true), (2, false), (3, true)] {
             let conv = ConvConfig { stride, downsample, ..ConvConfig::default() };
@@ -228,8 +206,7 @@ mod tests {
     #[test]
     fn approximate_rung_reads_positive_with_sane_interval() {
         let (engine, kernel, exact, rough) = setup();
-        let monitor =
-            QualityMonitor::new(exact.as_ref(), &kernel, MonitorConfig::default()).expect("builds");
+        let monitor = QualityMonitor::new(exact.as_ref(), &kernel);
         let conv = ConvConfig::default();
         let img = Image::synthetic(SynthKind::SmoothField, 24, 24, 9).with_gaussian_noise(25.0, 1);
         let out = engine.convolve(&img, &conv, &taps(&rough, 9)).expect("valid");

@@ -38,8 +38,8 @@
 //! event log, same chained output digest — to an uninterrupted run.
 
 use crate::{
-    DegradationLadder, FaultWatchdog, MonitorConfig, QualityEstimate, QualityMonitor, Result,
-    RuntimeError, SlaSpec, TrafficConfig, TrafficPhase, WatchdogConfig, WatchdogVerdict,
+    probe_taps, DegradationLadder, QualityEstimate, QualityMonitor, Result, RuntimeError, SlaSpec,
+    TrafficPhase, WatchdogVerdict,
 };
 use clapped_accel::{simulate_stream, AcceleratorSpec};
 use clapped_axops::{FaultedMul, Mul8s};
@@ -188,12 +188,6 @@ impl StreamEvent {
 pub struct StreamOptions {
     /// Stream seed: the single source of all per-frame randomness.
     pub seed: u64,
-    /// Traffic model.
-    pub traffic: TrafficConfig,
-    /// Quality-monitor parameters.
-    pub monitor: MonitorConfig,
-    /// Watchdog parameters.
-    pub watchdog: WatchdogConfig,
     /// Rung the stream starts on.
     pub initial_rung: usize,
     /// Consecutive headroom frames required before a step-down.
@@ -218,9 +212,6 @@ impl Default for StreamOptions {
     fn default() -> StreamOptions {
         StreamOptions {
             seed: 1,
-            traffic: TrafficConfig::default(),
-            monitor: MonitorConfig::default(),
-            watchdog: WatchdogConfig::default(),
             initial_rung: 0,
             hold_frames: 4,
             headroom_fraction: 0.25,
@@ -345,7 +336,6 @@ pub struct StreamSupervisor {
     exact_taps: Vec<Arc<dyn Mul8s>>,
     exact_stats: ErrorStats,
     monitor: QualityMonitor,
-    watchdog: FaultWatchdog,
     deployed: Vec<Arc<dyn Mul8s>>,
     state: ControllerState,
 }
@@ -377,8 +367,7 @@ impl StreamSupervisor {
         let taps = ladder.conv_config().taps();
         let exact_taps: Vec<Arc<dyn Mul8s>> =
             (0..taps).map(|_| exact.clone() as Arc<dyn Mul8s>).collect();
-        let monitor = QualityMonitor::new(exact.as_ref(), &kernel, options.monitor)?;
-        let watchdog = FaultWatchdog::new(options.watchdog);
+        let monitor = QualityMonitor::new(exact.as_ref(), &kernel);
         let state = ControllerState::fresh(&options);
         let mut sup = StreamSupervisor {
             sla,
@@ -389,7 +378,6 @@ impl StreamSupervisor {
             exact_taps,
             exact_stats,
             monitor,
-            watchdog,
             deployed: Vec::new(),
             state,
         };
@@ -500,8 +488,8 @@ impl StreamSupervisor {
         let size = self.ladder.image_size();
 
         // 1. Traffic: advance the phase chain, synthesize the frame.
-        self.state.phase = self.options.traffic.next_phase(seed, frame, self.state.phase);
-        let input = self.options.traffic.frame(seed, frame, self.state.phase, size);
+        self.state.phase = self.state.phase.next(seed, frame);
+        let input = self.state.phase.frame(seed, frame, size);
 
         // 2. Scheduled fault strikes silently.
         if let Some(plan) = &self.options.fault {
@@ -521,7 +509,7 @@ impl StreamSupervisor {
         // 4. Watchdog: spot check the deployed taps against the healthy
         //    behavioural table on this frame's operands.
         let healthy = self.ladder.rungs()[self.state.rung].op.clone();
-        let verdict = self.watchdog.probe(
+        let verdict = probe_taps(
             &self.deployed,
             healthy.as_ref(),
             &input,

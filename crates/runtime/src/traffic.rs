@@ -22,6 +22,19 @@ const SALT_PHASE: u64 = 0x5452_4146_4649_4331;
 /// Salt for frame-content seeds.
 const SALT_CONTENT: u64 = 0x5452_4146_4649_4332;
 
+/// Noise sigma in the calm phase.
+const CALM_SIGMA: f64 = 4.0;
+/// Noise sigma in the burst phase.
+const BURST_SIGMA: f64 = 18.0;
+/// Brightness scale of calm frames.
+const CALM_GAIN: f64 = 0.45;
+/// Brightness scale of burst frames (full scale).
+const BURST_GAIN: f64 = 1.0;
+/// Per-frame probability of entering a burst from calm.
+const BURST_PROBABILITY: f64 = 0.06;
+/// Per-frame probability of leaving a burst back to calm.
+const RECOVERY_PROBABILITY: f64 = 0.25;
+
 /// The two traffic regimes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrafficPhase {
@@ -48,73 +61,25 @@ impl TrafficPhase {
             _ => None,
         }
     }
-}
 
-/// Parameters of the bursty traffic model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrafficConfig {
-    /// Noise sigma in the calm phase.
-    pub calm_sigma: f64,
-    /// Noise sigma in the burst phase.
-    pub burst_sigma: f64,
-    /// Brightness scale of calm frames (`0..=1`).
-    pub calm_gain: f64,
-    /// Brightness scale of burst frames (`0..=1`).
-    pub burst_gain: f64,
-    /// Per-frame probability of entering a burst from calm.
-    pub burst_probability: f64,
-    /// Per-frame probability of leaving a burst back to calm.
-    pub recovery_probability: f64,
-}
-
-impl Default for TrafficConfig {
-    fn default() -> TrafficConfig {
-        TrafficConfig {
-            calm_sigma: 4.0,
-            burst_sigma: 18.0,
-            calm_gain: 0.45,
-            burst_gain: 1.0,
-            burst_probability: 0.06,
-            recovery_probability: 0.25,
-        }
-    }
-}
-
-impl TrafficConfig {
-    /// The phase following `phase` at frame `frame` of stream `seed` —
+    /// The phase following `self` at frame `frame` of stream `seed` —
     /// a pure function, so replaying a frame range replays the same
     /// phase trajectory.
-    pub fn next_phase(&self, seed: u64, frame: usize, phase: TrafficPhase) -> TrafficPhase {
+    pub fn next(self, seed: u64, frame: usize) -> TrafficPhase {
         // A 53-bit uniform draw from the frame hash.
         let h = frame_seed(seed, frame, SALT_PHASE);
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-        match phase {
-            TrafficPhase::Calm if u < self.burst_probability => TrafficPhase::Burst,
-            TrafficPhase::Burst if u < self.recovery_probability => TrafficPhase::Calm,
+        match self {
+            TrafficPhase::Calm if u < BURST_PROBABILITY => TrafficPhase::Burst,
+            TrafficPhase::Burst if u < RECOVERY_PROBABILITY => TrafficPhase::Calm,
             other => other,
         }
     }
 
-    /// The noise sigma of a phase.
-    pub fn sigma(&self, phase: TrafficPhase) -> f64 {
-        match phase {
-            TrafficPhase::Calm => self.calm_sigma,
-            TrafficPhase::Burst => self.burst_sigma,
-        }
-    }
-
-    /// The brightness gain of a phase.
-    pub fn gain(&self, phase: TrafficPhase) -> f64 {
-        match phase {
-            TrafficPhase::Calm => self.calm_gain,
-            TrafficPhase::Burst => self.burst_gain,
-        }
-    }
-
-    /// Generates the input frame `frame` of stream `seed` in `phase`:
+    /// Generates the input frame `frame` of stream `seed` in this phase:
     /// rotating synthetic content, scaled by the phase's brightness
     /// gain, plus phase-dependent Gaussian noise.
-    pub fn frame(&self, seed: u64, frame: usize, phase: TrafficPhase, size: usize) -> Image {
+    pub fn frame(self, seed: u64, frame: usize, size: usize) -> Image {
         let content = frame_seed(seed, frame, SALT_CONTENT);
         let kind = match content % 4 {
             0 => SynthKind::SmoothField,
@@ -122,10 +87,13 @@ impl TrafficConfig {
             2 => SynthKind::Blobs,
             _ => SynthKind::Checkerboard,
         };
+        let (gain, sigma) = match self {
+            TrafficPhase::Calm => (CALM_GAIN, CALM_SIGMA),
+            TrafficPhase::Burst => (BURST_GAIN, BURST_SIGMA),
+        };
         let base = Image::synthetic(kind, size, size, content);
-        let gain = self.gain(phase).clamp(0.0, 1.0);
         Image::from_fn(size, size, |x, y| (f64::from(base.get(x, y)) * gain).round() as u8)
-            .with_gaussian_noise(self.sigma(phase), content ^ 0x9E37_79B9)
+            .with_gaussian_noise(sigma, content ^ 0x9E37_79B9)
     }
 }
 
@@ -135,24 +103,22 @@ mod tests {
 
     #[test]
     fn phase_transitions_are_deterministic() {
-        let cfg = TrafficConfig::default();
         let mut a = TrafficPhase::Calm;
         let mut b = TrafficPhase::Calm;
         for t in 0..200 {
-            a = cfg.next_phase(9, t, a);
-            b = cfg.next_phase(9, t, b);
+            a = a.next(9, t);
+            b = b.next(9, t);
             assert_eq!(a, b);
         }
     }
 
     #[test]
     fn bursts_happen_and_recover() {
-        let cfg = TrafficConfig::default();
         let mut phase = TrafficPhase::Calm;
         let mut bursts = 0;
         let mut calms = 0;
         for t in 0..500 {
-            phase = cfg.next_phase(3, t, phase);
+            phase = phase.next(3, t);
             match phase {
                 TrafficPhase::Burst => bursts += 1,
                 TrafficPhase::Calm => calms += 1,
@@ -164,13 +130,12 @@ mod tests {
 
     #[test]
     fn frames_are_deterministic_and_phase_sensitive() {
-        let cfg = TrafficConfig::default();
-        let a = cfg.frame(7, 42, TrafficPhase::Calm, 16);
-        let b = cfg.frame(7, 42, TrafficPhase::Calm, 16);
+        let a = TrafficPhase::Calm.frame(7, 42, 16);
+        let b = TrafficPhase::Calm.frame(7, 42, 16);
         assert_eq!(a, b);
-        let c = cfg.frame(7, 42, TrafficPhase::Burst, 16);
+        let c = TrafficPhase::Burst.frame(7, 42, 16);
         assert_ne!(a, c, "burst noise changes the frame");
-        let d = cfg.frame(7, 43, TrafficPhase::Calm, 16);
+        let d = TrafficPhase::Calm.frame(7, 43, 16);
         assert_ne!(a, d, "content rotates per frame");
     }
 }

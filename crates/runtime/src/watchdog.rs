@@ -19,18 +19,8 @@ use std::sync::Arc;
 /// Salt for watchdog probe draws.
 const SALT_WATCHDOG: u64 = 0x5741_5443_4844_4F47;
 
-/// Watchdog parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// Probes per frame, spread across the taps.
-    pub probes: usize,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> WatchdogConfig {
-        WatchdogConfig { probes: 24 }
-    }
-}
+/// Probes per frame, spread across the taps.
+const PROBES: usize = 24;
 
 /// The outcome of one frame's probe pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,51 +42,38 @@ pub enum WatchdogVerdict {
     },
 }
 
-/// The per-frame behavioural-table spot checker.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultWatchdog {
-    config: WatchdogConfig,
-}
-
-impl FaultWatchdog {
-    /// A watchdog with the given probe budget.
-    pub fn new(config: WatchdogConfig) -> FaultWatchdog {
-        FaultWatchdog { config }
+/// The per-frame behavioural-table spot check: probes the deployed
+/// taps against the healthy operator on 24 operand pairs drawn from the
+/// current frame's pixels and the kernel weights. Probe sites derive
+/// from `(stream seed, frame)`, so detection latency is reproducible
+/// run to run.
+pub fn probe_taps(
+    deployed: &[Arc<dyn Mul8s>],
+    healthy: &dyn Mul8s,
+    input: &Image,
+    coeffs: &[i8],
+    stream_seed: u64,
+    frame: usize,
+) -> WatchdogVerdict {
+    let _span = clapped_obs::span("runtime.watchdog");
+    if deployed.is_empty() || coeffs.len() < deployed.len() {
+        return WatchdogVerdict::Healthy;
     }
-
-    /// Probes the deployed taps against the healthy operator on
-    /// operand pairs drawn from the current frame's pixels and the
-    /// kernel weights. Probe sites derive from `(stream seed, frame)`,
-    /// so detection latency is reproducible run to run.
-    pub fn probe(
-        &self,
-        deployed: &[Arc<dyn Mul8s>],
-        healthy: &dyn Mul8s,
-        input: &Image,
-        coeffs: &[i8],
-        stream_seed: u64,
-        frame: usize,
-    ) -> WatchdogVerdict {
-        let _span = clapped_obs::span("runtime.watchdog");
-        if deployed.is_empty() || coeffs.len() < deployed.len() {
-            return WatchdogVerdict::Healthy;
+    let mut rng = ChaCha8Rng::seed_from_u64(frame_seed(stream_seed, frame, SALT_WATCHDOG));
+    for _ in 0..PROBES {
+        let x = rng.gen_range(0..input.width());
+        let y = rng.gen_range(0..input.height());
+        let tap = rng.gen_range(0..deployed.len());
+        // The quantized pixel this tap would actually multiply.
+        let a = (input.get(x, y) >> 1) as i8;
+        let b = coeffs[tap];
+        let got = deployed[tap].mul(a, b);
+        let want = healthy.mul(a, b);
+        if got != want {
+            return WatchdogVerdict::Corrupted { tap, a, b, got, want };
         }
-        let mut rng = ChaCha8Rng::seed_from_u64(frame_seed(stream_seed, frame, SALT_WATCHDOG));
-        for _ in 0..self.config.probes {
-            let x = rng.gen_range(0..input.width());
-            let y = rng.gen_range(0..input.height());
-            let tap = rng.gen_range(0..deployed.len());
-            // The quantized pixel this tap would actually multiply.
-            let a = (input.get(x, y) >> 1) as i8;
-            let b = coeffs[tap];
-            let got = deployed[tap].mul(a, b);
-            let want = healthy.mul(a, b);
-            if got != want {
-                return WatchdogVerdict::Corrupted { tap, a, b, got, want };
-            }
-        }
-        WatchdogVerdict::Healthy
     }
+    WatchdogVerdict::Healthy
 }
 
 #[cfg(test)]
@@ -122,10 +99,9 @@ mod tests {
     #[test]
     fn healthy_taps_pass() {
         let (op, deployed, img, coeffs) = setup();
-        let dog = FaultWatchdog::new(WatchdogConfig::default());
         for frame in 0..20 {
             assert_eq!(
-                dog.probe(&deployed, op.as_ref(), &img, &coeffs, 7, frame),
+                probe_taps(&deployed, op.as_ref(), &img, &coeffs, 7, frame),
                 WatchdogVerdict::Healthy
             );
         }
@@ -138,18 +114,17 @@ mod tests {
         let faults = FaultSet::empty().stuck_at(msb, FaultKind::StuckAt1);
         let faulted = Arc::new(FaultedMul::new(op.as_ref(), &faults).expect("valid site"));
         deployed[4] = faulted;
-        let dog = FaultWatchdog::new(WatchdogConfig::default());
         let detect_at = (0..50).find(|&frame| {
             matches!(
-                dog.probe(&deployed, op.as_ref(), &img, &coeffs, 7, frame),
+                probe_taps(&deployed, op.as_ref(), &img, &coeffs, 7, frame),
                 WatchdogVerdict::Corrupted { tap: 4, .. }
             )
         });
         let first = detect_at.expect("an MSB stuck-at-1 must be caught within 50 frames");
         assert!(first < 5, "detection latency {first} frames is implausibly long");
         // Determinism: the same frame yields the same verdict.
-        let v1 = dog.probe(&deployed, op.as_ref(), &img, &coeffs, 7, first);
-        let v2 = dog.probe(&deployed, op.as_ref(), &img, &coeffs, 7, first);
+        let v1 = probe_taps(&deployed, op.as_ref(), &img, &coeffs, 7, first);
+        let v2 = probe_taps(&deployed, op.as_ref(), &img, &coeffs, 7, first);
         assert_eq!(v1, v2);
     }
 }

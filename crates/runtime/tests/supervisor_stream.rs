@@ -54,8 +54,8 @@ fn static_digest(ladder: &DegradationLadder, rung: usize, options: &StreamOption
     let mut phase = TrafficPhase::Calm;
     let mut digest = 0u64;
     for frame in 0..frames {
-        phase = options.traffic.next_phase(options.seed, frame, phase);
-        let img = options.traffic.frame(options.seed, frame, phase, ladder.image_size());
+        phase = phase.next(options.seed, frame);
+        let img = phase.frame(options.seed, frame, ladder.image_size());
         let out = engine.convolve(&img, ladder.conv_config(), &taps).expect("valid stream");
         let mut h = Fnv64::new();
         h.write_u64(digest);

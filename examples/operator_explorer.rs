@@ -8,7 +8,7 @@
 //! cores; the table is identical at any setting).
 
 use clapped::axops::{Catalog, Mul8s};
-use clapped::errmodel::curvefit::{best_curve_fits, LmConfig};
+use clapped::errmodel::curvefit::best_curve_fits;
 use clapped::errmodel::dist::rank_distributions;
 use clapped::errmodel::{error_samples, ErrorStats, PrModel};
 use clapped::exec::{Engine, ExecConfig};
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         let pr = PrModel::fit(m.as_ref(), 3);
         let pr_mae = pr.estimation_mae(m.as_ref());
         // Curve-fitting baseline: best of the top-2 K-S-ranked families.
-        let fits = best_curve_fits(m.as_ref(), 2, &LmConfig::default())?;
+        let fits = best_curve_fits(m.as_ref(), 2)?;
         let cf_mae = fits
             .first()
             .map(|f| f.estimation_mae(m.as_ref()))

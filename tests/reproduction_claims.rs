@@ -4,7 +4,7 @@
 //! *direction* of every claim.
 
 use clapped::axops::{Catalog, Mul8s};
-use clapped::errmodel::curvefit::{best_curve_fits, LmConfig};
+use clapped::errmodel::curvefit::best_curve_fits;
 use clapped::errmodel::{rank_terms, ErrorStats, PrModel};
 use clapped::dse::{mbo, random_search, MboConfig};
 use rand::Rng;
@@ -17,7 +17,7 @@ fn pr_beats_curve_fitting_on_multipliers() {
     for alias in ["mul8s_1KR3", "mul8s_1KVA", "mul8s_1L2D"] {
         let m = catalog.get(alias).expect("alias resolves");
         let pr_mae = PrModel::fit(m.as_ref(), 3).estimation_mae(m.as_ref());
-        let cf = best_curve_fits(m.as_ref(), 1, &LmConfig::default()).expect("fit");
+        let cf = best_curve_fits(m.as_ref(), 1).expect("fit");
         let cf_mae = cf[0].estimation_mae(m.as_ref());
         assert!(
             pr_mae < cf_mae,
