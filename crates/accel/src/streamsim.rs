@@ -33,6 +33,20 @@ fn sim_err(e: clapped_netlist::NetlistError) -> AccelError {
     AccelError::Sim(e.to_string())
 }
 
+/// Validates `spec` and checks that `weights` and `image` fit it.
+fn check_stream_inputs(spec: &AcceleratorSpec, image: &Image, weights: &[i8]) -> Result<()> {
+    spec.validate()?;
+    let n = spec.image_size;
+    let reason = if weights.len() != spec.taps() {
+        format!("{} weights for {} taps", weights.len(), spec.taps())
+    } else if image.width() != n || image.height() != n {
+        format!("{}x{} image for image size {n}", image.width(), image.height())
+    } else {
+        return Ok(());
+    };
+    Err(AccelError::BadSpec { reason })
+}
+
 /// Simulates the accelerator's processing of `image` with the given
 /// quantized kernel weights, returning the output image.
 ///
@@ -47,12 +61,9 @@ fn sim_err(e: clapped_netlist::NetlistError) -> AccelError {
 ///
 /// # Errors
 ///
-/// Propagates specification and netlist-simulation errors.
-///
-/// # Panics
-///
-/// Panics if `weights.len() != spec.taps()` or the image is not
-/// `spec.image_size` squared.
+/// Returns [`AccelError::BadSpec`] for an invalid spec, or when
+/// `weights.len() != spec.taps()` or the image is not `spec.image_size`
+/// squared; propagates netlist-simulation errors.
 pub fn simulate_stream(
     spec: &AcceleratorSpec,
     image: &Image,
@@ -60,10 +71,7 @@ pub fn simulate_stream(
     shift: u32,
 ) -> Result<Image> {
     let _span = clapped_obs::span("accel.streamsim.frame");
-    spec.validate()?;
-    assert_eq!(weights.len(), spec.taps(), "one weight per tap");
-    assert_eq!(image.width(), spec.image_size, "image width mismatch");
-    assert_eq!(image.height(), spec.image_size, "image height mismatch");
+    check_stream_inputs(spec, image, weights)?;
     clapped_obs::count("accel.streamsim.frames", 1);
     let datapath = build_datapath_cached(spec, shift)?;
     match spec.mode {
@@ -109,21 +117,14 @@ pub fn simulate_stream(
 ///
 /// # Errors
 ///
-/// Propagates specification and netlist-simulation errors.
-///
-/// # Panics
-///
-/// See [`simulate_stream`].
+/// As [`simulate_stream`].
 pub fn simulate_stream_ref(
     spec: &AcceleratorSpec,
     image: &Image,
     weights: &[i8],
     shift: u32,
 ) -> Result<Image> {
-    spec.validate()?;
-    assert_eq!(weights.len(), spec.taps(), "one weight per tap");
-    assert_eq!(image.width(), spec.image_size, "image width mismatch");
-    assert_eq!(image.height(), spec.image_size, "image height mismatch");
+    check_stream_inputs(spec, image, weights)?;
     let datapath = build_datapath(spec, shift)?;
     match spec.mode {
         ConvMode::TwoD => {
@@ -407,6 +408,27 @@ mod tests {
             let hw = simulate_stream(&spec, &img, kernel.coeffs_2d(), kernel.shift()).unwrap();
             assert_eq!(sw, hw, "hardware/software divergence for {op}");
         }
+    }
+
+    #[test]
+    fn mismatched_inputs_are_errors_not_panics() {
+        let m = Catalog::standard().get("mul8s_exact").unwrap();
+        let spec = AcceleratorSpec::uniform_2d(16, 3, &m);
+        let (_, kernel) = engine_and_kernel();
+        let weights = kernel.coeffs_2d();
+        let square = Image::synthetic(SynthKind::Blobs, 16, 16, 1);
+        let cases = [
+            (&weights[..8], square.clone()),
+            (weights, Image::synthetic(SynthKind::Blobs, 15, 16, 1)),
+            (weights, Image::synthetic(SynthKind::Blobs, 16, 17, 1)),
+        ];
+        for (w, img) in &cases {
+            for sim in [simulate_stream, simulate_stream_ref] {
+                let got = sim(&spec, img, w, kernel.shift());
+                assert!(matches!(got, Err(AccelError::BadSpec { .. })), "{got:?}");
+            }
+        }
+        assert!(simulate_stream(&spec, &square, weights, kernel.shift()).is_ok());
     }
 
     #[test]
