@@ -40,7 +40,11 @@ fn check_stream_inputs(spec: &AcceleratorSpec, image: &Image, weights: &[i8]) ->
     let reason = if weights.len() != spec.taps() {
         format!("{} weights for {} taps", weights.len(), spec.taps())
     } else if image.width() != n || image.height() != n {
-        format!("{}x{} image for image size {n}", image.width(), image.height())
+        format!(
+            "{}x{} image for image size {n}",
+            image.width(),
+            image.height()
+        )
     } else {
         return Ok(());
     };

@@ -30,7 +30,11 @@ fn main() {
         let pr_mae = pr.estimation_mae_fn(f);
         let cf = [DistKind::Normal, DistKind::Logistic]
             .iter()
-            .map(|&k| fit_surface_fn(f, k).expect("LM converges").estimation_mae_fn(f))
+            .map(|&k| {
+                fit_surface_fn(f, k)
+                    .expect("LM converges")
+                    .estimation_mae_fn(f)
+            })
             .fold(f64::INFINITY, f64::min);
         let pr_rel = 100.0 * pr_mae / mean_mag;
         let cf_rel = 100.0 * cf / mean_mag;

@@ -1,8 +1,9 @@
 //! Fig. 10(b): generalization to **unseen multipliers**. The training
 //! set contains no configuration using the held-out operators; the test
-//! set only contains configurations that use them. PR-coefficient
-//! features (C4) let the MLP interpolate to the new operators, while the
-//! M4 statistical-metric representation transfers worse.
+//! set only contains configurations that use them. The paper reports
+//! that PR-coefficient features (C4) let the MLP interpolate to the new
+//! operators while the M4 statistical-metric representation transfers
+//! worse; EXPERIMENTS.md records what this harness measures.
 //!
 //! The held-out operators are the LOA multipliers: their *unsigned*
 //! statistical metrics (M4) are nearly indistinguishable from the

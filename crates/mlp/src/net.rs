@@ -58,7 +58,10 @@ impl Mlp {
             let (fan_in, fan_out) = (w[0], w[1]);
             let bound = (6.0 / (fan_in + fan_out) as f64).sqrt();
             let wmat = Mat::from_fn(fan_out, fan_in, |_, _| rng.gen_range(-bound..bound));
-            layers.push(Layer { w: wmat, b: vec![0.0; fan_out] });
+            layers.push(Layer {
+                w: wmat,
+                b: vec![0.0; fan_out],
+            });
         }
         Mlp { layers }
     }

@@ -16,8 +16,9 @@ const BATCH_SIZE: usize = 32;
 /// `round(0.2 n) <= n - 1` for every `n >= 1`.
 const VALIDATION_FRACTION: f64 = 0.2;
 
-/// Training hyper-parameters. Training is minibatch Adam with the
-/// usual (0.9, 0.999) moment decays.
+/// Training hyper-parameters. Training is minibatch Adam (batches of
+/// 32, the usual (0.9, 0.999) moment decays) with 20 % of the data held
+/// out for validation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Maximum number of epochs.
@@ -402,8 +403,8 @@ mod tests {
                 patience: 3,
                 ..TrainConfig::default()
             };
-            let model = Regressor::fit(&xs, &ys, &[4], &config)
-                .unwrap_or_else(|e| panic!("n={n}: {e:?}"));
+            let model =
+                Regressor::fit(&xs, &ys, &[4], &config).unwrap_or_else(|e| panic!("n={n}: {e:?}"));
             let report = model.report();
             assert_eq!((report.n_train, report.n_val), (n - n_val, n_val), "n={n}");
             assert_eq!(report.val_loss.is_empty(), n_val == 0, "n={n}");

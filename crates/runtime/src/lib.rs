@@ -32,6 +32,11 @@
 //!   on reconfiguration so it never flaps, checkpointable to versioned
 //!   JSON so a killed stream resumes bit-exactly.
 //!
+//! The traffic model, the monitor's sample budget and confidence
+//! multiplier, the watchdog's probe count and the kernel sigma are
+//! constants of this scenario, so calibration and the live stream always
+//! see the same traffic.
+//!
 //! # Determinism
 //!
 //! Every per-frame random choice — traffic phase transitions, monitor
