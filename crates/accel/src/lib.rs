@@ -27,6 +27,10 @@
 //! assert!(report.latency_cycles > 32 * 32);
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![warn(clippy::expect_used)]
+
 mod datapath;
 mod features;
 mod perf;

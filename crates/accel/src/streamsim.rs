@@ -175,7 +175,7 @@ pub fn simulate_stream_ref(
 /// load, and pixels move between bytes and bitplanes eight lanes per
 /// [`transpose8x8`]. The evaluation scratch and output buffers are
 /// reused across every chunk of the pass.
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+#[expect(clippy::too_many_arguments, reason = "the pass's buffers are passed explicitly")]
 fn run_pe_grid(
     datapath: &Netlist,
     image: &Image,
@@ -295,7 +295,8 @@ fn run_pe_grid(
 
 /// The retained 64-lane grid runner with per-chunk `Vec` packing — the
 /// reference [`run_pe_grid`] is pinned against.
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+#[expect(clippy::too_many_arguments, reason = "the pass's buffers are passed explicitly")]
+#[expect(clippy::needless_range_loop, reason = "index loops walk coupled lane arrays")]
 fn run_pe_grid_ref64(
     datapath: &Netlist,
     image: &Image,

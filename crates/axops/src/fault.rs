@@ -8,6 +8,8 @@
 //! application models — which is how gate-level fault injection is
 //! propagated to application-level quality in `clapped-core`.
 
+#![warn(clippy::disallowed_types)]
+
 use crate::table::{exhaustive_pairs, exhaustive_table};
 use crate::{AxMul, Mul8s};
 use clapped_exec::{Memo, StructDigest};

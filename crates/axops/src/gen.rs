@@ -24,6 +24,8 @@
 //! per-operator features, ready for learned quality/cost pre-filtering
 //! (`clapped-core`'s `prefilter` module) before MBO ever sees it.
 
+#![warn(clippy::expect_used)]
+
 use crate::table::build_mul_table;
 use crate::{AxMul, ComposedSpec, MulArch};
 use clapped_exec::{
@@ -723,7 +725,7 @@ mod tests {
         let space = GenSpace::standard();
         let engine = Engine::new(clapped_exec::ExecConfig::default());
         let cache = gen_cache_in_memory(space.len() + 1);
-        let t0 = std::time::Instant::now();
+        let t0 = clapped_obs::Stopwatch::start();
         let cat = GenerativeCatalog::build(&space, &engine, &cache);
         let stats = *cat.stats();
         println!(

@@ -1,7 +1,3 @@
-// Index-based loops over multiple coupled arrays are the clearest idiom
-// for the numeric kernels in this crate.
-#![allow(clippy::needless_range_loop)]
-
 //! Approximate arithmetic operator library.
 //!
 //! This crate is CLAppED's analogue of the EvoApprox8b / SMApproxlib
@@ -40,6 +36,10 @@
 //! // A truncated multiplier drops low-order information.
 //! assert_ne!(approx.mul(3, 3), 9);
 //! ```
+
+#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![expect(clippy::needless_range_loop, reason = "index loops over coupled arrays read clearest")]
 
 pub mod adders;
 mod arch;

@@ -8,6 +8,9 @@
 //! stable content digest: a given netlist's table is built **once per
 //! process ever**, and all operator instances share one allocation.
 
+#![warn(clippy::disallowed_types, clippy::cast_lossless)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss)]
+
 use clapped_exec::{Memo, MemoStats};
 use clapped_netlist::{pack_bus_samples, transpose8x8, unpack_bus_samples, FaultSet, Netlist};
 use std::sync::{Arc, OnceLock};
@@ -124,10 +127,9 @@ pub(crate) fn exhaustive_table(
                     let lo = transpose8x8(lo);
                     let hi = transpose8x8(hi);
                     for lane in 0..8 {
-                        let p = ((lo >> (8 * lane)) & 0xff) as u16 // lint-allow(no-silent-truncation): both casts masked to 0xff
+                        let p = ((lo >> (8 * lane)) & 0xff) as u16
                             | ((((hi >> (8 * lane)) & 0xff) as u16) << 8);
-                        // lint-allow(no-silent-truncation): bit-for-bit reinterpretation of the 16 product bits
-                        row[qw * 64 + octet * 8 + lane] = p as i16;
+                        row[qw * 64 + octet * 8 + lane] = p.cast_signed();
                     }
                 }
             }
@@ -157,8 +159,8 @@ pub fn build_mul_table_ref64(netlist: &Netlist, faults: &FaultSet) -> Vec<i16> {
         if batch.is_empty() {
             return;
         }
-        let a_vals: Vec<i64> = batch.iter().map(|p| p.0 as i64).collect();
-        let b_vals: Vec<i64> = batch.iter().map(|p| p.1 as i64).collect();
+        let a_vals: Vec<i64> = batch.iter().map(|p| i64::from(p.0)).collect();
+        let b_vals: Vec<i64> = batch.iter().map(|p| i64::from(p.1)).collect();
         let mut words = pack_bus_samples(&a_vals, 8);
         words.extend(pack_bus_samples(&b_vals, 8));
         let outs = netlist
@@ -166,10 +168,10 @@ pub fn build_mul_table_ref64(netlist: &Netlist, faults: &FaultSet) -> Vec<i16> {
             .expect("interface verified above; fault sites must be in range");
         let products = unpack_bus_samples(&outs, batch.len(), true);
         for (&(a, b), &p) in batch.iter().zip(&products) {
-            // lint-allow(no-silent-truncation): i8→u8 is a lossless bit reinterpretation for indexing
-            let idx = ((a as u8 as usize) << 8) | (b as u8 as usize);
-            // lint-allow(no-silent-truncation): an 8×8 signed product always fits i16
-            table[idx] = p as i16;
+            let idx = (usize::from(a.cast_unsigned()) << 8) | usize::from(b.cast_unsigned());
+            #[expect(clippy::cast_possible_truncation, reason = "an 8x8 signed product fits i16")]
+            let product = p as i16;
+            table[idx] = product;
         }
         batch.clear();
     };
@@ -240,8 +242,8 @@ mod tests {
         n.output_bus("p", &p);
         let table = build_mul_table(&n);
         for (a, b) in [(0i8, 0i8), (1, -1), (127, 127), (-128, 127), (-128, -128), (45, -3)] {
-            let idx = ((a as u8 as usize) << 8) | (b as u8 as usize);
-            assert_eq!(table[idx], a as i16 * b as i16, "{a}*{b}");
+            let idx = (usize::from(a.cast_unsigned()) << 8) | usize::from(b.cast_unsigned());
+            assert_eq!(table[idx], i16::from(a) * i16::from(b), "{a}*{b}");
         }
     }
 }

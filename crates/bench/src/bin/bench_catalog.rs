@@ -18,18 +18,18 @@
 //! `results/bench_catalog.json`. Full runs enforce the acceptance
 //! floors (≥1000 distinct operators, ≥10× warm rebuild, pre-filtered
 //! hypervolume ≥ baseline); `--quick` shrinks the space for CI smoke
-//! runs and skips the floors. `--trace[=PATH]` captures an obs JSONL
-//! trace.
+//! runs, skips the floors and writes `bench_catalog.quick.json`
+//! instead. `--trace[=PATH]` captures an obs JSONL trace.
 
 use clapped_axops::{gen_cache_with_disk, Catalog, GenSpace, GenerativeCatalog};
-use clapped_bench::{print_table, save_json};
+use clapped_bench::{print_table, save_snapshot};
 use clapped_core::{
     explore, prefilter, Clapped, EstimationMode, ExploreOptions, ExploreResult, PrefilterConfig,
 };
 use clapped_dse::{hypervolume, MboConfig};
 use clapped_mlp::TrainConfig;
+use clapped_obs::Stopwatch;
 use serde_json::json;
-use std::time::Instant;
 
 /// Common hypervolume reference covering both fronts (error %, LUTs).
 const HV_REFERENCE: [f64; 2] = [50.0, 8000.0];
@@ -67,7 +67,7 @@ fn main() {
     let engine = clapped_core::Engine::new(clapped_core::ExecConfig::default());
 
     let cold_cache = gen_cache_with_disk(space.len() + 1, &cache_dir);
-    let t0 = Instant::now();
+    let t0 = Stopwatch::start();
     let gen = GenerativeCatalog::build(&space, &engine, &cold_cache);
     let t_cold = t0.elapsed().as_secs_f64();
     let cold_stats = *gen.stats();
@@ -78,7 +78,7 @@ fn main() {
     // A fresh cache instance over the same directory: the disk tier is
     // the only carrier, as if a second process rebuilt the catalog.
     let warm_cache = gen_cache_with_disk(space.len() + 1, &cache_dir);
-    let t1 = Instant::now();
+    let t1 = Stopwatch::start();
     let warm = GenerativeCatalog::build(&space, &engine, &warm_cache);
     let t_warm = t1.elapsed().as_secs_f64();
     assert_eq!(warm.stats().tables_built, 0, "warm build must replay the disk cache");
@@ -122,7 +122,7 @@ fn main() {
     } else {
         PrefilterConfig::default()
     };
-    let t2 = Instant::now();
+    let t2 = Stopwatch::start();
     let pf = prefilter(&gen, &pf_cfg).expect("pre-filter runs");
     let t_prefilter = t2.elapsed().as_secs_f64();
     print_table(
@@ -168,7 +168,7 @@ fn main() {
         .seed(7)
         .build()
         .expect("baseline framework");
-    let t3 = Instant::now();
+    let t3 = Stopwatch::start();
     let res_base = explore(&fw_base, &opts).expect("baseline DSE");
     let t_dse_base = t3.elapsed().as_secs_f64();
     let hv_base = front_hypervolume(&res_base);
@@ -179,7 +179,7 @@ fn main() {
         .seed(7)
         .build()
         .expect("pre-filtered framework");
-    let t4 = Instant::now();
+    let t4 = Stopwatch::start();
     let res_pref = explore(&fw_pref, &opts).expect("pre-filtered DSE");
     let t_dse_pref = t4.elapsed().as_secs_f64();
     let hv_pref = front_hypervolume(&res_pref);
@@ -221,8 +221,9 @@ fn main() {
         })
         .collect();
 
-    save_json(
+    save_snapshot(
         "bench_catalog",
+        quick,
         &json!({
             "quick": quick,
             "build": {

@@ -4,17 +4,18 @@
 //! to `results/bench_conv.json` so perf regressions are diffable.
 //!
 //! Usage: `bench_conv [--quick]` — `--quick` shrinks images and
-//! repetitions for CI smoke runs.
+//! repetitions for CI smoke runs and writes `bench_conv.quick.json`
+//! instead.
 
 use clapped_axops::{Catalog, Mul8s};
 use clapped_dse::Gp;
 use clapped_imgproc::{ConvConfig, ConvEngine, ConvMode, Image, QuantKernel, SynthKind};
-use clapped_bench::{print_table, save_json};
+use clapped_bench::{print_table, save_snapshot};
+use clapped_obs::Stopwatch;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde_json::json;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Best-of-`reps` wall-clock seconds of `f` (a warmup call is dropped
 /// first — it is where plan-LUT memoization faults in).
@@ -22,7 +23,7 @@ fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     let mut best = f64::INFINITY;
     std::hint::black_box(f());
     for _ in 0..reps {
-        let start = Instant::now();
+        let start = Stopwatch::start();
         std::hint::black_box(f());
         best = best.min(start.elapsed().as_secs_f64());
     }
@@ -124,8 +125,9 @@ fn main() {
         ],
     );
 
-    save_json(
+    save_snapshot(
         "bench_conv",
+        quick,
         &json!({
             "quick": quick,
             "convolution": conv_json,

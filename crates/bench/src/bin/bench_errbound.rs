@@ -7,14 +7,15 @@
 //! Emits machine-readable numbers to `results/bench_errbound.json`.
 //! Full runs additionally enforce the acceptance floor (interval tier
 //! ≥2× faster than the already-wide-simulated table build); `--quick`
-//! shrinks the workload for CI smoke runs and skips the floor.
+//! shrinks the workload for CI smoke runs, skips the floor and writes
+//! `bench_errbound.quick.json` instead.
 //! `--trace[=PATH]` captures an obs JSONL trace.
 
 use clapped_axops::{build_mul_table, Catalog, MulArch};
-use clapped_bench::{print_table, save_json};
+use clapped_bench::{print_table, save_snapshot};
 use clapped_netlist::{analyze_error_bounds, ErrBoundConfig};
+use clapped_obs::Stopwatch;
 use serde_json::json;
-use std::time::Instant;
 
 /// Best-of-`reps` wall-clock seconds of `f` (a warmup call is dropped
 /// first — it is where process-wide memos fault in).
@@ -22,7 +23,7 @@ fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     let mut best = f64::INFINITY;
     std::hint::black_box(f());
     for _ in 0..reps {
-        let start = Instant::now();
+        let start = Stopwatch::start();
         std::hint::black_box(f());
         best = best.min(start.elapsed().as_secs_f64());
     }
@@ -125,8 +126,9 @@ fn main() {
         &rows,
     );
 
-    save_json(
+    save_snapshot(
         "bench_errbound",
+        quick,
         &json!({
             "quick": quick,
             "operators": ops_json,

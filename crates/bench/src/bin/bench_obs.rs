@@ -6,17 +6,17 @@
 //! diffable.
 //!
 //! Usage: `bench_obs [--quick]` — `--quick` shrinks iteration counts
-//! for CI smoke runs.
+//! for CI smoke runs and writes `bench_obs.quick.json` instead.
 
-use clapped_bench::{print_table, save_json};
+use clapped_bench::{print_table, save_snapshot};
+use clapped_obs::Stopwatch;
 use serde_json::json;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Best-of-`reps` mean ns/op of `iters` calls to `f` (one warmup rep).
 fn ns_per_op(reps: usize, iters: u64, mut f: impl FnMut()) -> f64 {
     let mut run = |iters: u64| {
-        let start = Instant::now();
+        let start = Stopwatch::start();
         for _ in 0..iters {
             f();
         }
@@ -74,8 +74,9 @@ fn main() {
         if budget_ok { "OK" } else { "OVER BUDGET" }
     );
 
-    save_json(
+    save_snapshot(
         "bench_obs",
+        quick,
         &json!({
             "quick": quick,
             "iters": iters,

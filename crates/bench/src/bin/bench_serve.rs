@@ -18,13 +18,14 @@
 //! start). With `--connect`, streams drive an already-running daemon —
 //! the mode CI uses against a Unix-socket daemon — and `--shutdown`
 //! sends the drain op once the measurement ends. The full run replays
-//! 100 streams; `--quick` trims the workload for smoke tests. In the
+//! 100 streams; `--quick` trims the workload for smoke tests and
+//! writes `bench_serve.quick.json` instead. In the
 //! full run the warm pass must beat the cold pass by at least 2× on
 //! median latency or the process exits non-zero: warm evaluations are
 //! answered from the result cache, and losing that amplification is a
 //! serving regression.
 
-use clapped_bench::{print_table, save_json};
+use clapped_bench::{print_table, save_snapshot};
 use clapped_dse::MboConfig;
 use clapped_obs::{Deadline, Stopwatch};
 use clapped_serve::{Client, JobSpec, JobState, Listen, Server, ServerConfig};
@@ -247,8 +248,9 @@ fn main() {
         cache.cache.lock_contention,
     );
 
-    save_json(
+    save_snapshot(
         "bench_serve",
+        args.quick,
         &json!({
             "mode": if args.quick { "quick" } else { "full" },
             "streams": args.streams,

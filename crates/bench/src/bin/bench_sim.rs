@@ -9,17 +9,18 @@
 //! Emits machine-readable numbers to `results/bench_sim.json` so perf
 //! regressions are diffable. Full runs additionally enforce the
 //! acceptance floors (≥4× table build, ≥4× campaign, ≥5× frames/sec);
-//! `--quick` shrinks workloads for CI smoke runs and skips the floors
+//! `--quick` shrinks workloads for CI smoke runs, writes
+//! `bench_sim.quick.json` instead and skips the floors
 //! (timings on loaded CI runners are advisory only — bit-identity is
 //! still asserted). `--trace[=PATH]` captures an obs JSONL trace.
 
 use clapped_accel::{simulate_stream, simulate_stream_ref, AcceleratorSpec};
 use clapped_axops::{build_mul_table, build_mul_table_ref64, Catalog};
-use clapped_bench::{print_table, save_json};
+use clapped_bench::{print_table, save_snapshot};
 use clapped_imgproc::{Image, QuantKernel, SynthKind};
 use clapped_netlist::FaultSet;
+use clapped_obs::Stopwatch;
 use serde_json::json;
-use std::time::Instant;
 
 /// Best-of-`reps` wall-clock seconds of `f` (a warmup call is dropped
 /// first — it is where process-wide memos fault in).
@@ -27,7 +28,7 @@ fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     let mut best = f64::INFINITY;
     std::hint::black_box(f());
     for _ in 0..reps {
-        let start = Instant::now();
+        let start = Stopwatch::start();
         std::hint::black_box(f());
         best = best.min(start.elapsed().as_secs_f64());
     }
@@ -162,8 +163,9 @@ fn main() {
     );
     let dp_stats = clapped_accel::datapath_cache_stats();
 
-    save_json(
+    save_snapshot(
         "bench_sim",
+        quick,
         &json!({
             "quick": quick,
             "table_build": table_json,

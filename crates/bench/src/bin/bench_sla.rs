@@ -15,10 +15,10 @@
 //! Emits machine-readable numbers to `results/bench_sla.json`.
 //!
 //! Usage: `bench_sla [--quick]` — `--quick` shrinks frames and images
-//! for CI smoke runs.
+//! for CI smoke runs and writes `bench_sla.quick.json` instead.
 
 use clapped_axops::{AxMul, Catalog};
-use clapped_bench::{print_table, save_json};
+use clapped_bench::{print_table, save_snapshot};
 use clapped_imgproc::{app_error_percent, ConvEngine, Image, QuantKernel};
 use clapped_netlist::{FaultKind, FaultSet};
 use clapped_runtime::{
@@ -255,8 +255,9 @@ fn main() {
         "the adaptive ladder must save energy over the cheapest compliant static config"
     );
 
-    save_json(
+    save_snapshot(
         "bench_sla",
+        quick,
         &json!({
             "quick": quick,
             "frames": frames,

@@ -5,11 +5,11 @@
 use clapped_bench::{print_table, save_json};
 use clapped_core::{Clapped, MulRepr};
 use clapped_mlp::{mae, TrainConfig};
+use clapped_obs::Stopwatch;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde_json::json;
-use std::time::Instant;
 
 fn main() {
     let n_configs: usize = std::env::args()
@@ -52,7 +52,7 @@ fn main() {
             .expect("training succeeds");
         let test_mae = mae(&yte, &model.predict_batch(&xte));
         // 1000 inference iterations over the full test set.
-        let start = Instant::now();
+        let start = Stopwatch::start();
         let mut checksum = 0.0f64;
         for _ in 0..1000 {
             for x in &xte {

@@ -10,10 +10,10 @@ use clapped_accel::{
 use clapped_axops::Catalog;
 use clapped_bench::{print_table, save_json};
 use clapped_mlp::{fidelity, Regressor, TrainConfig};
+use clapped_obs::Stopwatch;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde_json::json;
-use std::time::Instant;
 
 fn random_spec(catalog: &Catalog, rng: &mut ChaCha8Rng) -> AcceleratorSpec {
     let image_size = [16usize, 32, 48, 64, 96, 128][rng.gen_range(0..6usize)];
@@ -48,7 +48,7 @@ fn main() {
 
     println!("synthesizing {} accelerator design points (the 'Vivado' stage) ...", n_train + n_test);
     let mut rng = ChaCha8Rng::seed_from_u64(11);
-    let start = Instant::now();
+    let start = Stopwatch::start();
     let mut specs = Vec::with_capacity(n_train + n_test);
     let mut reports = Vec::with_capacity(n_train + n_test);
     for i in 0..(n_train + n_test) {

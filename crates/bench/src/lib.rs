@@ -27,6 +27,8 @@
 //! DoF), `catalog_hw` (operator library hardware card), and
 //! `multi_objective` (4-objective DSE with WFG hypervolume).
 
+#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
+
 use std::fs;
 use std::path::PathBuf;
 
@@ -76,6 +78,13 @@ pub fn save_json(name: &str, value: &serde_json::Value) {
     fs::write(&path, serde_json::to_string_pretty(value).expect("serializable"))
         .expect("write results file");
     println!("[saved {}]", path.display());
+}
+
+/// [`save_json`] for a benchmark snapshot. A `--quick` smoke run writes
+/// the git-ignored `<name>.quick.json`, so it never replaces the
+/// committed full-run numbers.
+pub fn save_snapshot(name: &str, quick: bool, value: &serde_json::Value) {
+    save_json(&if quick { format!("{name}.quick") } else { name.to_string() }, value);
 }
 
 /// Builds a histogram of samples as `(bin_center, count)` pairs.

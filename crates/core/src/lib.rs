@@ -24,6 +24,10 @@
 //! assert_eq!(result.error_percent, 0.0);
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![warn(clippy::expect_used)]
+
 mod explore;
 mod framework;
 mod prefilter;

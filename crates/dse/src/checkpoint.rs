@@ -8,6 +8,8 @@
 //! deterministic key order, making checkpoints diffable and
 //! byte-comparable.
 
+#![warn(clippy::expect_used, clippy::disallowed_types)]
+
 use crate::mbo::{check_config, MboConfig, MboState};
 use crate::space::Configuration;
 use crate::{DseError, Result};

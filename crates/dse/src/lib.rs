@@ -31,6 +31,9 @@
 //! assert!(hv > 0.0);
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 mod checkpoint;
 mod gp;
 mod hv;

@@ -463,9 +463,7 @@ mod tests {
 
     /// A toy bi-objective problem: minimize (x, 1-x) over x in [0,1]
     /// encoded from two genes; the front is the diagonal.
-    // The concrete &Vec signature is required: the fn is passed directly
-    // as an `FnMut(&Vec<f64>)` objective.
-    #[allow(clippy::ptr_arg)]
+    #[expect(clippy::ptr_arg, reason = "passed directly as an `FnMut(&Vec<f64>)` objective")]
     fn toy_objective(c: &Vec<f64>) -> Vec<f64> {
         let x = (c[0] + c[1]) / 2.0;
         vec![x, (1.0 - x) * (1.0 - x) + 0.05 * (c[0] - c[1]).abs()]

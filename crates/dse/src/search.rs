@@ -310,9 +310,7 @@ pub fn simulated_annealing<C: Clone>(
 mod tests {
     use super::*;
 
-    // The concrete &Vec signature is required: the fn is passed directly
-    // as an `FnMut(&Vec<f64>)` objective.
-    #[allow(clippy::ptr_arg)]
+    #[expect(clippy::ptr_arg, reason = "passed directly as an `FnMut(&Vec<f64>)` objective")]
     fn toy_objective(c: &Vec<f64>) -> Vec<f64> {
         let x = (c[0] + c[1]) / 2.0;
         vec![x, (1.0 - x) * (1.0 - x) + 0.05 * (c[0] - c[1]).abs()]
@@ -322,9 +320,7 @@ mod tests {
         vec![rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]
     }
 
-    // The concrete &Vec signature is required: the fn is passed directly
-    // as an `FnMut(&Vec<f64>, &Vec<f64>, ..)` callback.
-    #[allow(clippy::ptr_arg)]
+    #[expect(clippy::ptr_arg, reason = "passed directly as an `FnMut(&Vec<f64>, ..)` callback")]
     fn toy_crossover(a: &Vec<f64>, b: &Vec<f64>, rng: &mut ChaCha8Rng) -> Vec<f64> {
         a.iter()
             .zip(b)
@@ -332,8 +328,7 @@ mod tests {
             .collect()
     }
 
-    // Same: passed directly as an `FnMut(&mut Vec<f64>, ..)` callback.
-    #[allow(clippy::ptr_arg)]
+    #[expect(clippy::ptr_arg, reason = "passed directly as an `FnMut(&mut Vec<f64>, ..)` callback")]
     fn toy_mutate(c: &mut Vec<f64>, rng: &mut ChaCha8Rng) {
         let i = rng.gen_range(0..c.len());
         c[i] = (c[i] + rng.gen_range(-0.2f64..0.2)).clamp(0.0, 1.0);

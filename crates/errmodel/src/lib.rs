@@ -25,6 +25,9 @@
 //! assert!(pr.r2() > 0.999); // degree-3 PR models multiplier surfaces well
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod curvefit;
 pub mod dist;
 mod metrics;

@@ -27,7 +27,7 @@
 //!    writer expire after 30 s and are broken by the next writer.
 
 use serde_json::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -125,17 +125,22 @@ impl CacheStats {
 /// last-use tick; the tick index finds the coldest entry in O(log n).
 #[derive(Debug)]
 struct Lru<V> {
-    // lint-allow(hash-containers): probed by digest key only, never iterated
-    map: HashMap<u64, (V, u64)>,
+    #[expect(clippy::disallowed_types, reason = "probed by digest key only, never iterated")]
+    map: std::collections::HashMap<u64, (V, u64)>,
     by_tick: BTreeMap<u64, u64>,
     tick: u64,
     capacity: usize,
 }
 
 impl<V> Lru<V> {
+    #[expect(clippy::disallowed_types, reason = "probed by digest key only, never iterated")]
     fn new(capacity: usize) -> Lru<V> {
-        // lint-allow(hash-containers): probed by digest key only, never iterated
-        Lru { map: HashMap::new(), by_tick: BTreeMap::new(), tick: 0, capacity: capacity.max(1) }
+        Lru {
+            map: std::collections::HashMap::new(),
+            by_tick: BTreeMap::new(),
+            tick: 0,
+            capacity: capacity.max(1),
+        }
     }
 
     fn touch(&mut self, key: u64) -> Option<&V> {
@@ -293,6 +298,7 @@ impl<V: Clone + CacheCodec> ResultCache<V> {
         // redundant write proceeds, never what any result is (values
         // are content-addressed, so every writer publishes the same
         // bytes).
+        #[expect(clippy::disallowed_methods, reason = "lock age gates only a redundant write")]
         let expired = std::fs::metadata(lock)
             .and_then(|m| m.modified())
             .ok()
@@ -554,9 +560,7 @@ mod tests {
         let lock = dir.join(format!("{mixed:016x}.lock"));
         // A lock last touched past the TTL is a killed writer's residue.
         let planted = std::fs::File::create(&lock).unwrap();
-        planted
-            .set_modified(SystemTime::now() - LOCK_TTL - Duration::from_secs(1))
-            .unwrap();
+        planted.set_modified(SystemTime::UNIX_EPOCH).unwrap();
         drop(planted);
         cache.insert(4, vec![7.0, 8.0]);
         assert_eq!(cache.stats().lock_contention, 0, "stale lock is broken, not contended");

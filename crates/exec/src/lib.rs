@@ -30,6 +30,11 @@
 //! vendored `serde_json`); determinism is a hard design requirement, not
 //! a best-effort property.
 
+#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![warn(clippy::expect_used, clippy::disallowed_types, clippy::cast_lossless)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss)]
+
 mod cache;
 pub mod digest;
 pub mod json;

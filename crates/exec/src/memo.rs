@@ -7,8 +7,7 @@
 //! an operator behavioural table needs (a 65k-entry exhaustive netlist
 //! simulation should never run twice for the same netlist).
 
-// lint-allow-file(hash-containers): the memo table is generic over any
-// `K: Hash` key and is only ever probed by key, never iterated.
+#![expect(clippy::disallowed_types, reason = "keyed by any `K: Hash`, probed, never iterated")]
 
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -35,6 +35,9 @@
 //! assert_eq!(out.width(), 32);
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 mod apps;
 mod conv;
 mod image;

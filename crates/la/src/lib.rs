@@ -1,7 +1,3 @@
-// Index-based loops over multiple coupled arrays are the clearest idiom
-// for the numeric kernels in this crate.
-#![allow(clippy::needless_range_loop)]
-
 //! Dense linear algebra primitives for the CLAppED workspace.
 //!
 //! This crate provides the small set of numerical building blocks that the
@@ -21,6 +17,10 @@
 //! assert!((x[0] - 3.0).abs() < 1e-9);
 //! assert!((x[1] - 3.0).abs() < 1e-9);
 //! ```
+
+#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![expect(clippy::needless_range_loop, reason = "index loops over coupled arrays read clearest")]
 
 mod cholesky;
 mod mat;

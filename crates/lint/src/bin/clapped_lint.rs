@@ -4,18 +4,20 @@
 //! clapped_lint [--root PATH] [--json] [--deny]
 //! ```
 //!
-//! Runs all three analysis targets — the source/layering lints over the
-//! workspace tree, the structural lints over every catalog operator
-//! netlist (raw and optimized), and the error-bound soundness gate
-//! (proved bounds cross-checked against every operator's exhaustive
-//! table) — then prints a human-readable report, or one JSON document
-//! with `--json`. With `--deny`, any source finding, structural error
-//! or bound violation makes the process exit 1; this is the required CI
-//! step.
+//! Runs all three analysis targets — the layering and lint-scope checks
+//! over the workspace's crate manifests, the structural lints over
+//! every catalog operator netlist (raw and optimized), and the
+//! error-bound soundness gate (proved bounds cross-checked against
+//! every operator's exhaustive table) — then prints a human-readable
+//! report, or one JSON document with `--json`. With `--deny`, any
+//! layering or scope finding, structural error or bound violation makes
+//! the process exit 1; this is a required CI step. The source rules are
+//! clippy's: `cargo clippy --workspace --all-targets -- -D warnings`.
 
 use clapped_lint::errbounds::{errbound_catalog, gate_config, ErrBoundReport};
 use clapped_lint::netlists::{lint_catalog, OpReport};
-use clapped_lint::{lint_workspace, Finding, StructSeverity};
+use clapped_lint::layering::lint_layering;
+use clapped_lint::{Finding, StructSeverity};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -55,7 +57,6 @@ fn findings_json(findings: &[Finding]) -> serde_json::Value {
                 serde_json::json!({
                     "rule": f.rule,
                     "path": f.path,
-                    "line": f.line,
                     "message": f.message,
                 })
             })
@@ -125,7 +126,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let findings = match lint_workspace(&args.root) {
+    let findings = match lint_layering(&args.root) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("clapped_lint: cannot lint {}: {e}", args.root.display());
@@ -141,7 +142,7 @@ fn main() -> ExitCode {
 
     if args.json {
         let doc = serde_json::json!({
-            "source": {
+            "layering": {
                 "findings": findings_json(&findings),
                 "count": findings.len(),
             },
@@ -160,9 +161,9 @@ fn main() -> ExitCode {
         });
         println!("{}", serde_json::to_string_pretty(&doc).unwrap_or_default());
     } else {
-        println!("== clapped_lint: source rules ==");
+        println!("== clapped_lint: crate layering and lint scope ==");
         if findings.is_empty() {
-            println!("clean ({} files scanned)", source_count(&args));
+            println!("clean");
         } else {
             for f in &findings {
                 println!("{f}");
@@ -221,8 +222,4 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-fn source_count(args: &Args) -> usize {
-    clapped_lint::workspace_sources(&args.root).map(|v| v.len()).unwrap_or(0)
 }

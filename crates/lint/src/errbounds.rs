@@ -24,6 +24,8 @@
 //! mutation tests can prove the gate actually fails on a tampered
 //! (unsound) bound.
 
+#![warn(clippy::expect_used)]
+
 use clapped_axops::adders::{standard_adders, Add8s, AddArch};
 use clapped_axops::{build_mul_table, Catalog, Mul8s, MulArch};
 use clapped_netlist::{analyze_error_bounds, ErrBoundConfig, ErrorBounds, Netlist};

@@ -1,12 +1,18 @@
-//! Crate-layering lint: the dependency DAG must respect the layer
-//! ranking below, derived from each crate's `Cargo.toml`.
+//! Crate-layering lint and lint-scope guard, both read from each
+//! crate's `Cargo.toml`.
 //!
-//! Each workspace crate sits in a numbered layer; a crate may depend
-//! only on crates in **strictly lower** layers. `[dev-dependencies]`
-//! are exempt (tests may reach sideways), and non-workspace (vendored)
-//! dependencies are ignored. The ranking makes inversions — say,
-//! `clapped-netlist` growing a dependency on `clapped-dse` — a lint
-//! error instead of a slow architectural drift.
+//! **Layering.** Each workspace crate sits in a numbered layer; a crate
+//! may depend only on crates in **strictly lower** layers.
+//! `[dev-dependencies]` are exempt (tests may reach sideways), and
+//! non-workspace (vendored) dependencies are ignored. The ranking makes
+//! inversions — say, `clapped-netlist` growing a dependency on
+//! `clapped-dse` — a lint error instead of a slow architectural drift.
+//!
+//! **Lint scope.** The source rules are clippy lints, which bind only a
+//! crate that opts in: its manifest must inherit `[workspace.lints]`
+//! and its library root must enable [`LIBRARY_HEADER`] and
+//! [`PRINT_LINTS`] in `#![warn(...)]` headers. Without this guard a new
+//! crate would fall outside the rules silently.
 
 use crate::Finding;
 use std::io;
@@ -33,33 +39,39 @@ const LAYERS: &[(&str, u32)] = &[
     ("clapped-bench", 9),
 ];
 
+/// The lints every library root enables in its `#![warn(...)]` header:
+/// no `unwrap` and no test functions outside a `#[cfg(test)]` module.
+pub const LIBRARY_HEADER: &[&str] = &["clippy::unwrap_used", "clippy::tests_outside_test_module"];
+
+/// The header's print lints, required of every library root except
+/// `clapped-bench`, which prints its reports.
+pub const PRINT_LINTS: &[&str] =
+    &["clippy::print_stdout", "clippy::print_stderr", "clippy::dbg_macro"];
+
 fn rank(name: &str) -> Option<u32> {
     LAYERS.iter().find(|(n, _)| *n == name).map(|&(_, r)| r)
 }
 
-/// Extracts `[dependencies]` entries (names only) from a manifest.
+/// The trimmed, non-comment lines of one `[table]` of a manifest.
 /// Line-oriented: good enough for this workspace's plain manifests.
-fn dependencies(manifest: &str) -> Vec<String> {
-    let mut deps = Vec::new();
-    let mut in_deps = false;
-    for line in manifest.lines() {
-        let line = line.trim();
+fn table<'a>(manifest: &'a str, header: &'a str) -> impl Iterator<Item = &'a str> {
+    let mut inside = false;
+    manifest.lines().map(str::trim).filter(move |line| {
         if line.starts_with('[') {
-            in_deps = line == "[dependencies]";
-            continue;
+            inside = *line == header;
+            return false;
         }
-        if !in_deps || line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let name: String = line
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
-            .collect();
-        if !name.is_empty() {
-            deps.push(name);
-        }
-    }
-    deps
+        inside && !line.is_empty() && !line.starts_with('#')
+    })
+}
+
+/// Extracts `[dependencies]` entries (names only) from a manifest.
+fn dependencies(manifest: &str) -> Vec<String> {
+    let is_name = |c: &char| c.is_ascii_alphanumeric() || *c == '-' || *c == '_';
+    table(manifest, "[dependencies]")
+        .map(|line| line.chars().take_while(is_name).collect::<String>())
+        .filter(|name| !name.is_empty())
+        .collect()
 }
 
 /// Checks one crate's direct dependency list against the layer table.
@@ -71,7 +83,6 @@ pub(crate) fn check_crate(name: &str, deps: &[String], manifest_path: &str) -> V
         findings.push(Finding {
             rule: "layering",
             path: manifest_path.to_string(),
-            line: 0,
             message: format!(
                 "crate `{name}` is not in the layer table; add it to LAYERS in \
                  crates/lint/src/layering.rs with its rank"
@@ -88,7 +99,6 @@ pub(crate) fn check_crate(name: &str, deps: &[String], manifest_path: &str) -> V
             findings.push(Finding {
                 rule: "layering",
                 path: manifest_path.to_string(),
-                line: 0,
                 message: format!(
                     "`{name}` (layer {my_rank}) must not depend on `{dep}` (layer \
                      {dep_rank}): dependencies may only point at strictly lower layers"
@@ -99,8 +109,39 @@ pub(crate) fn check_crate(name: &str, deps: &[String], manifest_path: &str) -> V
     findings
 }
 
-/// Parses every `crates/*/Cargo.toml` and checks the dependency DAG
-/// against the layer table.
+/// Checks that one crate is under the source rules: its manifest
+/// inherits `[workspace.lints]` and its library root, if any, names the
+/// library lints in its `#![warn(...)]` headers.
+pub(crate) fn check_lint_scope(
+    name: &str,
+    manifest: &str,
+    lib_rs: Option<&str>,
+    manifest_path: &str,
+) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let mut report = |path: String, message: String| {
+        findings.push(Finding { rule: "lint-scope", path, message });
+    };
+    if !table(manifest, "[lints]").any(|line| line.replace(' ', "") == "workspace=true") {
+        report(manifest_path.to_string(), format!("`{name}` must set `[lints] workspace = true`"));
+    }
+    if let Some(lib_rs) = lib_rs {
+        let headers: String =
+            lib_rs.split("#![warn(").skip(1).filter_map(|attr| attr.split(")]").next()).collect();
+        let print_lints = if name == "clapped-bench" { &[][..] } else { PRINT_LINTS };
+        let required = LIBRARY_HEADER.iter().chain(print_lints).copied();
+        let missing: Vec<&str> = required.filter(|lint| !headers.contains(lint)).collect();
+        if !missing.is_empty() {
+            let message = format!("`{name}` lib root must `#![warn({})]`", missing.join(", "));
+            report(manifest_path.replace("Cargo.toml", "src/lib.rs"), message);
+        }
+    }
+    findings
+}
+
+/// Parses every `crates/*/Cargo.toml`, checks the dependency DAG
+/// against the layer table, and checks that every crate is under the
+/// workspace's source rules.
 ///
 /// # Errors
 ///
@@ -126,6 +167,8 @@ pub fn lint_layering(root: &Path) -> io::Result<Vec<Finding>> {
             dir.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default()
         );
         findings.extend(check_crate(&name, &dependencies(&manifest), &rel));
+        let lib_rs = std::fs::read_to_string(dir.join("src/lib.rs")).ok();
+        findings.extend(check_lint_scope(&name, &manifest, lib_rs.as_deref(), &rel));
     }
     Ok(findings)
 }
@@ -195,7 +238,26 @@ proptest.workspace = true
         assert_eq!(dependencies(manifest), vec!["clapped-obs", "rand"]);
     }
 
-    /// The real workspace respects the layering.
+    #[test]
+    fn scope_guard_reports_missing_inheritance_and_header() {
+        let manifest = "[package]\nname = \"clapped-x\"\n\n[dependencies]\nrand = \"0.8\"\n";
+        let bench = "#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]\n";
+        let f = check_lint_scope("clapped-x", manifest, Some(bench), "crates/x/Cargo.toml");
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.iter().all(|f| f.rule == "lint-scope"));
+        assert_eq!([&f[0].path, &f[1].path], ["crates/x/Cargo.toml", "crates/x/src/lib.rs"]);
+        assert!(f[1].message.contains("clippy::print_stdout"), "{}", f[1].message);
+        assert!(!f[1].message.contains("clippy::unwrap_used"), "{}", f[1].message);
+
+        let inherited = format!("{manifest}\n[lints]\nworkspace = true\n");
+        let header = format!("{bench}#![warn({})]\n", PRINT_LINTS.join(", "));
+        assert!(check_lint_scope("clapped-x", &inherited, Some(&header), "x").is_empty());
+        assert!(check_lint_scope("clapped-x", &inherited, None, "x").is_empty(), "no library");
+        // The bench harness prints its reports: it needs no print lints.
+        assert!(check_lint_scope("clapped-bench", &inherited, Some(bench), "x").is_empty());
+    }
+
+    /// The real workspace respects the layering and the lint scope.
     #[test]
     fn workspace_layering_is_clean() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

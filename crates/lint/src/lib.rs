@@ -1,15 +1,18 @@
 //! Static analysis for the CLAppED workspace.
 //!
-//! Two analysis targets, both run as a CI gate (`clapped_lint --deny`)
+//! Three analysis targets, all run as a CI gate (`clapped_lint --deny`)
 //! and under `cargo test`:
 //!
-//! 1. **Source lints** ([`rules`], [`layering`]): lexical rules over the
-//!    workspace's own Rust sources enforcing its determinism and
-//!    robustness contract — no hash-ordered iteration near digests, no
-//!    wall-clock outside `clapped-obs`, no entropy-seeded RNGs, no
-//!    panicking shortcuts in library code — plus crate-layering checks
-//!    derived from each `Cargo.toml`. Escape hatch:
-//!    `// lint-allow(rule): reason`.
+//! 1. **Crate layering and lint scope** ([`layering`]): the dependency
+//!    DAG derived from each `Cargo.toml` must respect the layer ranking,
+//!    and every crate must stay under the workspace's source rules — it
+//!    inherits `[workspace.lints]` and its library root carries the
+//!    library lint header. The source rules themselves (no hash-ordered
+//!    iteration near digests, no wall-clock outside `clapped-obs`, no
+//!    entropy-seeded RNGs, no panicking shortcuts in library code) are
+//!    clippy lints, configured by the root `clippy.toml` and
+//!    `[workspace.lints.clippy]` table and enforced by
+//!    `cargo clippy --workspace --all-targets -- -D warnings`.
 //! 2. **Netlist structural lints** ([`netlists`], re-exported from
 //!    `clapped_netlist::lint`): every catalog operator's gate netlist is
 //!    checked for dangling fanins, combinational cycles, multiply-bound
@@ -21,151 +24,31 @@
 //!    exhaustive behavioural table — a proved worst-case error below an
 //!    observed error, or an exact-tier count disagreeing with the
 //!    table, fails the gate.
-//!
-//! The crate is intentionally dependency-light: the source scanner is a
-//! few hundred lines of hand-rolled lexer (the rustc-`tidy` approach),
-//! not a parser library.
+
+#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod errbounds;
 pub mod layering;
 pub mod netlists;
-pub mod rules;
-pub mod source;
 
 pub use clapped_netlist::{lint_netlist, live_cone, StructFinding, StructReport, StructSeverity};
 
-use source::SourceFile;
 use std::fmt;
-use std::io;
-use std::path::{Path, PathBuf};
 
-/// One source-level finding. All source findings are deny-worthy: the
-/// tolerated exceptions live in allow comments, not in a severity tier.
+/// One manifest-level finding. All are deny-worthy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (e.g. `hash-containers`).
+    /// Rule identifier (`layering` or `lint-scope`).
     pub rule: &'static str,
-    /// Workspace-relative path, `/`-separated.
+    /// Workspace-relative path of the offending file, `/`-separated.
     pub path: String,
-    /// 1-based line number (0 for file-level findings).
-    pub line: usize,
     /// Human-readable explanation with the suggested fix.
     pub message: String,
 }
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: [{}] {}", self.path, self.line, self.rule, self.message)
-    }
-}
-
-/// Recursively collects `*.rs` files under `dir`, appending
-/// workspace-relative paths to `out`.
-fn walk_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        // Missing subtrees (a crate without benches/) are fine.
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    let mut paths: Vec<PathBuf> = Vec::new();
-    for entry in entries {
-        paths.push(entry?.path());
-    }
-    // Deterministic traversal regardless of directory-entry order.
-    paths.sort();
-    for p in paths {
-        if p.is_dir() {
-            walk_rs(root, &p, out)?;
-        } else if p.extension().is_some_and(|e| e == "rs") {
-            out.push(p.strip_prefix(root).unwrap_or(&p).to_path_buf());
-        }
-    }
-    Ok(())
-}
-
-/// Lists every workspace-owned Rust source file (workspace-relative,
-/// `/`-separated): `crates/*/{src,tests,benches,examples}` plus the
-/// facade's `src/`. `vendor/` and `target/` are never entered.
-///
-/// # Errors
-///
-/// Propagates filesystem errors other than missing subtrees.
-pub fn workspace_sources(root: &Path) -> io::Result<Vec<String>> {
-    let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = Vec::new();
-    for entry in std::fs::read_dir(&crates_dir)? {
-        let p = entry?.path();
-        if p.is_dir() {
-            crate_dirs.push(p);
-        }
-    }
-    crate_dirs.sort();
-    for crate_dir in crate_dirs {
-        for sub in ["src", "tests", "benches", "examples"] {
-            walk_rs(root, &crate_dir.join(sub), &mut files)?;
-        }
-    }
-    walk_rs(root, &root.join("src"), &mut files)?;
-    Ok(files
-        .into_iter()
-        .map(|p| {
-            p.components()
-                .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/")
-        })
-        .collect())
-}
-
-/// Runs every source rule over every workspace source file plus the
-/// layering check, returning all findings sorted by path then line.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from reading sources or manifests.
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-    for rel in workspace_sources(root)? {
-        let content = std::fs::read_to_string(root.join(&rel))?;
-        findings.extend(rules::lint_file(&SourceFile::scan(rel, &content)));
-    }
-    findings.extend(layering::lint_layering(root)?);
-    findings.sort_by(|a, b| a.path.cmp(&b.path).then(a.line.cmp(&b.line)));
-    Ok(findings)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn repo_root() -> PathBuf {
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().expect("repo root")
-    }
-
-    #[test]
-    fn workspace_sources_finds_known_files() {
-        let files = workspace_sources(&repo_root()).expect("walk");
-        assert!(files.iter().any(|f| f == "crates/netlist/src/ir.rs"), "{files:?}");
-        assert!(files.iter().any(|f| f == "crates/lint/src/lib.rs"));
-        assert!(files.iter().any(|f| f == "src/lib.rs"), "facade src included");
-        assert!(files.iter().all(|f| !f.starts_with("vendor/")), "vendor never entered");
-        assert!(files.iter().all(|f| !f.starts_with("target/")));
-        // Deterministic order.
-        let again = workspace_sources(&repo_root()).expect("walk");
-        assert_eq!(files, again);
-    }
-
-    /// The gate itself: the workspace must be lint-clean. This is the
-    /// same check CI runs via `clapped_lint --deny`.
-    #[test]
-    fn workspace_is_lint_clean() {
-        let findings = lint_workspace(&repo_root()).expect("lint");
-        assert!(
-            findings.is_empty(),
-            "workspace has lint findings:\n{}",
-            findings.iter().map(|f| format!("  {f}\n")).collect::<String>()
-        );
+        write!(f, "{}: [{}] {}", self.path, self.rule, self.message)
     }
 }

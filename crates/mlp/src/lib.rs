@@ -1,7 +1,3 @@
-// Index-based loops over multiple coupled arrays are the clearest idiom
-// for the numeric kernels in this crate.
-#![allow(clippy::needless_range_loop)]
-
 //! From-scratch multi-layer perceptron (MLP) regression plus the quality
 //! metrics CLAppED reports (MAE and *fidelity*).
 //!
@@ -27,6 +23,10 @@
 //! let pred = model.predict(&[3.0, 4.0]);
 //! assert!((pred - 11.0).abs() < 1.0);
 //! ```
+
+#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![expect(clippy::needless_range_loop, reason = "index loops over coupled arrays read clearest")]
 
 mod metrics;
 mod net;

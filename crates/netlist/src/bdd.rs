@@ -7,13 +7,8 @@
 //! multiplier-like functions grow exponentially, so every entry point
 //! takes a node budget and fails gracefully when it is exhausted.
 
-// lint-allow-file(hash-containers): the unique table and operation caches
-// are keyed lookups, never iterated; node ids are allocated in insertion
-// order driven by the deterministic netlist walk.
-
-// lint-allow-file(no-silent-truncation): node ids and variable indices
-// are usize→u32 casts bounded far below 2^32 — node counts by the node
-// budget, variable counts by the netlist input width.
+#![expect(clippy::disallowed_types, reason = "keyed lookups, never iterated")]
+#![expect(clippy::cast_possible_truncation, reason = "node and variable ids stay far below 2^32")]
 
 use crate::ir::{Gate, Netlist};
 use crate::NetlistError;

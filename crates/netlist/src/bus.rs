@@ -581,7 +581,7 @@ mod tests {
                 let l_got = got & 0xFF;
                 let r_got = (got >> 8) & 0xFF;
                 assert_eq!(l_got, l_expect, "shl {v} by {s}");
-                assert_eq!(r_got, (v as u64 >> s) as i64 & 0xFF, "shr {v} by {s}");
+                assert_eq!(r_got, (v.cast_unsigned() >> s).cast_signed() & 0xFF, "shr {v} by {s}");
             }
         }
     }
@@ -598,12 +598,12 @@ mod tests {
         for v in 1..256i64 {
             let bools: Vec<bool> = (0..8).map(|k| (v >> k) & 1 == 1).collect();
             let out = n.simulate_bool(&bools).unwrap();
-            let msb = 63 - (v as u64).leading_zeros() as i64;
+            let msb = 63 - v.cast_unsigned().leading_zeros() as usize;
             for k in 0..8 {
-                assert_eq!(out[k], k as i64 == msb, "one-hot bit {k} for {v}");
+                assert_eq!(out[k], k == msb, "one-hot bit {k} for {v}");
             }
             assert!(out[8], "nonzero flag for {v}");
-            let mut enc_v = 0i64;
+            let mut enc_v = 0usize;
             for k in 0..3 {
                 if out[9 + k] {
                     enc_v |= 1 << k;

@@ -21,9 +21,8 @@
 //!    falls back to the interval bound when the node limit trips
 //!    (counted on `bdd.budget_exhausted`).
 
-// lint-allow-file(hash-containers): the congruence key table and the
-// complement map are keyed lookups, never iterated; class ids are
-// allocated in deterministic netlist walk order.
+#![warn(clippy::expect_used)]
+#![expect(clippy::disallowed_types, reason = "keyed lookups, never iterated")]
 
 use crate::bdd::BddManager;
 use crate::ir::{Gate, Netlist, SignalId};

@@ -16,6 +16,8 @@
 //! Application-level quality impact of these sites is measured one layer
 //! up, in `clapped-core`.
 
+#![warn(clippy::expect_used)]
+
 use crate::ir::{Netlist, SignalId};
 use crate::NetlistError;
 use rand::{RngCore, SeedableRng};
@@ -499,7 +501,7 @@ impl Netlist {
             for (k, (o, g)) in outs.iter().zip(gold).enumerate() {
                 let diff = (o ^ g) & lane_mask;
                 any_diff |= diff;
-                weighted += diff.count_ones() as f64 * (k as f64).exp2();
+                weighted += f64::from(diff.count_ones()) * (k as f64).exp2();
             }
             mismatched_lanes += any_diff.count_ones() as usize;
         }
@@ -540,6 +542,7 @@ impl Netlist {
         }
         for _ in 0..rounds {
             for (batch, gold) in input_batches.iter().zip(&golden) {
+                #[expect(clippy::cast_possible_truncation, reason = "below self.len(), a usize")]
                 let target = (rng.next_u64() % self.len() as u64) as usize;
                 let lanes = rng.next_u64();
                 if lanes == 0 {
@@ -551,8 +554,8 @@ impl Netlist {
                 for (o, g) in outs.iter().zip(gold) {
                     any_diff |= o ^ g;
                 }
-                flipped[target] += lanes.count_ones() as u64;
-                corrupted[target] += (any_diff & lanes).count_ones() as u64;
+                flipped[target] += u64::from(lanes.count_ones());
+                corrupted[target] += u64::from((any_diff & lanes).count_ones());
             }
         }
         Ok(corrupted

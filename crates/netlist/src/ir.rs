@@ -7,8 +7,22 @@ use std::fmt;
 /// Signal ids are dense indices into the netlist's gate array. Because
 /// builder methods only accept ids of gates that already exist, every
 /// netlist is a DAG by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SignalId(pub(crate) u32);
+
+// The order is written out because a derived `PartialOrd` calls
+// `partial_cmp`, which the workspace's `partial_cmp` rule forbids.
+impl Ord for SignalId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for SignalId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl SignalId {
     /// Returns the raw index of this signal.
@@ -20,8 +34,8 @@ impl SignalId {
     /// sites by position; operations that consume the id validate it
     /// against the target netlist and report out-of-range indices as
     /// [`crate::NetlistError::InvalidFaultSite`].
+    #[expect(clippy::cast_possible_truncation, reason = "consumers validate the index")]
     pub fn from_index(index: usize) -> SignalId {
-        // lint-allow(no-silent-truncation): netlists stay far below 2^32 signals; consumers validate the index
         SignalId(index as u32)
     }
 }

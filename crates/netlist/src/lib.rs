@@ -1,7 +1,3 @@
-// Index-based loops over multiple coupled arrays are the clearest idiom
-// for the numeric kernels in this crate.
-#![allow(clippy::needless_range_loop)]
-
 //! Gate-level netlist substrate: IR, simulation, optimization, LUT-K
 //! technology mapping, timing and power estimation.
 //!
@@ -35,6 +31,12 @@
 //! let report = synthesize(&n, &SynthConfig::default()).unwrap();
 //! assert!(report.lut_count > 0);
 //! ```
+
+#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![warn(clippy::disallowed_types, clippy::cast_lossless)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss)]
+#![expect(clippy::needless_range_loop, reason = "index loops over coupled arrays read clearest")]
 
 pub mod bdd;
 pub mod bus;

@@ -40,12 +40,26 @@
 use crate::ir::{Gate, Netlist, SignalId};
 
 /// Severity of a structural finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StructSeverity {
     /// Expected or benign on raw generator output; still worth surfacing.
     Warning,
     /// The netlist violates an invariant downstream layers rely on.
     Error,
+}
+
+// Declaration order, `Warning < Error`, written out because a derived
+// `PartialOrd` calls `partial_cmp`.
+impl Ord for StructSeverity {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (*self as u8).cmp(&(*other as u8))
+    }
+}
+
+impl PartialOrd for StructSeverity {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// One structural finding.
@@ -213,15 +227,15 @@ pub fn lint_netlist(netlist: &Netlist) -> StructReport {
         // indegree[g] = number of in-range fanins of g.
         let mut indegree = vec![0u32; n];
         for (i, gate) in netlist.gates().iter().enumerate() {
-            // lint-allow(no-silent-truncation): a gate has at most 3 fanins
-            indegree[i] = gate.fanins().filter(|f| f.index() < n).count() as u32;
+            #[expect(clippy::cast_possible_truncation, reason = "a gate has at most 3 fanins")]
+            let fanins = gate.fanins().filter(|f| f.index() < n).count() as u32;
+            indegree[i] = fanins;
         }
         let mut readers: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (i, gate) in netlist.gates().iter().enumerate() {
             for f in gate.fanins() {
                 if f.index() < n {
-                    // lint-allow(no-silent-truncation): gate index round-trips SignalId(u32)
-                    readers[f.index()].push(i as u32);
+                    readers[f.index()].push(SignalId::from_index(i).0);
                 }
             }
         }
@@ -381,7 +395,7 @@ pub fn lint_netlist(netlist: &Netlist) -> StructReport {
         }
     }
 
-    // lint-allow(no-silent-truncation): signal counts are bounded far below 2^32
+    #[expect(clippy::cast_possible_truncation, reason = "signal counts are bounded far below 2^32")]
     let readers: u32 = fanout.iter().filter(|&&c| c > 0).count() as u32;
     let stats = NetlistStats {
         gates: n,

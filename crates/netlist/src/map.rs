@@ -15,9 +15,7 @@
 //! candidates are pruned behind a signature pre-test, and each survivor's
 //! depth and area flow are computed once before ranking.
 
-// lint-allow-file(no-silent-truncation): cut leaves store gate indices
-// as u32; every cast round-trips a `SignalId(u32)` index through usize,
-// so the value always fits.
+#![expect(clippy::cast_possible_truncation, reason = "u32 gate indices round-trip usize")]
 
 use crate::ir::{Gate, Netlist, SignalId};
 use crate::sim::eval_gate;

@@ -5,9 +5,7 @@
 //! [`optimize`] is run before technology mapping so that the mapper never
 //! sees constants or buffers inside logic cones.
 
-// lint-allow-file(hash-containers): the CSE/const/inverter tables are keyed
-// lookup caches, never iterated; gate emission order comes from the input
-// netlist's topological walk, so the rebuilt netlist is deterministic.
+#![expect(clippy::disallowed_types, reason = "keyed lookup caches, never iterated")]
 
 use crate::ir::{Gate, Netlist, SignalId};
 use std::collections::HashMap;

@@ -133,7 +133,6 @@ pub fn estimate_power(mapped: &MappedNetlist, model: &PowerModel) -> crate::Resu
         for &(at, is_root, fo) in &nets {
             let [v] = vals[at];
             let x = v ^ (v >> 1);
-            // lint-allow(no-silent-truncation): masked to a single bit
             let flips = f64::from(x.count_ones() - ((v >> 63) & 1) as u32);
             transitions += 63.0;
             toggle_events += flips;

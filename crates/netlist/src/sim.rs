@@ -299,7 +299,7 @@ pub fn pack_bus_samples(samples: &[i64], width: usize) -> Vec<u64> {
     assert!(samples.len() <= 64, "at most 64 samples per word");
     let mut words = vec![0u64; width];
     for (lane, &v) in samples.iter().enumerate() {
-        let bits = v as u64;
+        let bits = v.cast_unsigned();
         for (k, word) in words.iter_mut().enumerate() {
             if (bits >> k) & 1 == 1 {
                 *word |= 1 << lane;
@@ -326,9 +326,9 @@ pub fn unpack_bus_samples(words: &[u64], count: usize, signed: bool) -> Vec<i64>
             }
             if signed && width > 0 && width < 64 && (v >> (width - 1)) & 1 == 1 {
                 // Sign-extend.
-                (v | (!0u64 << width)) as i64
+                (v | (!0u64 << width)).cast_signed()
             } else {
-                v as i64
+                v.cast_signed()
             }
         })
         .collect()

@@ -46,8 +46,8 @@ impl TimingModel {
             return self.boundary_delay_ns;
         }
         self.boundary_delay_ns
-            + depth as f64 * self.lut_delay_ns
-            + (depth.saturating_sub(1)) as f64 * self.net_delay_ns
+            + f64::from(depth) * self.lut_delay_ns
+            + f64::from(depth.saturating_sub(1)) * self.net_delay_ns
     }
 
     /// Critical path delay of a mapped netlist.

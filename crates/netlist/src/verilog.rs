@@ -83,8 +83,7 @@ pub fn to_verilog(netlist: &Netlist) -> String {
                 next_input += 1;
             }
             _ => {
-                // lint-allow(no-silent-truncation): gate index round-trips SignalId(u32)
-                let w = wire(SignalId(idx as u32));
+                let w = wire(SignalId::from_index(idx));
                 writeln!(v, "  wire {w};").expect("string write");
                 names.push(w);
             }

@@ -1,13 +1,15 @@
 //! Wall-clock facade: the only sanctioned doorway to `Instant`.
 //!
 //! CLAppED's determinism story forbids wall-clock reads outside this
-//! crate (the `wall-clock` source lint enforces it): a `Instant::now()`
-//! call sitting next to search or evaluation logic is one refactor away
-//! from steering a result. Code that legitimately needs elapsed time —
-//! span timing here, job-duration histograms in `clapped-exec`,
-//! wall-clock budgets in `clapped-dse` — goes through [`Stopwatch`] and
-//! [`Deadline`], which expose *durations* but never absolute
-//! timestamps, and keep every `Instant` token inside `clapped-obs`.
+//! module (the workspace's `disallowed_methods` clippy rule enforces
+//! it): an `Instant::now()` call sitting next to search or evaluation
+//! logic is one refactor away from steering a result. Code that
+//! legitimately needs elapsed time — span and trace timestamps in this
+//! crate, job-duration histograms in `clapped-exec`, wall-clock budgets
+//! in `clapped-dse`, the bench harnesses' timings — goes through
+//! [`Stopwatch`] and [`Deadline`], which expose *durations* but never
+//! absolute timestamps. [`Stopwatch::start`] and
+//! [`Stopwatch::elapsed`] are the workspace's only clock reads.
 
 use std::time::{Duration, Instant};
 
@@ -29,12 +31,14 @@ pub struct Stopwatch {
 impl Stopwatch {
     /// Starts a new stopwatch.
     #[inline]
+    #[expect(clippy::disallowed_methods, reason = "the workspace's one doorway to the clock")]
     pub fn start() -> Stopwatch {
         Stopwatch { start: Instant::now() }
     }
 
     /// Time elapsed since [`Stopwatch::start`].
     #[inline]
+    #[expect(clippy::disallowed_methods, reason = "the workspace's one doorway to the clock")]
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }

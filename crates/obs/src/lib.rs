@@ -35,6 +35,10 @@
 //! clapped_obs::disable();
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![warn(clippy::expect_used, clippy::disallowed_types)]
+
 pub mod clock;
 pub mod metrics;
 pub mod sink;
@@ -46,7 +50,6 @@ pub use sink::{emit_event, emit_point, flush};
 use std::cell::Cell;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -101,7 +104,7 @@ thread_local! {
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
-    start: Option<Instant>,
+    start: Option<Stopwatch>,
     depth: u32,
 }
 
@@ -121,7 +124,7 @@ pub fn span(name: &'static str) -> Span {
         d.set(v + 1);
         v
     });
-    Span { name, start: Some(Instant::now()), depth }
+    Span { name, start: Some(Stopwatch::start()), depth }
 }
 
 impl Drop for Span {
@@ -131,7 +134,7 @@ impl Drop for Span {
             return;
         };
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        let dur_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let dur_ns = start.elapsed_ns();
         metrics::observe(self.name, dur_ns);
         sink::emit_span(self.name, self.depth, dur_ns);
     }

@@ -91,7 +91,7 @@ pub struct Histogram {
 
 impl Histogram {
     const fn new() -> Histogram {
-        #[allow(clippy::declare_interior_mutable_const)]
+        #[expect(clippy::declare_interior_mutable_const, reason = "ZERO only seeds the array")]
         const ZERO: AtomicU64 = AtomicU64::new(0);
         Histogram {
             count: AtomicU64::new(0),

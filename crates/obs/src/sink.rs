@@ -24,17 +24,17 @@
 //! multiplexes hundreds of concurrent job streams and `grep`/`jq`
 //! demultiplexes them.
 
+use crate::Stopwatch;
 use serde_json::{json, Number, Value};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 struct Sink {
     writer: BufWriter<File>,
-    epoch: Instant,
+    epoch: Stopwatch,
 }
 
 static SINK: Mutex<Option<Sink>> = Mutex::new(None);
@@ -59,7 +59,7 @@ pub(crate) fn install(path: &Path) -> std::io::Result<()> {
     let file = File::create(path)?;
     let mut writer = BufWriter::new(file);
     writeln!(writer, "{}", json!({ "type": "start", "version": 1 }))?;
-    *SINK.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(Sink { writer, epoch: Instant::now() });
+    *SINK.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(Sink { writer, epoch: Stopwatch::start() });
     Ok(())
 }
 
@@ -69,16 +69,12 @@ fn with_sink(f: impl FnOnce(&mut Sink)) {
     }
 }
 
-fn elapsed_ns(sink: &Sink) -> u64 {
-    sink.epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
 pub(crate) fn emit_span(name: &str, depth: u32, dur_ns: u64) {
     with_sink(|sink| {
         let record = json!({
             "type": "span",
             "name": name,
-            "t_ns": elapsed_ns(sink),
+            "t_ns": sink.epoch.elapsed_ns(),
             "dur_ns": dur_ns,
             "depth": depth,
             "thread": thread_id(),
@@ -98,7 +94,7 @@ pub fn emit_point(name: &str, fields: &[(&str, f64)]) {
         let mut map = serde_json::Map::new();
         map.insert("type".to_string(), Value::String("point".to_string()));
         map.insert("name".to_string(), Value::String(name.to_string()));
-        map.insert("t_ns".to_string(), Value::from(elapsed_ns(sink)));
+        map.insert("t_ns".to_string(), Value::from(sink.epoch.elapsed_ns()));
         for &(key, v) in fields {
             let value = Number::from_f64(v).map(Value::Number).unwrap_or(Value::Null);
             map.insert(key.to_string(), value);
@@ -122,7 +118,7 @@ pub fn emit_event(name: &str, labels: &[(&str, &str)], fields: &[(&str, f64)]) {
         let mut map = serde_json::Map::new();
         map.insert("type".to_string(), Value::String("event".to_string()));
         map.insert("name".to_string(), Value::String(name.to_string()));
-        map.insert("t_ns".to_string(), Value::from(elapsed_ns(sink)));
+        map.insert("t_ns".to_string(), Value::from(sink.epoch.elapsed_ns()));
         let reserved = |key: &str| matches!(key, "type" | "name" | "t_ns");
         for &(key, v) in labels {
             if !reserved(key) {
@@ -152,7 +148,7 @@ pub(crate) fn close() {
     if let Some(mut sink) = guard.take() {
         let record = json!({
             "type": "metrics",
-            "t_ns": elapsed_ns(&sink),
+            "t_ns": sink.epoch.elapsed_ns(),
             "metrics": crate::metrics::snapshot_json(),
         });
         let _ = writeln!(sink.writer, "{record}");

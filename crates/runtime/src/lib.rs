@@ -46,6 +46,10 @@
 //! reconfiguration log, chained output digest), and a checkpoint only
 //! needs the controller state, not an RNG word position.
 
+#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![warn(clippy::expect_used)]
+
 mod ladder;
 mod monitor;
 mod sla;

@@ -25,6 +25,10 @@
 //! * [`server`] — listener, connection handling, worker shards.
 //! * [`client`] — a small blocking client for tools and tests.
 
+#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![warn(clippy::expect_used)]
+
 mod client;
 mod jobstore;
 mod protocol;
@@ -35,6 +39,7 @@ pub use client::Client;
 pub use jobstore::JobStore;
 pub use protocol::{
     ErrorCode, JobSpec, JobState, JobStatus, ParetoEntry, Reply, Request, ServerStats,
+    MAX_PHASE_SIZE,
 };
 pub use queue::FairQueue;
 pub use server::{Listen, Server, ServerConfig};

@@ -30,6 +30,12 @@ use serde_json::{json, Value};
 /// Default bound on one request line (bytes, newline included).
 pub const DEFAULT_MAX_REQUEST_BYTES: usize = 1 << 20;
 
+/// Upper bound on each MBO phase size a job spec may request: its
+/// `initial_samples`, `batch` and `candidates`. A phase collects that
+/// many configurations at once, so an unbounded size would let one
+/// submit exhaust a worker's memory.
+pub const MAX_PHASE_SIZE: usize = 4096;
+
 /// Structured protocol error codes, stable across releases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
@@ -184,6 +190,15 @@ impl JobSpec {
         }
         if spec.mbo.batch == 0 || spec.mbo.candidates == 0 || spec.mbo.initial_samples == 0 {
             return Err(bad_spec("mbo batch, candidates and initial_samples must be positive"));
+        }
+        for (name, size) in [
+            ("initial_samples", spec.mbo.initial_samples),
+            ("batch", spec.mbo.batch),
+            ("candidates", spec.mbo.candidates),
+        ] {
+            if size > MAX_PHASE_SIZE {
+                return Err(bad_spec(format!("mbo {name} {size} exceeds {MAX_PHASE_SIZE}")));
+            }
         }
         if spec.mbo.planned_evaluations().is_none() {
             return Err(bad_spec("mbo initial_samples + iterations * batch overflows"));

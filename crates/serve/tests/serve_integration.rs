@@ -353,6 +353,18 @@ fn malformed_oversized_and_half_closed_requests_get_structured_replies() {
         other => panic!("expected bad-spec error, got {other:?}"),
     }
     client.ping().expect("connection survives an overflowing plan");
+    // And so is any phase above `MAX_PHASE_SIZE`: a phase collects that
+    // many configurations at once, so its first step would abort.
+    for field in 0..3 {
+        let mut oversized = job_spec(1, 0);
+        let mbo = &mut oversized.mbo;
+        *[&mut mbo.initial_samples, &mut mbo.batch, &mut mbo.candidates][field] = usize::MAX / 2;
+        match client.submit("t", oversized) {
+            Err(ServeError::Remote { code, .. }) => assert_eq!(code, ErrorCode::BadSpec),
+            other => panic!("expected bad-spec for phase field {field}, got {other:?}"),
+        }
+        client.ping().expect("the daemon keeps serving after an oversized phase");
+    }
 
     server.shutdown();
     server.join();

@@ -27,8 +27,9 @@
 //!   content-addressed result caching.
 //! - [`obs`] — structured tracing and metrics (spans, counters, JSONL
 //!   trace sink; enabled with `--trace` in the examples).
-//! - [`lint`] — static analysis: workspace source/layering lints and
-//!   netlist structural lints (the `clapped_lint` CI gate).
+//! - [`lint`] — static analysis: crate layering and lint-scope checks,
+//!   netlist structural lints and the error-bound soundness gate (the
+//!   `clapped_lint` CI gate; the source rules are clippy lints).
 //! - [`core`] — the CLAppED framework façade wiring all stages together.
 //! - [`serve`] — DSE-as-a-service: a multi-tenant daemon with a fair job
 //!   queue, sharded workers, and crash-safe checkpointed sessions.
@@ -41,6 +42,9 @@
 //! let catalog = Catalog::standard();
 //! assert!(catalog.len() >= 8);
 //! ```
+
+#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub use clapped_accel as accel;
 pub use clapped_axops as axops;
