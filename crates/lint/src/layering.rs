@@ -10,9 +10,9 @@
 //!
 //! **Lint scope.** The source rules are clippy lints, which bind only a
 //! crate that opts in: its manifest must inherit `[workspace.lints]`
-//! and its library root must enable [`LIBRARY_HEADER`] and
-//! [`PRINT_LINTS`] in `#![warn(...)]` headers. Without this guard a new
-//! crate would fall outside the rules silently.
+//! and its library root must enable `LIBRARY_HEADER` and `PRINT_LINTS`
+//! in `#![warn(...)]` headers. Without this guard a new crate would
+//! fall outside the rules silently.
 
 use crate::Finding;
 use std::io;
@@ -41,11 +41,11 @@ const LAYERS: &[(&str, u32)] = &[
 
 /// The lints every library root enables in its `#![warn(...)]` header:
 /// no `unwrap` and no test functions outside a `#[cfg(test)]` module.
-pub const LIBRARY_HEADER: &[&str] = &["clippy::unwrap_used", "clippy::tests_outside_test_module"];
+const LIBRARY_HEADER: &[&str] = &["clippy::unwrap_used", "clippy::tests_outside_test_module"];
 
 /// The header's print lints, required of every library root except
 /// `clapped-bench`, which prints its reports.
-pub const PRINT_LINTS: &[&str] =
+const PRINT_LINTS: &[&str] =
     &["clippy::print_stdout", "clippy::print_stderr", "clippy::dbg_macro"];
 
 fn rank(name: &str) -> Option<u32> {
