@@ -419,7 +419,6 @@ impl<V: Clone + CacheCodec> ResultCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::SystemTime;
 
     #[test]
     fn warm_cache_skips_recompute() {
@@ -558,9 +557,11 @@ mod tests {
         let cache: ResultCache<Vec<f64>> = ResultCache::with_disk(8, &dir);
         let mixed = cache.mixed(4);
         let lock = dir.join(format!("{mixed:016x}.lock"));
-        // A lock last touched past the TTL is a killed writer's residue.
+        // A lock last touched just past the TTL is a killed writer's
+        // residue. Its age is set from its own mtime, not the clock.
         let planted = std::fs::File::create(&lock).unwrap();
-        planted.set_modified(SystemTime::UNIX_EPOCH).unwrap();
+        let created = planted.metadata().unwrap().modified().unwrap();
+        planted.set_modified(created - LOCK_TTL - Duration::from_secs(1)).unwrap();
         drop(planted);
         cache.insert(4, vec![7.0, 8.0]);
         assert_eq!(cache.stats().lock_contention, 0, "stale lock is broken, not contended");

@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Runs all three analysis targets — the layering and lint-scope checks
-//! over the workspace's crate manifests, the structural lints over
-//! every catalog operator netlist (raw and optimized), and the
+//! over the workspace's manifests and lint headers, the structural
+//! lints over every catalog operator netlist (raw and optimized), and the
 //! error-bound soundness gate (proved bounds cross-checked against
 //! every operator's exhaustive table) — then prints a human-readable
 //! report, or one JSON document with `--json`. With `--deny`, any
@@ -17,7 +17,7 @@
 use clapped_lint::errbounds::{errbound_catalog, gate_config, ErrBoundReport};
 use clapped_lint::netlists::{lint_catalog, OpReport};
 use clapped_lint::layering::lint_layering;
-use clapped_lint::{Finding, StructSeverity};
+use clapped_lint::StructSeverity;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -49,39 +49,20 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn findings_json(findings: &[Finding]) -> serde_json::Value {
-    serde_json::Value::Array(
-        findings
-            .iter()
-            .map(|f| {
-                serde_json::json!({
-                    "rule": f.rule,
-                    "path": f.path,
-                    "message": f.message,
-                })
-            })
-            .collect(),
-    )
-}
-
 fn op_json(r: &OpReport) -> serde_json::Value {
     let struct_findings = |rep: &clapped_lint::StructReport| {
-        serde_json::Value::Array(
-            rep.findings
-                .iter()
-                .map(|f| {
-                    serde_json::json!({
-                        "rule": f.rule,
-                        "severity": match f.severity {
-                            StructSeverity::Error => "error",
-                            StructSeverity::Warning => "warning",
-                        },
-                        "signal": f.signal.map(|s| s.index()),
-                        "message": f.message,
-                    })
-                })
-                .collect(),
-        )
+        let findings = rep.findings.iter().map(|f| {
+            serde_json::json!({
+                "rule": f.rule,
+                "severity": match f.severity {
+                    StructSeverity::Error => "error",
+                    StructSeverity::Warning => "warning",
+                },
+                "signal": f.signal.map(|s| s.index()),
+                "message": f.message,
+            })
+        });
+        findings.collect::<Vec<_>>()
     };
     serde_json::json!({
         "name": r.name,
@@ -143,7 +124,11 @@ fn main() -> ExitCode {
     if args.json {
         let doc = serde_json::json!({
             "layering": {
-                "findings": findings_json(&findings),
+                "findings": findings.iter().map(|f| serde_json::json!({
+                    "rule": f.rule,
+                    "path": f.path,
+                    "message": f.message,
+                })).collect::<Vec<_>>(),
                 "count": findings.len(),
             },
             "netlists": {

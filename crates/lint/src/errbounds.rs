@@ -26,7 +26,7 @@
 
 #![warn(clippy::expect_used)]
 
-use clapped_axops::adders::{standard_adders, Add8s, AddArch};
+use clapped_axops::adders::{standard_adders, Add8s, AddArch, AxAdd};
 use clapped_axops::{build_mul_table, Catalog, Mul8s, MulArch};
 use clapped_netlist::{analyze_error_bounds, ErrBoundConfig, ErrorBounds, Netlist};
 
@@ -121,36 +121,36 @@ fn observed_error(table: &[i16], ideal: impl Fn(i8, i8) -> i32) -> (u64, u64) {
     (max_abs, mismatches)
 }
 
+/// Analyzes one operator and checks its bounds against the
+/// `observed_error` of its table.
 fn report_for(
     name: &str,
     netlist: &Netlist,
     reference: &Netlist,
     cfg: &ErrBoundConfig,
-    observed_max_abs: u64,
-    observed_mismatches: u64,
+    (observed_max_abs, observed_mismatches): (u64, u64),
 ) -> ErrBoundReport {
-    match analyze_error_bounds(netlist, reference, cfg) {
-        Ok(bounds) => {
-            let violations = check_operator_bounds(&bounds, observed_max_abs, observed_mismatches);
-            let exact_mode = bounds.exact.is_some();
-            ErrBoundReport {
-                name: name.to_string(),
-                bounds: Some(bounds),
-                observed_max_abs,
-                observed_mismatches,
-                exact_mode,
-                violations,
-            }
+    let (bounds, violations) = match analyze_error_bounds(netlist, reference, cfg) {
+        Ok(b) => {
+            let violations = check_operator_bounds(&b, observed_max_abs, observed_mismatches);
+            (Some(b), violations)
         }
-        Err(e) => ErrBoundReport {
-            name: name.to_string(),
-            bounds: None,
-            observed_max_abs,
-            observed_mismatches,
-            exact_mode: false,
-            violations: vec![format!("error-bound analysis failed: {e}")],
-        },
+        Err(e) => (None, vec![format!("error-bound analysis failed: {e}")]),
+    };
+    ErrBoundReport {
+        name: name.to_string(),
+        exact_mode: bounds.as_ref().is_some_and(|b| b.exact.is_some()),
+        bounds,
+        observed_max_abs,
+        observed_mismatches,
+        violations,
     }
+}
+
+/// The exhaustive sum table of an adder, indexed like
+/// [`build_mul_table`]: `a` in the high byte, `b` in the low byte.
+fn add_table(adder: &AxAdd) -> Vec<i16> {
+    (0..1usize << 16).map(|idx| adder.add((idx >> 8) as u8 as i8, idx as u8 as i8)).collect()
 }
 
 /// Runs the error-bound gate over the full standard catalog
@@ -167,34 +167,12 @@ pub fn errbound_catalog(cfg: &ErrBoundConfig) -> Vec<ErrBoundReport> {
     let mut reports = Vec::new();
     for m in catalog.iter() {
         let table = build_mul_table(m.netlist());
-        let (max_abs, mismatches) =
-            observed_error(&table, |a, b| i32::from(a) * i32::from(b));
-        reports.push(report_for(
-            Mul8s::name(&**m),
-            m.netlist(),
-            &mul_ref,
-            cfg,
-            max_abs,
-            mismatches,
-        ));
+        let observed = observed_error(&table, |a, b| i32::from(a) * i32::from(b));
+        reports.push(report_for(Mul8s::name(&**m), m.netlist(), &mul_ref, cfg, observed));
     }
     for a in standard_adders() {
-        let mut table = vec![0i16; 1 << 16];
-        for (idx, slot) in table.iter_mut().enumerate() {
-            let x = (idx >> 8) as u8 as i8;
-            let y = (idx & 0xff) as u8 as i8;
-            *slot = a.add(x, y);
-        }
-        let (max_abs, mismatches) =
-            observed_error(&table, |x, y| i32::from(x) + i32::from(y));
-        reports.push(report_for(
-            Add8s::name(&*a),
-            a.netlist(),
-            &add_ref,
-            cfg,
-            max_abs,
-            mismatches,
-        ));
+        let observed = observed_error(&add_table(&a), |x, y| i32::from(x) + i32::from(y));
+        reports.push(report_for(Add8s::name(&*a), a.netlist(), &add_ref, cfg, observed));
     }
     reports
 }
@@ -244,15 +222,8 @@ mod tests {
         let cfg = ErrBoundConfig { bdd_node_limit: 400_000, signed_outputs: true };
         let add_ref = AddArch::Exact.build_netlist();
         for a in standard_adders() {
-            let mut table = vec![0i16; 1 << 16];
-            for (idx, slot) in table.iter_mut().enumerate() {
-                let x = (idx >> 8) as u8 as i8;
-                let y = (idx & 0xff) as u8 as i8;
-                *slot = a.add(x, y);
-            }
-            let (max_abs, mismatches) =
-                observed_error(&table, |x, y| i32::from(x) + i32::from(y));
-            let r = report_for(Add8s::name(&*a), a.netlist(), &add_ref, &cfg, max_abs, mismatches);
+            let observed = observed_error(&add_table(&a), |x, y| i32::from(x) + i32::from(y));
+            let r = report_for(Add8s::name(&*a), a.netlist(), &add_ref, &cfg, observed);
             assert!(r.is_clean(), "{}: {:?}", r.name, r.violations);
             assert!(r.exact_mode, "{}: adder miters must fit a 400k budget", r.name);
         }

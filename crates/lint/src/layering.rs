@@ -1,5 +1,4 @@
-//! Crate-layering lint and lint-scope guard, both read from each
-//! crate's `Cargo.toml`.
+//! Crate-layering lint and lint-scope guard.
 //!
 //! **Layering.** Each workspace crate sits in a numbered layer; a crate
 //! may depend only on crates in **strictly lower** layers.
@@ -8,11 +7,12 @@
 //! inversions — say, `clapped-netlist` growing a dependency on
 //! `clapped-dse` — a lint error instead of a slow architectural drift.
 //!
-//! **Lint scope.** The source rules are clippy lints, which bind only a
-//! crate that opts in: its manifest must inherit `[workspace.lints]`
-//! and its library root must enable `LIBRARY_HEADER` and `PRINT_LINTS`
-//! in `#![warn(...)]` headers. Without this guard a new crate would
-//! fall outside the rules silently.
+//! **Lint scope.** The source rules are clippy lints, which bind only
+//! code that opts in. Every manifest, the root package's included, must
+//! inherit `[workspace.lints]`, and `LINT_SCOPE` is the one record of
+//! the scoped rules: each library root and scoped module with the lints
+//! its `#![warn(...)]` headers must name. Without this guard, deleting
+//! a header line or adding a crate would narrow a rule silently.
 
 use crate::Finding;
 use std::io;
@@ -39,17 +39,58 @@ const LAYERS: &[(&str, u32)] = &[
     ("clapped-bench", 9),
 ];
 
-/// The lints every library root enables in its `#![warn(...)]` header:
-/// no `unwrap` and no test functions outside a `#[cfg(test)]` module.
-const LIBRARY_HEADER: &[&str] = &["clippy::unwrap_used", "clippy::tests_outside_test_module"];
+// Lint groups the scoped files' `#![warn(...)]` headers name: the
+// library header (every library root), the print lints (every library
+// root but bench's, which prints its reports), no `expect` (the
+// panic-free layers), and no `HashMap`/`HashSet` or silent truncation
+// (next to digests, checkpoints and tables).
+const LIBRARY: &[&str] = &["clippy::unwrap_used", "clippy::tests_outside_test_module"];
+const PRINT: &[&str] = &["clippy::print_stdout", "clippy::print_stderr", "clippy::dbg_macro"];
+const EXPECT: &[&str] = &["clippy::expect_used"];
+const HASH: &[&str] = &["clippy::disallowed_types"];
+const CASTS: &[&str] = &[
+    "clippy::cast_possible_truncation",
+    "clippy::cast_possible_wrap",
+    "clippy::cast_sign_loss",
+    "clippy::cast_lossless",
+];
 
-/// The header's print lints, required of every library root except
-/// `clapped-bench`, which prints its reports.
-const PRINT_LINTS: &[&str] =
-    &["clippy::print_stdout", "clippy::print_stderr", "clippy::dbg_macro"];
+/// Where the scoped source rules apply: each file, workspace-relative,
+/// with the lint groups its headers must name. A header on a library
+/// root covers its whole crate. Every library root needs an entry, and
+/// every entry's file must exist.
+const LINT_SCOPE: &[(&str, &[&[&str]])] = &[
+    ("src/lib.rs", &[LIBRARY, PRINT]),
+    ("crates/accel/src/lib.rs", &[LIBRARY, PRINT, EXPECT]),
+    ("crates/axops/src/lib.rs", &[LIBRARY, PRINT]),
+    ("crates/axops/src/fault.rs", &[HASH]),
+    ("crates/axops/src/gen.rs", &[EXPECT]),
+    ("crates/axops/src/table.rs", &[HASH, CASTS]),
+    ("crates/bench/src/lib.rs", &[LIBRARY]),
+    ("crates/core/src/lib.rs", &[LIBRARY, PRINT, EXPECT]),
+    ("crates/dse/src/lib.rs", &[LIBRARY, PRINT]),
+    ("crates/dse/src/checkpoint.rs", &[EXPECT, HASH]),
+    ("crates/errmodel/src/lib.rs", &[LIBRARY, PRINT]),
+    ("crates/exec/src/lib.rs", &[LIBRARY, PRINT, EXPECT, HASH, CASTS]),
+    ("crates/imgproc/src/lib.rs", &[LIBRARY, PRINT]),
+    ("crates/la/src/lib.rs", &[LIBRARY, PRINT]),
+    ("crates/lint/src/lib.rs", &[LIBRARY, PRINT]),
+    ("crates/lint/src/errbounds.rs", &[EXPECT]),
+    ("crates/mlp/src/lib.rs", &[LIBRARY, PRINT]),
+    ("crates/netlist/src/lib.rs", &[LIBRARY, PRINT, HASH, CASTS]),
+    ("crates/netlist/src/errbound.rs", &[EXPECT]),
+    ("crates/netlist/src/fault.rs", &[EXPECT]),
+    ("crates/obs/src/lib.rs", &[LIBRARY, PRINT, EXPECT, HASH]),
+    ("crates/runtime/src/lib.rs", &[LIBRARY, PRINT, EXPECT]),
+    ("crates/serve/src/lib.rs", &[LIBRARY, PRINT, EXPECT]),
+];
 
 fn rank(name: &str) -> Option<u32> {
     LAYERS.iter().find(|(n, _)| *n == name).map(|&(_, r)| r)
+}
+
+fn finding(rule: &'static str, path: &str, message: String) -> Finding {
+    Finding { rule, path: path.to_string(), message }
 }
 
 /// The trimmed, non-comment lines of one `[table]` of a manifest.
@@ -78,97 +119,98 @@ fn dependencies(manifest: &str) -> Vec<String> {
 /// Exposed (crate-visible) so tests can seed violations without a
 /// filesystem fixture.
 pub(crate) fn check_crate(name: &str, deps: &[String], manifest_path: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
     let Some(my_rank) = rank(name) else {
-        findings.push(Finding {
-            rule: "layering",
-            path: manifest_path.to_string(),
-            message: format!(
-                "crate `{name}` is not in the layer table; add it to LAYERS in \
-                 crates/lint/src/layering.rs with its rank"
-            ),
-        });
-        return findings;
+        let message = format!(
+            "crate `{name}` is not in the layer table; add it to LAYERS in \
+             crates/lint/src/layering.rs with its rank"
+        );
+        return vec![finding("layering", manifest_path, message)];
     };
-    for dep in deps {
-        let Some(dep_rank) = rank(dep) else {
-            // Vendored / external dependency: out of scope.
-            continue;
-        };
-        if dep_rank >= my_rank {
-            findings.push(Finding {
-                rule: "layering",
-                path: manifest_path.to_string(),
-                message: format!(
-                    "`{name}` (layer {my_rank}) must not depend on `{dep}` (layer \
-                     {dep_rank}): dependencies may only point at strictly lower layers"
-                ),
-            });
-        }
-    }
-    findings
+    // Vendored / external dependencies have no rank: out of scope.
+    deps.iter()
+        .filter_map(|dep| Some((dep, rank(dep)?)))
+        .filter(|&(_, dep_rank)| dep_rank >= my_rank)
+        .map(|(dep, dep_rank)| {
+            let message = format!(
+                "`{name}` (layer {my_rank}) must not depend on `{dep}` (layer \
+                 {dep_rank}): dependencies may only point at strictly lower layers"
+            );
+            finding("layering", manifest_path, message)
+        })
+        .collect()
 }
 
-/// Checks that one crate is under the source rules: its manifest
-/// inherits `[workspace.lints]` and its library root, if any, names the
-/// library lints in its `#![warn(...)]` headers.
-pub(crate) fn check_lint_scope(
-    name: &str,
-    manifest: &str,
-    lib_rs: Option<&str>,
-    manifest_path: &str,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut report = |path: String, message: String| {
-        findings.push(Finding { rule: "lint-scope", path, message });
-    };
-    if !table(manifest, "[lints]").any(|line| line.replace(' ', "") == "workspace=true") {
-        report(manifest_path.to_string(), format!("`{name}` must set `[lints] workspace = true`"));
-    }
-    if let Some(lib_rs) = lib_rs {
-        let headers: String =
-            lib_rs.split("#![warn(").skip(1).filter_map(|attr| attr.split(")]").next()).collect();
-        let print_lints = if name == "clapped-bench" { &[][..] } else { PRINT_LINTS };
-        let required = LIBRARY_HEADER.iter().chain(print_lints).copied();
-        let missing: Vec<&str> = required.filter(|lint| !headers.contains(lint)).collect();
-        if !missing.is_empty() {
-            let message = format!("`{name}` lib root must `#![warn({})]`", missing.join(", "));
-            report(manifest_path.replace("Cargo.toml", "src/lib.rs"), message);
-        }
-    }
-    findings
+/// Checks that a manifest sets `[lints] workspace = true`.
+pub(crate) fn check_inherits(name: &str, manifest: &str, manifest_path: &str) -> Option<Finding> {
+    let inherits = table(manifest, "[lints]").any(|line| line.replace(' ', "") == "workspace=true");
+    let message = format!("`{name}` must set `[lints] workspace = true`");
+    (!inherits).then(|| finding("lint-scope", manifest_path, message))
 }
 
-/// Parses every `crates/*/Cargo.toml`, checks the dependency DAG
-/// against the layer table, and checks that every crate is under the
-/// workspace's source rules.
+/// Checks that a library root has a `LINT_SCOPE` entry.
+pub(crate) fn check_listed(lib_path: &str) -> Option<Finding> {
+    let message = "library root has no entry in LINT_SCOPE (crates/lint/src/layering.rs)";
+    let listed = LINT_SCOPE.iter().any(|&(file, _)| file == lib_path);
+    (!listed).then(|| finding("lint-scope", lib_path, message.to_string()))
+}
+
+/// Checks that a file's `#![warn(...)]` header lines name every lint of
+/// the `required` groups. Comments and other attributes do not count.
+pub(crate) fn check_header(path: &str, source: &str, required: &[&[&str]]) -> Option<Finding> {
+    let warned: Vec<&str> = source
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("#![warn(")?.strip_suffix(")]"))
+        .flat_map(|lints| lints.split(',').map(str::trim))
+        .collect();
+    let missing: Vec<&str> =
+        required.concat().into_iter().filter(|lint| !warned.contains(lint)).collect();
+    let message = format!("must `#![warn({})]`", missing.join(", "));
+    (!missing.is_empty()).then(|| finding("lint-scope", path, message))
+}
+
+/// Parses the root and every `crates/*/Cargo.toml`, checks the
+/// dependency DAG against the layer table, and checks the lint scope:
+/// every manifest inherits the workspace lints, every library root is
+/// in `LINT_SCOPE`, and every scoped file carries its headers.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors reading the manifests.
+/// Propagates filesystem errors reading the manifests and scoped files.
 pub fn lint_layering(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-    let mut crate_dirs: Vec<std::path::PathBuf> = Vec::new();
+    let root_manifest = std::fs::read_to_string(root.join("Cargo.toml"))?;
+    let mut findings: Vec<Finding> =
+        check_inherits("clapped", &root_manifest, "Cargo.toml").into_iter().collect();
+    findings.extend(check_listed("src/lib.rs"));
+    let mut crate_dirs: Vec<String> = Vec::new();
     for entry in std::fs::read_dir(root.join("crates"))? {
-        let p = entry?.path();
-        if p.join("Cargo.toml").is_file() {
-            crate_dirs.push(p);
-        }
+        crate_dirs.push(entry?.file_name().to_string_lossy().into_owned());
     }
     crate_dirs.sort();
     for dir in crate_dirs {
-        let manifest = std::fs::read_to_string(dir.join("Cargo.toml"))?;
+        let rel = format!("crates/{dir}/Cargo.toml");
+        if !root.join(&rel).is_file() {
+            continue;
+        }
+        let manifest = std::fs::read_to_string(root.join(&rel))?;
         let name = manifest
             .lines()
             .find_map(|l| l.trim().strip_prefix("name = ").map(|v| v.trim_matches('"').to_string()))
             .unwrap_or_default();
-        let rel = format!(
-            "crates/{}/Cargo.toml",
-            dir.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default()
-        );
         findings.extend(check_crate(&name, &dependencies(&manifest), &rel));
-        let lib_rs = std::fs::read_to_string(dir.join("src/lib.rs")).ok();
-        findings.extend(check_lint_scope(&name, &manifest, lib_rs.as_deref(), &rel));
+        findings.extend(check_inherits(&name, &manifest, &rel));
+        let lib_rs = format!("crates/{dir}/src/lib.rs");
+        if root.join(&lib_rs).is_file() {
+            findings.extend(check_listed(&lib_rs));
+        }
+    }
+    for &(file, required) in LINT_SCOPE {
+        match std::fs::read_to_string(root.join(file)) {
+            Ok(source) => findings.extend(check_header(file, &source, required)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                findings.push(finding("lint-scope", file, "is in LINT_SCOPE but missing".into()));
+            }
+            Err(e) => return Err(e),
+        }
     }
     Ok(findings)
 }
@@ -241,20 +283,39 @@ proptest.workspace = true
     #[test]
     fn scope_guard_reports_missing_inheritance_and_header() {
         let manifest = "[package]\nname = \"clapped-x\"\n\n[dependencies]\nrand = \"0.8\"\n";
-        let bench = "#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]\n";
-        let f = check_lint_scope("clapped-x", manifest, Some(bench), "crates/x/Cargo.toml");
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().all(|f| f.rule == "lint-scope"));
-        assert_eq!([&f[0].path, &f[1].path], ["crates/x/Cargo.toml", "crates/x/src/lib.rs"]);
-        assert!(f[1].message.contains("clippy::print_stdout"), "{}", f[1].message);
-        assert!(!f[1].message.contains("clippy::unwrap_used"), "{}", f[1].message);
-
+        let f = check_inherits("clapped-x", manifest, "crates/x/Cargo.toml").expect("no [lints]");
+        assert_eq!((f.rule, f.path.as_str()), ("lint-scope", "crates/x/Cargo.toml"));
         let inherited = format!("{manifest}\n[lints]\nworkspace = true\n");
-        let header = format!("{bench}#![warn({})]\n", PRINT_LINTS.join(", "));
-        assert!(check_lint_scope("clapped-x", &inherited, Some(&header), "x").is_empty());
-        assert!(check_lint_scope("clapped-x", &inherited, None, "x").is_empty(), "no library");
+        assert_eq!(check_inherits("clapped-x", &inherited, "x"), None);
+        // A new crate's library root must be entered in the table.
+        assert!(check_listed("crates/x/src/lib.rs").is_some());
+        assert_eq!(check_listed("crates/exec/src/lib.rs"), None);
+
+        let bench = "#![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]\n";
+        let f = check_header("x", bench, &[LIBRARY, PRINT]).expect("no print lints");
+        assert!(f.message.contains("clippy::print_stdout"), "{}", f.message);
+        assert!(!f.message.contains("clippy::unwrap_used"), "{}", f.message);
         // The bench harness prints its reports: it needs no print lints.
-        assert!(check_lint_scope("clapped-bench", &inherited, Some(bench), "x").is_empty());
+        assert_eq!(check_header("x", bench, &[LIBRARY]), None);
+        // A commented-out header line does not count.
+        let commented = format!("{bench}// #![warn({})]\n", PRINT.join(", "));
+        assert!(check_header("x", &commented, &[LIBRARY, PRINT]).is_some());
+
+        // Deleting one header line of a scoped file narrows a rule: the
+        // guard must name the lints it carried.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for (file, gone) in [
+            ("crates/exec/src/lib.rs", "clippy::expect_used"),
+            ("crates/axops/src/table.rs", "clippy::cast_possible_truncation"),
+            ("crates/dse/src/checkpoint.rs", "clippy::disallowed_types"),
+        ] {
+            let source = std::fs::read_to_string(root.join(file)).expect("read scoped file");
+            let required = LINT_SCOPE.iter().find(|&&(f, _)| f == file).expect("listed").1;
+            assert_eq!(check_header(file, &source, required), None, "{file} is in scope");
+            let seeded: Vec<&str> = source.lines().filter(|line| !line.contains(gone)).collect();
+            let f = check_header(file, &seeded.join("\n"), required).expect("line deleted");
+            assert!(f.path == file && f.message.contains(gone), "{f:?}");
+        }
     }
 
     /// The real workspace respects the layering and the lint scope.

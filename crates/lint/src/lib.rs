@@ -5,9 +5,10 @@
 //!
 //! 1. **Crate layering and lint scope** ([`layering`]): the dependency
 //!    DAG derived from each `Cargo.toml` must respect the layer ranking,
-//!    and every crate must stay under the workspace's source rules — it
-//!    inherits `[workspace.lints]` and its library root carries the
-//!    library lint header. The source rules themselves (no hash-ordered
+//!    and the workspace must stay under its source rules — every
+//!    manifest inherits `[workspace.lints]`, and every library root and
+//!    scoped module carries the `#![warn(...)]` header its entry in the
+//!    scope table asks for. The source rules themselves (no hash-ordered
 //!    iteration near digests, no wall-clock outside `clapped-obs`, no
 //!    entropy-seeded RNGs, no panicking shortcuts in library code) are
 //!    clippy lints, configured by the root `clippy.toml` and
