@@ -10,25 +10,11 @@
 use clapped_axops::{Catalog, Mul8s};
 use clapped_dse::Gp;
 use clapped_imgproc::{ConvConfig, ConvEngine, ConvMode, Image, QuantKernel, SynthKind};
-use clapped_bench::{print_table, save_snapshot};
-use clapped_obs::Stopwatch;
+use clapped_bench::{print_table, save_snapshot, time_best};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde_json::json;
 use std::sync::Arc;
-
-/// Best-of-`reps` wall-clock seconds of `f` (a warmup call is dropped
-/// first — it is where plan-LUT memoization faults in).
-fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    std::hint::black_box(f());
-    for _ in 0..reps {
-        let start = Stopwatch::start();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick" || a == "quick");

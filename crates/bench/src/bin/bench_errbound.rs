@@ -12,23 +12,9 @@
 //! `--trace[=PATH]` captures an obs JSONL trace.
 
 use clapped_axops::{build_mul_table, Catalog, MulArch};
-use clapped_bench::{print_table, save_snapshot};
+use clapped_bench::{print_table, save_snapshot, time_best};
 use clapped_netlist::{analyze_error_bounds, ErrBoundConfig};
-use clapped_obs::Stopwatch;
 use serde_json::json;
-
-/// Best-of-`reps` wall-clock seconds of `f` (a warmup call is dropped
-/// first — it is where process-wide memos fault in).
-fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    std::hint::black_box(f());
-    for _ in 0..reps {
-        let start = Stopwatch::start();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// Max |table entry − a·b| and the number of erring input pairs.
 fn observed_table_error(table: &[i16]) -> (u64, u64) {

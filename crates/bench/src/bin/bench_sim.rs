@@ -16,24 +16,10 @@
 
 use clapped_accel::{simulate_stream, simulate_stream_ref, AcceleratorSpec};
 use clapped_axops::{build_mul_table, build_mul_table_ref64, Catalog};
-use clapped_bench::{print_table, save_snapshot};
+use clapped_bench::{print_table, save_snapshot, time_best};
 use clapped_imgproc::{Image, QuantKernel, SynthKind};
 use clapped_netlist::FaultSet;
-use clapped_obs::Stopwatch;
 use serde_json::json;
-
-/// Best-of-`reps` wall-clock seconds of `f` (a warmup call is dropped
-/// first — it is where process-wide memos fault in).
-fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    std::hint::black_box(f());
-    for _ in 0..reps {
-        let start = Stopwatch::start();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick" || a == "quick");

@@ -29,6 +29,7 @@
 
 #![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
 
+use clapped_obs::Stopwatch;
 use std::fs;
 use std::path::PathBuf;
 
@@ -85,6 +86,20 @@ pub fn save_json(name: &str, value: &serde_json::Value) {
 /// committed full-run numbers.
 pub fn save_snapshot(name: &str, quick: bool, value: &serde_json::Value) {
     save_json(&if quick { format!("{name}.quick") } else { name.to_string() }, value);
+}
+
+/// Best-of-`reps` wall-clock seconds of `f`, the timer of the `bench_*`
+/// snapshots. A warmup call is dropped first: it is where process-wide
+/// memos (plan LUTs, tables) fault in.
+pub fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    let mut best = f64::INFINITY;
+    std::hint::black_box(f());
+    for _ in 0..reps {
+        let start = Stopwatch::start();
+        std::hint::black_box(f());
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    best
 }
 
 /// Builds a histogram of samples as `(bin_center, count)` pairs.

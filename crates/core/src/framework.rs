@@ -22,6 +22,11 @@ const PR_DEGREE: usize = 3;
 /// Entries held by the in-memory result cache.
 const CACHE_CAPACITY: usize = 4096;
 
+/// Smallest workload image side a framework accepts. It equals the
+/// largest DATA scale a configuration may request (`ConvConfig` accepts
+/// scales `1..=4`), so every scaled workload keeps at least one pixel.
+pub const MIN_IMAGE_SIZE: usize = 4;
+
 /// An objective value, or [`OBJECTIVE_SENTINEL`] for a failed
 /// evaluation. Every sentinel written is counted on
 /// `core.objective_sentinel`, so failures are visible, not swallowed.
@@ -154,8 +159,7 @@ impl ClappedBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ClappedError::Unavailable`] if the catalog is empty or
-    /// its first operator is not exact.
+    /// See [`ClappedConfig::instantiate`].
     pub fn build(self) -> Result<Clapped> {
         self.config.instantiate()
     }
@@ -247,9 +251,18 @@ impl ClappedConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ClappedError::Unavailable`] if the catalog is empty or
-    /// its first operator is not exact.
+    /// Returns [`ClappedError::BadConfiguration`] if `image_size` is
+    /// below [`MIN_IMAGE_SIZE`], and [`ClappedError::Unavailable`] if the
+    /// catalog is empty or its first operator is not exact.
     pub fn instantiate(&self) -> Result<Clapped> {
+        if self.image_size < MIN_IMAGE_SIZE {
+            return Err(ClappedError::BadConfiguration {
+                reason: format!(
+                    "image_size {} below {MIN_IMAGE_SIZE}, the largest DATA scale",
+                    self.image_size
+                ),
+            });
+        }
         let catalog = self.catalog.clone().unwrap_or_else(Catalog::standard);
         let Some(first) = catalog.at(0) else {
             return Err(ClappedError::Unavailable {
@@ -627,8 +640,9 @@ impl Clapped {
     /// # Panics
     ///
     /// Panics if the configuration indexes outside the catalog (it came
-    /// from a different design space); [`Clapped::characterize_hw`]
-    /// reports that case as an error instead.
+    /// from a different design space) or its scale is outside `1..=4`;
+    /// [`Clapped::characterize_hw`] reports those cases as errors
+    /// instead.
     pub fn accel_spec(&self, config: &Configuration) -> AcceleratorSpec {
         match self.try_accel_spec(config) {
             Ok(spec) => spec,
@@ -637,6 +651,12 @@ impl Clapped {
     }
 
     fn try_accel_spec(&self, config: &Configuration) -> Result<AcceleratorSpec> {
+        // The DATA scales `ConvConfig` accepts; `MIN_IMAGE_SIZE` is the largest.
+        if !(1..=MIN_IMAGE_SIZE).contains(&config.scale) {
+            return Err(ClappedError::BadConfiguration {
+                reason: format!("scale {} out of 1..={MIN_IMAGE_SIZE}", config.scale),
+            });
+        }
         let muls = config.active_mul_indices().iter().map(|&i| self.operator(i));
         Ok(AcceleratorSpec {
             image_size: (self.config.image_size / config.scale).max(config.window),
@@ -654,7 +674,8 @@ impl Clapped {
     /// # Errors
     ///
     /// Returns [`ClappedError::BadConfiguration`] for out-of-catalog tap
-    /// indices and propagates synthesis failures.
+    /// indices or a scale outside `1..=4`, and propagates synthesis
+    /// failures.
     pub fn characterize_hw(&self, config: &Configuration) -> Result<AccelReport> {
         Ok(characterize(&self.try_accel_spec(config)?, &self.config.char_config)?)
     }
@@ -787,20 +808,41 @@ mod tests {
     #[test]
     fn foreign_configurations_are_errors_and_counted_sentinels() {
         let fw = small();
-        let mut foreign = Configuration::golden(3);
-        foreign.mul_indices = vec![fw.catalog().len(); 9];
+        let golden = Configuration::golden(3);
+        let foreign_taps =
+            Configuration { mul_indices: vec![fw.catalog().len(); 9], ..golden.clone() };
         let bad = |r: Result<_>| matches!(r, Err(ClappedError::BadConfiguration { .. }));
-        assert!(bad(fw.characterize_hw(&foreign).map(drop)));
-        assert!(bad(fw.encode_hw(&foreign).map(drop)));
+        assert!(bad(fw.encode_hw(&foreign_taps).map(drop)));
+        // DATA scales outside the `1..=4` that `ConvConfig` accepts.
+        let foreign_scales = [0, 5].map(|scale| Configuration { scale, ..golden.clone() });
 
         clapped_obs::enable();
-        let before = clapped_obs::metrics::counter_value("core.objective_sentinel");
-        for _ in 0..2 {
-            // Both objectives fail, and a failure is never cached.
-            assert_eq!(fw.true_objectives_cached(&foreign), vec![f64::MAX / 4.0; 2]);
+        for foreign in std::iter::once(&foreign_taps).chain(&foreign_scales) {
+            assert!(bad(fw.characterize_hw(foreign).map(drop)), "{foreign:?}");
+            let before = clapped_obs::metrics::counter_value("core.objective_sentinel");
+            for _ in 0..2 {
+                // Both objectives fail, and a failure is never cached.
+                assert_eq!(fw.true_objectives_cached(foreign), vec![f64::MAX / 4.0; 2]);
+            }
+            // `>=`: other tests in this binary may write sentinels too.
+            assert!(clapped_obs::metrics::counter_value("core.objective_sentinel") >= before + 4);
         }
-        // `>=`: other tests in this binary may write sentinels too.
-        assert!(clapped_obs::metrics::counter_value("core.objective_sentinel") >= before + 4);
+    }
+
+    #[test]
+    fn images_smaller_than_the_largest_scale_are_errors() {
+        for size in [0, 1, MIN_IMAGE_SIZE - 1] {
+            let built = Clapped::builder().image_size(size).build();
+            assert!(
+                matches!(built, Err(ClappedError::BadConfiguration { .. })),
+                "image_size {size}"
+            );
+        }
+        // At the bound, the largest scale still leaves a pixel to filter.
+        let fw = Clapped::builder().image_size(MIN_IMAGE_SIZE).build().unwrap();
+        let scaled = Configuration { scale: MIN_IMAGE_SIZE, ..Configuration::golden(3) };
+        assert!(fw.evaluate_error(&scaled).unwrap().error_percent.is_finite());
+        assert!(fw.true_objectives_cached(&scaled).iter().all(|&v| v < f64::MAX / 8.0));
     }
 
     #[test]

@@ -36,7 +36,9 @@ mod resilience;
 mod session;
 
 pub use explore::{explore, DofSummary, EstimationMode, ExploreOptions, ExploreResult, ParetoPoint};
-pub use framework::{AppKind, Clapped, ClappedBuilder, ClappedConfig, ErrorDataset};
+pub use framework::{
+    AppKind, Clapped, ClappedBuilder, ClappedConfig, ErrorDataset, MIN_IMAGE_SIZE,
+};
 pub use prefilter::{prefilter, PrefilterConfig, PrefilterReport};
 pub use repr::MulRepr;
 pub use session::{Session, SessionProgress, SessionSpec};
@@ -68,7 +70,9 @@ pub enum ClappedError {
     /// The runtime supervisor failed (ladder construction, stream
     /// execution, or checkpoint restore).
     Runtime(clapped_runtime::RuntimeError),
-    /// A configuration referenced an operator outside the catalog.
+    /// A configuration is outside what the framework evaluates: a tap
+    /// index outside the catalog or a DATA scale outside `1..=4`; or a
+    /// recipe's image is smaller than [`MIN_IMAGE_SIZE`].
     BadConfiguration {
         /// What is inconsistent.
         reason: String,

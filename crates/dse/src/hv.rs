@@ -1,4 +1,5 @@
-//! Hypervolume computation (minimization) and exclusive contributions.
+//! Hypervolume computation (minimization) and the incremental front
+//! that scores a candidate by the volume it would add.
 
 use crate::pareto::{dominates, pareto_front};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -247,28 +248,6 @@ fn hv3<P: AsRef<[f64]>>(front: &[P], reference: &[f64]) -> f64 {
     hv
 }
 
-/// Exclusive hypervolume contribution of each point: `hv(S) − hv(S\{i})`.
-///
-/// Dominated points contribute exactly zero.
-///
-/// # Panics
-///
-/// See [`hypervolume`].
-pub fn exclusive_contributions<P: AsRef<[f64]>>(points: &[P], reference: &[f64]) -> Vec<f64> {
-    let total = hypervolume(points, reference);
-    (0..points.len())
-        .map(|i| {
-            let rest: Vec<&[f64]> = points
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, p)| p.as_ref())
-                .collect();
-            (total - hypervolume(&rest, reference)).max(0.0)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,23 +408,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn exclusive_contribution_zero_for_dominated() {
-        let pts = vec![vec![1.0, 1.0], vec![2.0, 2.0], vec![0.5, 3.0]];
-        let c = exclusive_contributions(&pts, &[4.0, 4.0]);
-        assert!(c[1].abs() < 1e-12);
-        assert!(c[0] > 0.0);
-        assert!(c[2] > 0.0);
-    }
-
-    #[test]
-    fn contributions_sum_at_most_total() {
-        let pts = vec![vec![1.0, 3.0], vec![2.0, 2.0], vec![3.0, 1.0]];
-        let r = [5.0, 5.0];
-        let total = hypervolume(&pts, &r);
-        let sum: f64 = exclusive_contributions(&pts, &r).iter().sum();
-        assert!(sum <= total + 1e-12);
     }
 }

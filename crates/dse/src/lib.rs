@@ -5,8 +5,7 @@
 //! - the cross-layer configuration space ([`DesignSpace`],
 //!   [`Configuration`]),
 //! - Pareto dominance and front extraction ([`pareto_front`]),
-//! - hypervolume (2D exact, 3D by slicing) and exclusive contributions
-//!   ([`hypervolume`], [`exclusive_contributions`]),
+//! - hypervolume (exact sweeps up to 3D, WFG above; [`hypervolume`]),
 //! - a Gaussian-process surrogate ([`Gp`]),
 //! - **multi-objective Bayesian optimization** ([`mbo`], stepped and
 //!   checkpointed through [`MboState`]) whose acquisition function ranks
@@ -44,7 +43,7 @@ mod space;
 
 pub use checkpoint::CheckpointCodec;
 pub use gp::Gp;
-pub use hv::{exclusive_contributions, hypervolume, nonfinite_warnings};
+pub use hv::{hypervolume, nonfinite_warnings};
 pub use mbo::{mbo, BatchOutcome, MboConfig, MboState, SearchResult};
 pub use pareto::{dominates, pareto_front};
 pub use search::{nsga2, random_search, simulated_annealing, NsgaConfig, SaConfig};

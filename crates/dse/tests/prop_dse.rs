@@ -1,9 +1,7 @@
-//! Property tests for the DSE machinery: hypervolume axioms, Pareto
-//! soundness under permutation, and GP interpolation behaviour.
+//! Property tests for the DSE machinery: hypervolume axioms, dominance
+//! as a strict partial order, GP interpolation and design-space closure.
 
-use clapped_dse::{
-    dominates, exclusive_contributions, hypervolume, pareto_front, Configuration, DesignSpace, Gp,
-};
+use clapped_dse::{dominates, hypervolume, Configuration, DesignSpace, Gp};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -49,28 +47,6 @@ proptest! {
         let mut more = points.clone();
         more.push(extra);
         prop_assert!(hypervolume(&more, &reference) >= before - 1e-12);
-    }
-
-    /// Exclusive contributions of Pareto points are positive unless
-    /// duplicated; dominated points contribute zero.
-    #[test]
-    fn exclusive_contribution_signs(points in points2(2..12)) {
-        let reference = [1.0, 1.0];
-        let contributions = exclusive_contributions(&points, &reference);
-        let front = pareto_front(&points);
-        for (i, c) in contributions.iter().enumerate() {
-            if !front.contains(&i) {
-                prop_assert!(c.abs() < 1e-12, "dominated point {} contributes {}", i, c);
-            } else {
-                let duplicated = points
-                    .iter()
-                    .enumerate()
-                    .any(|(j, p)| j != i && p == &points[i]);
-                if !duplicated {
-                    prop_assert!(*c >= 0.0);
-                }
-            }
-        }
     }
 
     /// Dominance is a strict partial order: irreflexive and asymmetric.

@@ -22,7 +22,7 @@
 //! [`MboConfig`] codec, the same object its checkpoints embed.
 
 use crate::{Result, ServeError};
-use clapped_core::AppKind;
+use clapped_core::{AppKind, MIN_IMAGE_SIZE};
 use clapped_dse::{CheckpointCodec, Configuration, MboConfig};
 use clapped_exec::{json, CacheStats};
 use serde_json::{json, Value};
@@ -182,8 +182,11 @@ impl JobSpec {
             max_evaluations: json::opt_field(v, "max_evaluations")?,
             deadline_ms: json::opt_field(v, "deadline_ms")?,
         };
-        if spec.image_size < 4 || spec.image_size > 4096 {
-            return Err(bad_spec(format!("image_size {} outside [4, 4096]", spec.image_size)));
+        if spec.image_size < MIN_IMAGE_SIZE || spec.image_size > 4096 {
+            return Err(bad_spec(format!(
+                "image_size {} outside [{MIN_IMAGE_SIZE}, 4096]",
+                spec.image_size
+            )));
         }
         if !spec.noise_sigma.is_finite() || spec.noise_sigma < 0.0 {
             return Err(bad_spec("noise_sigma must be finite and non-negative"));
