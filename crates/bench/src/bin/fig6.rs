@@ -25,7 +25,7 @@ fn main() {
         .iter()
         .map(|a| catalog.get(a).expect("alias resolves"))
         .collect();
-    let models: Vec<PrModel> = muls.iter().map(|m| PrModel::fit(m.as_ref(), 3)).collect();
+    let models = PrModel::fit_many(&muls, 3);
     let refs: Vec<&PrModel> = models.iter().collect();
     let ranking = rank_terms(&refs);
 

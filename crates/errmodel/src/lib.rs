@@ -52,6 +52,17 @@ pub enum FitError {
         /// Samples required.
         need: usize,
     },
+    /// A requested term cannot enter a PR fit: a monomial outside
+    /// `canonical_terms(degree)` or a repeated one, or a retraining
+    /// ranking entry that is not an index into the model's terms.
+    BadTerm {
+        /// The offending monomial `(i, j)` of `x^i·y^j`, or ranking entry.
+        term: String,
+        /// Degree of the model being fitted.
+        degree: usize,
+        /// Why the term was rejected.
+        reason: String,
+    },
 }
 
 impl fmt::Display for FitError {
@@ -60,6 +71,9 @@ impl fmt::Display for FitError {
             FitError::Numeric(msg) => write!(f, "numeric failure during fit: {msg}"),
             FitError::TooFewSamples { got, need } => {
                 write!(f, "too few samples: got {got}, need at least {need}")
+            }
+            FitError::BadTerm { term, degree, reason } => {
+                write!(f, "term {term} of a degree-{degree} PR model: {reason}")
             }
         }
     }
