@@ -86,6 +86,11 @@ impl SobelEdge {
         self.images.len()
     }
 
+    /// Window sizes this application instance supports: its kernels'.
+    pub fn windows(&self) -> Vec<usize> {
+        vec![self.gx.kernel().window()]
+    }
+
     /// Computes the edge map of one image under a configuration.
     ///
     /// # Errors
