@@ -1,15 +1,20 @@
 //! The LUT mapper's output, pinned digest for digest: every catalog
-//! multiplier at k ∈ {4, 6} under both cut-selection strategies, and
-//! three accelerator datapaths at the characterization flow's k = 6,
+//! multiplier at k ∈ {4, 6} under both cut-selection strategies, three
+//! accelerator datapaths and sixteen seeded composed multipliers of the
+//! generative space at the characterization flow's k = 6,
 //! depth-oriented setting. A change to cut enumeration, ranking,
 //! covering or truth-table extraction that moves a single LUT, leaf or
-//! truth-table bit fails here.
+//! truth-table bit fails here. The datapaths' power reports are pinned
+//! bit for bit too, at round counts that fill whole stimulus blocks and
+//! leave partial ones.
 
 use clapped_accel::{build_datapath, AcceleratorSpec};
-use clapped_axops::{Catalog, Mul8s};
+use clapped_axops::{Catalog, GenSpace, Mul8s, MulArch};
 use clapped_exec::Fnv64;
 use clapped_imgproc::ConvMode;
-use clapped_netlist::{map_luts, optimize, MapStrategy, MappedNetlist, Netlist};
+use clapped_netlist::{
+    estimate_power, map_luts, optimize, MapStrategy, MappedNetlist, Netlist, PowerModel,
+};
 
 /// Digest of everything a mapping produces: `k`, depth, every LUT's
 /// `(root, inputs, truth)` in order, the outputs and the constants.
@@ -115,8 +120,9 @@ fn datapath(mode: ConvMode, window: usize, ops: &[&str]) -> Netlist {
     build_datapath(&spec, 8).expect("valid spec")
 }
 
-#[test]
-fn datapath_mappings_are_pinned() {
+/// The three pinned datapaths: a mixed 3×3, a 5×5 cycling through the
+/// whole catalog, and a 3-tap separable one.
+fn pinned_datapaths() -> [Netlist; 3] {
     let mixed_3x3 = datapath(
         ConvMode::TwoD,
         3,
@@ -147,11 +153,137 @@ fn datapath_mappings_are_pinned() {
             "mul8s_cmp4",
         ],
     );
-    let got = [&mixed_3x3, &mixed_5x5, &separable_3].map(|n| map_digest(n, 6, MapStrategy::Depth));
+    [mixed_3x3, mixed_5x5, separable_3]
+}
+
+#[test]
+fn datapath_mappings_are_pinned() {
+    let got = pinned_datapaths().map(|n| map_digest(&n, 6, MapStrategy::Depth));
     let hex = got.map(|d| format!("{d:#018x}")).join(", ");
     assert_eq!(
         got,
         [0x5b66a7505ed127a0, 0xead6412e358dd100, 0x5446b8eae8c3d3f2],
         "got [{hex}]"
     );
+}
+
+/// `(rounds, [logic_mw, signal_mw, static_mw, mean_activity] bits)` per
+/// pinned datapath, in [`pinned_datapaths`] order.
+#[rustfmt::skip]
+const POWER: [[(usize, [u64; 4]); 4]; 3] = [
+    [
+        (1, [0x405b7abe2be2be2c, 0x406b78fa4fa4fa4f, 0x4033cae147ae147b, 0x3fdac0a98e534d98]),
+        (16, [0x405b78ea0ea0ea0f, 0x406b8d3d27d27d27, 0x4033cae147ae147b, 0x3fdac6be70df9929]),
+        (17, [0x405b783712803712, 0x406b8e4ef9a44ef9, 0x4033cae147ae147b, 0x3fdac5ff6aedc3c4]),
+        (40, [0x405b63130463796a, 0x406b8cabcdf01234, 0x4033cae147ae147b, 0x3fdab486004c2295]),
+    ],
+    [
+        (1, [0x40740457c57c57c5, 0x4083fcec16c16c16, 0x4037283126e978d5, 0x3fdb0de6c379b0de]),
+        (16, [0x4073fc9249249249, 0x408404116c16c16c, 0x4037283126e978d5, 0x3fdb075de6981bde]),
+        (17, [0x4073fc560ce8560d, 0x4084033b3b3b3b3b, 0x4037283126e978d5, 0x3fdb06b5fbad3295]),
+        (40, [0x4073fd918de5ab28, 0x408404d333333333, 0x4037283126e978d5, 0x3fdb08b672970db1]),
+    ],
+    [
+        (1, [0x4052bea0ea0ea0ea, 0x4063731111111111, 0x40333ccccccccccd, 0x3fda6d525548e8b5]),
+        (16, [0x4052b18ea0ea0ea1, 0x40639d2eeeeeeeef, 0x40333ccccccccccd, 0x3fda6bb733873bca]),
+        (17, [0x4052b2dd264add26, 0x40639f368be1368c, 0x40333ccccccccccd, 0x3fda6dc5244bdbef]),
+        (40, [0x4052af8231bcb565, 0x40639de4fa4fa4fa, 0x40333ccccccccccd, 0x3fda6a0d9cae6e57]),
+    ],
+];
+
+#[test]
+fn datapath_power_reports_are_pinned_bit_for_bit() {
+    let mut mismatches = Vec::new();
+    for (d, (n, pinned)) in pinned_datapaths().iter().zip(POWER).enumerate() {
+        let mapped = map_luts(&optimize(n), 6, MapStrategy::Depth).expect("mapping succeeds");
+        for (rounds, bits) in pinned {
+            let model = PowerModel {
+                rounds,
+                ..PowerModel::default()
+            };
+            let p = estimate_power(&mapped, &model).expect("power estimate");
+            let got = [p.logic_mw, p.signal_mw, p.static_mw, p.mean_activity].map(f64::to_bits);
+            if got != bits {
+                let hex = got.map(|b| format!("{b:#018x}")).join(", ");
+                mismatches.push(format!("datapath {d}: ({rounds}, [{hex}]),"));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "power reports moved:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// Seed of the composed-spec sample.
+const GEN_SEED: u64 = 0x6765_6e5f_6d61_7001;
+
+/// Sixteen composed specs of [`GenSpace::standard`], drawn by index from
+/// `GEN_SEED` with an FNV-1a hash (distinct indices, in draw order).
+fn sampled_composed_specs() -> Vec<(String, MulArch)> {
+    let space = GenSpace::standard();
+    let composed: Vec<_> = space
+        .specs()
+        .iter()
+        .filter(|s| matches!(s.arch, MulArch::Composed(_)))
+        .collect();
+    let mut picked: Vec<usize> = Vec::new();
+    let mut draw = 0u64;
+    while picked.len() < 16 {
+        let mut h = Fnv64::new();
+        h.write_u64(GEN_SEED);
+        h.write_u64(draw);
+        draw += 1;
+        let i = (h.finish() % composed.len() as u64) as usize;
+        if !picked.contains(&i) {
+            picked.push(i);
+        }
+    }
+    picked
+        .into_iter()
+        .map(|i| (composed[i].name.clone(), composed[i].arch))
+        .collect()
+}
+
+/// `(spec name, k6 Depth mapping digest)`, in draw order. The two specs
+/// with vertical break 10 map to the same network.
+#[rustfmt::skip]
+const COMPOSED: [(&str, u64); 16] = [
+    ("mul8s_g_t0_v6_h4_c6-10_l4", 0xace8bbc2eddddbb9),
+    ("mul8s_g_t0_v7_h3_c2-4_l8", 0xef57e8319675c23a),
+    ("mul8s_g_t0_v2_h0_c6-12_l4", 0xfc984b37b43876e5),
+    ("mul8s_g_t0_v4_h4_c0-0_l8", 0x193ade6e58e5a05c),
+    ("mul8s_g_t0_v10_h1_c2-5_l4", 0xfdefccf0e7775e4d),
+    ("mul8s_g_t0_v4_h2_c0-6_l8", 0xf5bacf290f31c753),
+    ("mul8s_g_t0_v6_h3_c2-6_l4", 0x1a467fdc3943fa78),
+    ("mul8s_g_t0_v5_h3_c4-10_l6", 0xdedf4df9ba855f3a),
+    ("mul8s_g_t0_v10_h0_c0-2_l6", 0xfdefccf0e7775e4d),
+    ("mul8s_g_t0_v1_h0_c10-13_l0", 0x11cb264ebc039088),
+    ("mul8s_g_t0_v2_h2_c0-4_l0", 0x72a77957485aa8f4),
+    ("mul8s_g_t0_v3_h2_c8-12_l4", 0x77e89ec69494a742),
+    ("mul8s_g_t0_v5_h4_c0-4_l4", 0x1e523c4687498c82),
+    ("mul8s_g_t0_v0_h4_c0-0_l6", 0x167e2c91274dd0df),
+    ("mul8s_g_t0_v7_h2_c2-6_l6", 0x00393f8969d3fccc),
+    ("mul8s_g_t0_v7_h0_c8-12_l8", 0x08a2aaf56f888160),
+];
+
+#[test]
+fn composed_generative_mappings_are_pinned() {
+    let specs = sampled_composed_specs();
+    let got: Vec<(String, u64)> = specs
+        .iter()
+        .map(|(name, arch)| {
+            (
+                name.clone(),
+                map_digest(&arch.build_netlist(), 6, MapStrategy::Depth),
+            )
+        })
+        .collect();
+    let want: Vec<(String, u64)> = COMPOSED.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    let rows: Vec<String> = got
+        .iter()
+        .map(|(n, d)| format!("(\"{n}\", {d:#018x}),"))
+        .collect();
+    assert_eq!(got, want, "mappings moved:\n{}", rows.join("\n"));
 }
