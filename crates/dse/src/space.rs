@@ -192,11 +192,15 @@ impl Configuration {
     }
 
     /// Multiplier indices actually consumed by this configuration's
-    /// mode (`window²` for 2D, `2·window` for separable).
+    /// mode (`window²` for 2D, `2·window` for separable). A configuration
+    /// with fewer indices than that yields all of them.
     pub fn active_mul_indices(&self) -> &[usize] {
         match self.mode {
             ConvMode::TwoD => &self.mul_indices,
-            ConvMode::Separable => &self.mul_indices[..2 * self.window],
+            ConvMode::Separable => {
+                let taps = self.window.saturating_mul(2).min(self.mul_indices.len());
+                &self.mul_indices[..taps]
+            }
         }
     }
 
@@ -263,6 +267,9 @@ mod tests {
         assert_eq!(c.active_mul_indices().len(), 9);
         c.mode = ConvMode::Separable;
         assert_eq!(c.active_mul_indices().len(), 6);
+        // Too few indices for the window: all of them, never a panic.
+        c.mul_indices.truncate(2);
+        assert_eq!(c.active_mul_indices(), &[0, 0]);
     }
 
     #[test]
