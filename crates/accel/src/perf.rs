@@ -124,12 +124,14 @@ pub fn compute_duty_factor(spec: &AcceleratorSpec) -> f64 {
 ///
 /// This is the slow, accurate estimation path (the paper's Vivado runs);
 /// the ML predictors in [`crate::features`] are trained to replace it.
+/// Each call is traced as the `accel.characterize` span.
 ///
 /// # Errors
 ///
 /// Returns [`AccelError::BadSpec`] for invalid specs and
 /// [`AccelError::Synth`] if the synthesis flow fails.
 pub fn characterize(spec: &AcceleratorSpec, config: &CharacterizeConfig) -> Result<AccelReport> {
+    let _span = clapped_obs::span("accel.characterize");
     let datapath = build_datapath(spec, config.shift)?;
     let synth = synthesize(&datapath, &config.synth).map_err(|e| AccelError::Synth(e.to_string()))?;
     Ok(assemble_report(spec, config, &synth))

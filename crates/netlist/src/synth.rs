@@ -77,7 +77,9 @@ impl SynthReport {
     }
 }
 
-/// Runs the full synthesis flow on a netlist.
+/// Runs the full synthesis flow on a netlist. The optimization, mapping
+/// and power stages are traced as the `netlist.optimize`, `netlist.map`
+/// and `netlist.power` spans.
 ///
 /// # Errors
 ///
@@ -85,8 +87,14 @@ impl SynthReport {
 /// [`crate::NetlistError::MappingMismatch`] if the mapped network is not
 /// functionally equivalent to the optimized netlist.
 pub fn synthesize(netlist: &Netlist, config: &SynthConfig) -> crate::Result<SynthReport> {
-    let opt = optimize(netlist);
-    let mapped = map_luts(&opt, config.k, config.strategy)?;
+    let opt = {
+        let _span = clapped_obs::span("netlist.optimize");
+        optimize(netlist)
+    };
+    let mapped = {
+        let _span = clapped_obs::span("netlist.map");
+        map_luts(&opt, config.k, config.strategy)?
+    };
     if config.verify_rounds > 0 {
         verify_mapping(&opt, &mapped, config.verify_rounds, config.seed)?;
     }
@@ -103,7 +111,10 @@ pub fn synthesize(netlist: &Netlist, config: &SynthConfig) -> crate::Result<Synt
     }
     let cpd_ns = config.timing.critical_path_ns(&mapped);
     let fmax_mhz = config.timing.fmax_mhz(&mapped);
-    let power = estimate_power(&mapped, &config.power)?;
+    let power = {
+        let _span = clapped_obs::span("netlist.power");
+        estimate_power(&mapped, &config.power)?
+    };
     Ok(SynthReport {
         name: netlist.name().to_string(),
         gate_count: opt.logic_gate_count(),
