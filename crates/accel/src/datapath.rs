@@ -19,6 +19,10 @@ use std::sync::{Arc, OnceLock};
 /// For the separable mode the datapath contains both the 1DH and the 1DV
 /// processing elements.
 ///
+/// Each multiplier is instantiated with
+/// [`Netlist::instantiate_shared`], so LUT mapping reuses the
+/// operator's cut enumeration for it.
+///
 /// # Errors
 ///
 /// Returns [`crate::AccelError::BadSpec`] if the spec fails validation.
@@ -103,7 +107,8 @@ fn build_pe(
         let co = n.input_bus(&format!("{prefix}co{t}"), 8);
         let mut mul_inputs = px;
         mul_inputs.extend(co);
-        let product = n.instantiate(spec.muls[first_tap + t].netlist(), &mul_inputs);
+        let (netlist, digest) = spec.muls[first_tap + t].shared_netlist();
+        let product = n.instantiate_shared(netlist, digest, &mul_inputs);
         products.push(product);
     }
     // Adder tree over sign-extended products.

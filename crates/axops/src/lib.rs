@@ -173,6 +173,13 @@ impl AxMul {
         &self.netlist
     }
 
+    /// The operator's netlist as the allocation every clone of this
+    /// operator shares, with its content digest (computed at
+    /// construction): the arguments of [`Netlist::instantiate_shared`].
+    pub fn shared_netlist(&self) -> (&Arc<Netlist>, u64) {
+        (&self.netlist, self.digest)
+    }
+
     /// Iterates over `((a, b), product)` for the full input space.
     pub fn iter_exhaustive(&self) -> impl Iterator<Item = ((i8, i8), i16)> + '_ {
         exhaustive_pairs().map(move |(a, b)| ((a, b), self.mul(a, b)))

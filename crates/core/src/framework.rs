@@ -894,15 +894,21 @@ mod tests {
             "netlist.power",
         ];
         let count = |name| clapped_obs::metrics::histogram(name).snapshot().count;
+        let reused = || clapped_obs::metrics::counter_value("netlist.map.instances_reused");
         let before = spans.map(count);
         let fw = small();
         fw.op_library().unwrap();
+        let reused_before = reused();
         fw.characterize_hw(&Configuration::golden(3)).unwrap();
         for (name, before) in spans.into_iter().zip(before) {
             // `>`, not `== before + 1`: other tests in this binary may
             // build frameworks too.
             assert!(count(name) > before, "{name}");
         }
+        // The golden 3x3 datapath maps all nine multiplier instances
+        // from the exact operator's template (`>=`: other tests may map
+        // datapaths meanwhile).
+        assert!(reused() >= reused_before + 9);
     }
 
     #[test]

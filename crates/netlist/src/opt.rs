@@ -21,6 +21,9 @@ use std::collections::HashMap;
 /// - common-subexpression elimination via structural hashing,
 /// - dead-code elimination (only logic reachable from the outputs is kept).
 ///
+/// The instance records of [`Netlist::instantiate_shared`] carry over
+/// unchanged, because the primary inputs keep their order.
+///
 /// # Examples
 ///
 /// ```
@@ -37,7 +40,9 @@ use std::collections::HashMap;
 /// ```
 pub fn optimize(netlist: &Netlist) -> Netlist {
     let folded = fold_and_hash(netlist);
-    eliminate_dead_code(&folded)
+    let mut out = eliminate_dead_code(&folded);
+    out.keep_instances_of(netlist);
+    out
 }
 
 /// What an old signal resolved to in the new netlist.

@@ -10,6 +10,7 @@
 //! static component proportional to utilized resources.
 
 use crate::map::MappedNetlist;
+use crate::{Netlist, SignalId};
 use rand::{Rng, SeedableRng};
 
 /// Power model parameters for the target fabric at a given clock.
@@ -77,7 +78,7 @@ impl PowerReport {
 }
 
 /// Rounds of stimulus simulated per pass of the evaluation kernel.
-const BLOCK_ROUNDS: usize = 16;
+pub(crate) const BLOCK_ROUNDS: usize = 16;
 
 /// Estimates the power of a mapped netlist under random stimulus.
 ///
@@ -91,8 +92,19 @@ const BLOCK_ROUNDS: usize = 16;
 ///
 /// Propagates simulation errors from the evaluation kernel.
 pub fn estimate_power(mapped: &MappedNetlist, model: &PowerModel) -> crate::Result<PowerReport> {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(model.seed);
     let (lowered, ids) = mapped.lower("power");
+    estimate_power_lowered(mapped, &lowered, &ids, model)
+}
+
+/// [`estimate_power`] on a lowering `(lowered, ids)` of `mapped` that the
+/// caller already made with [`MappedNetlist::lower`].
+pub(crate) fn estimate_power_lowered(
+    mapped: &MappedNetlist,
+    lowered: &Netlist,
+    ids: &[Option<SignalId>],
+    model: &PowerModel,
+) -> crate::Result<PowerReport> {
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(model.seed);
     // Fanout of each mapped net = number of LUTs (plus outputs) reading
     // it, indexed by source signal. Lowering mapped every LUT input and
     // output, so each index is in range.

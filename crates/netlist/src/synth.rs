@@ -7,7 +7,7 @@
 
 use crate::map::{map_luts, verify_mapping, MapStrategy, MappedNetlist};
 use crate::opt::optimize;
-use crate::power::{estimate_power, PowerModel, PowerReport};
+use crate::power::{estimate_power_lowered, PowerModel, PowerReport};
 use crate::timing::TimingModel;
 use crate::Netlist;
 
@@ -79,7 +79,9 @@ impl SynthReport {
 
 /// Runs the full synthesis flow on a netlist. The optimization, mapping
 /// and power stages are traced as the `netlist.optimize`, `netlist.map`
-/// and `netlist.power` spans.
+/// and `netlist.power` spans. The mapped network is lowered to gates
+/// once, in the power stage, and that lowering also serves the
+/// verification that follows it.
 ///
 /// # Errors
 ///
@@ -95,11 +97,19 @@ pub fn synthesize(netlist: &Netlist, config: &SynthConfig) -> crate::Result<Synt
         let _span = clapped_obs::span("netlist.map");
         map_luts(&opt, config.k, config.strategy)?
     };
+    let cpd_ns = config.timing.critical_path_ns(&mapped);
+    let fmax_mhz = config.timing.fmax_mhz(&mapped);
+    let (lowered, power) = {
+        let _span = clapped_obs::span("netlist.power");
+        let (lowered, ids) = mapped.lower("mapped");
+        let power = estimate_power_lowered(&mapped, &lowered, &ids, &config.power)?;
+        (lowered, power)
+    };
     if config.verify_rounds > 0 {
-        verify_mapping(&opt, &mapped, config.verify_rounds, config.seed)?;
+        verify_mapping(&opt, &lowered, config.verify_rounds, config.seed)?;
     }
     if let Some(limit) = config.formal_verify_limit {
-        match crate::bdd::check_equivalence(&opt, &mapped.to_netlist("mapped"), limit) {
+        match crate::bdd::check_equivalence(&opt, &lowered, limit) {
             Ok(crate::bdd::Equivalence::Equal) => {}
             Ok(crate::bdd::Equivalence::Differ { .. }) => {
                 return Err(crate::NetlistError::MappingMismatch)
@@ -109,12 +119,6 @@ pub fn synthesize(netlist: &Netlist, config: &SynthConfig) -> crate::Result<Synt
             Err(e) => return Err(e),
         }
     }
-    let cpd_ns = config.timing.critical_path_ns(&mapped);
-    let fmax_mhz = config.timing.fmax_mhz(&mapped);
-    let power = {
-        let _span = clapped_obs::span("netlist.power");
-        estimate_power(&mapped, &config.power)?
-    };
     Ok(SynthReport {
         name: netlist.name().to_string(),
         gate_count: opt.logic_gate_count(),
