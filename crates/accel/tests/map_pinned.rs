@@ -8,7 +8,8 @@
 //! instances copy their operator's cut enumeration and where they are
 //! enumerated node by node. The datapaths' power reports are pinned bit
 //! for bit too, at round counts that fill whole stimulus blocks and
-//! leave partial ones.
+//! leave partial ones, and so is the optimizer's output on all these
+//! netlists.
 
 use clapped_accel::{build_datapath, AcceleratorSpec};
 use clapped_axops::{Catalog, GenSpace, Mul8s, MulArch};
@@ -316,6 +317,44 @@ const COMPOSED: [(&str, u64); 16] = [
     ("mul8s_g_t0_v7_h2_c2-6_l6", 0x00393f8969d3fccc),
     ("mul8s_g_t0_v7_h0_c8-12_l8", 0x08a2aaf56f888160),
 ];
+
+/// `Netlist::content_digest` of `optimize(n)` for the 24 catalog
+/// multipliers, the five pinned datapaths and the sixteen sampled
+/// composed specs, in that order. The mapping pins see the optimizer
+/// only through LUT roots; `SynthReport::gate_count` reads the whole
+/// optimized netlist.
+#[rustfmt::skip]
+const OPTIMIZED: [u64; 45] = [
+    // The 24 catalog multipliers, in `MULTIPLIERS` order.
+    0x9976ef065e5d4c31, 0x835d1c48d25a1cea, 0x814691444894488f, 0x0be363d1f98bb203,
+    0x81108d14a6c37f3d, 0x99fa54eedd5a32fa, 0x99c443655fee4c40, 0x5cc26743bf978340,
+    0xe97b7f29dc5c4f0d, 0x99c38410de6c3020, 0x8c2a486619ade3ab, 0x41854e8d2c8048f1,
+    0xd808da2e93348f6e, 0x56e421198301ed1d, 0x0df2cf0847f1a45a, 0xc15b0ae020c8aea3,
+    0x2099e899e9259e27, 0x0fc978d50fc4e0dd, 0xf5bb9b5d7a91d8e7, 0xf59001b4339020ca,
+    0x174fa6bbf63ebf12, 0x1fe94c7a4f734116, 0x09107f7ef9f90432, 0xa679b467d6984bcf,
+    // The five pinned datapaths.
+    0x6b2c77b396da6c11, 0xcf7cea4f64a8c544, 0xb5e4b6ed2ca20638, 0x544a26097f6e1b38,
+    0x7c8995b6b3f622b8,
+    // The sixteen sampled composed specs, in draw order.
+    0x371e76af1e745431, 0x782e5601d9d1ce32, 0xed27dffa924aa00d, 0x8cd6e0cf43014e88,
+    0x2dffc740de5db04c, 0x647862138204effc, 0xc43c9ebb24882bc0, 0x74e6f20df6fa9eec,
+    0x2ab2d34f912122f9, 0x4f7b9ff497d7e08f, 0x028dddc480bcc53d, 0x10d343b56c0d16d7,
+    0x63b2c37453f67878, 0xb18647052be46fd4, 0xc574e7dbff67b4ba, 0x5f753ee7980f8892,
+];
+
+#[test]
+fn optimized_netlists_are_pinned() {
+    let catalog = Catalog::standard();
+    let multipliers = MULTIPLIERS.map(|(name, _)| catalog.get(name).expect("standard operator"));
+    let netlists = multipliers
+        .iter()
+        .map(|m| m.netlist().clone())
+        .chain(pinned_datapaths())
+        .chain(sampled_composed_specs().into_iter().map(|(_, arch)| arch.build_netlist()));
+    let got: Vec<u64> = netlists.map(|n| optimize(&n).content_digest()).collect();
+    let rows: Vec<String> = got.iter().map(|d| format!("{d:#018x},")).collect();
+    assert_eq!(got, OPTIMIZED, "optimized netlists moved:\n{}", rows.join("\n"));
+}
 
 #[test]
 fn composed_generative_mappings_are_pinned() {
