@@ -895,10 +895,11 @@ mod tests {
         ];
         let count = |name| clapped_obs::metrics::histogram(name).snapshot().count;
         let reused = || clapped_obs::metrics::counter_value("netlist.map.instances_reused");
+        let copied = || clapped_obs::metrics::counter_value("netlist.map.truths_copied");
         let before = spans.map(count);
         let fw = small();
         fw.op_library().unwrap();
-        let reused_before = reused();
+        let (reused_before, copied_before) = (reused(), copied());
         fw.characterize_hw(&Configuration::golden(3)).unwrap();
         for (name, before) in spans.into_iter().zip(before) {
             // `>`, not `== before + 1`: other tests in this binary may
@@ -906,9 +907,11 @@ mod tests {
             assert!(count(name) > before, "{name}");
         }
         // The golden 3x3 datapath maps all nine multiplier instances
-        // from the exact operator's template (`>=`: other tests may map
-        // datapaths meanwhile).
+        // from the exact operator's template, and takes their LUTs'
+        // truth tables from it (`>=`: other tests may map datapaths
+        // meanwhile).
         assert!(reused() >= reused_before + 9);
+        assert!(copied() > copied_before);
     }
 
     #[test]

@@ -93,6 +93,15 @@ pub enum NetlistError {
     },
     /// Functional verification after mapping failed.
     MappingMismatch,
+    /// A mapped netlist reads a signal that no primary input, constant
+    /// or earlier LUT defines.
+    UndefinedSignal {
+        /// The signal read.
+        signal: SignalId,
+        /// The root of the LUT that reads it; `None` for a primary
+        /// output.
+        lut: Option<SignalId>,
+    },
     /// A BDD operation exceeded its node budget.
     BddLimit {
         /// The configured node limit.
@@ -137,6 +146,16 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::MappingMismatch => {
                 write!(f, "mapped netlist is not functionally equivalent")
+            }
+            NetlistError::UndefinedSignal { signal, lut } => {
+                let reader = match lut {
+                    Some(root) => format!("the LUT rooted at {root:?}"),
+                    None => "a primary output".to_string(),
+                };
+                write!(
+                    f,
+                    "{reader} reads {signal:?}, which no primary input, constant or earlier LUT defines"
+                )
             }
             NetlistError::BddLimit { limit } => {
                 write!(f, "BDD node budget of {limit} exhausted")

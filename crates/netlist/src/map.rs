@@ -5,7 +5,9 @@
 //! (depth-oriented or area-oriented), and covers the netlist from its
 //! outputs. Each selected cut becomes one K-input LUT whose truth table is
 //! extracted by simulating the cut's cone. A mapped network is simulated
-//! by lowering it back to a gate-level netlist of mux trees.
+//! from its truth tables ([`MappedNetlist::simulate_blocks`]); it is
+//! lowered back to a gate-level netlist of mux trees only for formal
+//! checks and export ([`MappedNetlist::to_netlist`]).
 //!
 //! Cuts are fixed-size `Copy` values (`Cut`: up to six sorted leaves
 //! plus a signature with bit `leaf % 64` set per leaf) kept in one flat
@@ -18,17 +20,18 @@
 //! Most gates of an accelerator datapath are copies of a few library
 //! operators, each recorded by [`Netlist::instantiate_shared`]. The
 //! mapper enumerates an operator's cuts once per process, on the
-//! optimized operator, into a *template*, and copies the template onto
-//! every instance whose gates pass six checks (see `match_instance`),
-//! relabeling each leaf. The checks make the copy exactly what the
-//! enumeration would have produced; the other nodes (adder trees,
-//! clamps, instances that fail a check) are enumerated as usual.
+//! optimized operator, into a *template*, with the truth table of every
+//! node's best cut, and copies the template onto every instance whose
+//! gates pass six checks (see `match_instance`), relabeling each leaf.
+//! The checks make the copy exactly what the enumeration would have
+//! produced, and a copied root's cone exactly the template node's; the
+//! other nodes (adder trees, clamps, instances that fail a check) are
+//! enumerated, and their truth tables extracted, as usual.
 
 #![expect(clippy::cast_possible_truncation, reason = "u32 gate indices round-trip usize")]
 
 use crate::ir::{Gate, Instance, Netlist, SignalId};
 use crate::opt::optimize;
-use crate::power::BLOCK_ROUNDS;
 use crate::sim::eval_gate;
 use crate::NetlistError;
 use clapped_exec::{Memo, MemoStats};
@@ -41,7 +44,7 @@ const MAX_CUTS: usize = 12;
 
 /// Largest supported LUT size: a cut's leaves and a truth table's 64
 /// bits both end at six inputs.
-const MAX_K: usize = 6;
+pub(crate) const MAX_K: usize = 6;
 
 /// Cut selection strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -94,48 +97,33 @@ impl MappedNetlist {
     }
 
     /// Rebuilds the LUT network as a gate-level [`Netlist`] (each LUT
-    /// becomes a mux tree over its truth table), e.g. for re-synthesis
-    /// or formal equivalence checking against the original.
+    /// becomes a mux tree over its truth table), for formal equivalence
+    /// checking against the original and for export. Simulation does
+    /// not need it: [`MappedNetlist::simulate_blocks`] evaluates the
+    /// truth tables directly.
+    ///
+    /// # Panics
+    ///
+    /// If a LUT has more than six inputs, or a LUT input or primary
+    /// output names a signal that no primary input, constant or earlier
+    /// LUT defines: the errors [`MappedNetlist::simulate_blocks`] and
+    /// [`crate::estimate_power`] return.
     pub fn to_netlist(&self, name: &str) -> Netlist {
-        self.lower(name).0
-    }
-
-    /// [`MappedNetlist::to_netlist`] plus a dense id map: indexed by
-    /// source signal, the id in the rebuilt netlist of every signal the
-    /// mapping defines (primary inputs, constants and LUT roots), `None`
-    /// for the others. This lowering is how a LUT network is simulated:
-    /// each LUT root's lowered signal carries the LUT's truth table
-    /// applied to its inputs, lane for lane.
-    pub(crate) fn lower(&self, name: &str) -> (Netlist, Vec<Option<SignalId>>) {
-        let roots = self.luts.iter().map(|l| l.root);
-        let defined = self.inputs.iter().chain(self.constants.keys()).copied();
-        let signals = defined
-            .chain(roots)
-            .map(|s| s.index() + 1)
-            .max()
-            .unwrap_or(0);
+        let program = self.program().expect("a well-formed LUT network");
         let mut n = Netlist::new(name);
-        let mut map = vec![None; signals];
-        for (i, &orig) in self.inputs.iter().enumerate() {
-            map[orig.index()] = Some(n.input(format!("pi{i}")));
-        }
-        for (&orig, &c) in &self.constants {
-            map[orig.index()] = Some(n.constant(c));
-        }
-        for lut in &self.luts {
-            let ins: Vec<SignalId> = lut
-                .inputs
-                .iter()
-                .map(|s| map[s.index()].expect("inputs precede the LUT"))
-                .collect();
+        // The rebuilt signal of each slot of the program.
+        let mut ids: Vec<SignalId> =
+            (0..program.inputs).map(|i| n.input(format!("pi{i}"))).collect();
+        ids.extend(program.constants.iter().map(|&c| n.constant(c)));
+        for lut in &program.luts {
+            let ins: Vec<SignalId> = lut.inputs().iter().map(|&at| ids[at as usize]).collect();
             // Shannon expansion: recursively mux the truth table.
-            let id = build_truth(&mut n, &ins, lut.truth, lut.inputs.len());
-            map[lut.root.index()] = Some(id);
+            ids.push(build_truth(&mut n, &ins, lut.truth, ins.len()));
         }
-        for (name, sig) in &self.outputs {
-            n.output(name.clone(), map[sig.index()].expect("outputs are mapped"));
+        for ((name, _), &at) in self.outputs.iter().zip(&program.outputs) {
+            n.output(name.clone(), ids[at]);
         }
-        (n, map)
+        n
     }
 }
 
@@ -427,11 +415,15 @@ struct Template {
     /// Whether a gate of `netlist` reads the node.
     read: Vec<bool>,
     cuts: Cuts,
+    /// The truth table of each logic node's best cut (0 for the other
+    /// nodes).
+    truth: Vec<u64>,
 }
 
 /// The templates, keyed by (operator content digest, k, strategy).
 /// `None` marks an operator whose instances cannot be reused: a gate of
-/// the optimized operator reads a constant, or it has no K-feasible cut.
+/// the optimized operator reads a constant, or a node has no K-feasible
+/// cut or no truth table over its best cut.
 type TemplateMemo = Memo<(u64, usize, MapStrategy), Option<Arc<Template>>>;
 
 fn template_memo() -> &'static TemplateMemo {
@@ -461,11 +453,22 @@ fn build_template(operator: &Netlist, k: usize, strategy: MapStrategy) -> Option
     }
     let fanout = netlist.fanout_counts();
     let cuts = enumerate_cuts(&netlist, &fanout, k, strategy, &[], &[]).ok()?;
+    let mut cones = ConeScratch::new(netlist.len());
+    let truth = (0..netlist.len())
+        .map(|i| match cuts.best_cut[i] {
+            Some(cut) if netlist.gates()[i].is_logic() => {
+                cones.truth_table(&netlist, SignalId(i as u32), cut.leaves())
+            }
+            _ => Ok(0),
+        })
+        .collect::<crate::Result<_>>()
+        .ok()?;
     Some(Arc::new(Template {
         netlist,
         fanout,
         read,
         cuts,
+        truth,
     }))
 }
 
@@ -486,7 +489,10 @@ fn build_template(operator: &Netlist, k: usize, strategy: MapStrategy) -> Option
 /// Then each matched node's cuts are the template node's, relabeled:
 /// by induction in topological order, its fanins' cut lists are, so its
 /// candidate unions, pruning and ranking see the same leaf sets in the
-/// same order with the same depths and area-flow terms.
+/// same order with the same depths and area-flow terms. Its best cut's
+/// cone is the template node's cone, matched gate for gate (check 3),
+/// with the leaves in the same order (check 4), so its truth table is
+/// the template node's too.
 fn match_instance(
     netlist: &Netlist,
     fanout: &[u32],
@@ -536,10 +542,13 @@ fn match_instance(
 /// The netlist should be [`crate::optimize`]d first so cones contain no
 /// constants or buffers; [`crate::synthesize`] does this automatically.
 /// Each instance recorded by [`Netlist::instantiate_shared`] copies its
-/// operator's memoized cut enumeration when the module's checks pass;
-/// the result is the same either way. The counters
-/// `netlist.map.instances_reused` and `netlist.map.instances_enumerated`
-/// count the two outcomes.
+/// operator's memoized cut enumeration and best-cut truth tables when
+/// the module's checks pass; the result is the same either way. The
+/// counters `netlist.map.instances_reused` and
+/// `netlist.map.instances_enumerated` count the two outcomes, and
+/// `netlist.map.truths_copied` and `netlist.map.truths_extracted` the
+/// LUTs whose truth table came from a template or from simulating the
+/// cut's cone.
 ///
 /// # Errors
 ///
@@ -603,11 +612,18 @@ pub fn map_luts(netlist: &Netlist, k: usize, strategy: MapStrategy) -> crate::Re
     }
     let mut luts: Vec<MappedLut> = Vec::new();
     let mut cones = ConeScratch::new(n);
+    let mut copied = 0u64;
     while let Some(node) = required.pop() {
         let cut = best_cut[node as usize].ok_or(NetlistError::Unmappable {
             node: SignalId(node),
         })?;
-        let truth = cones.truth_table(netlist, SignalId(node), cut.leaves())?;
+        let truth = match claims.get(node as usize).copied().flatten() {
+            Some(Claim { instance, node }) => {
+                copied += 1;
+                accepted[instance as usize].template.truth[node as usize]
+            }
+            None => cones.truth_table(netlist, SignalId(node), cut.leaves())?,
+        };
         luts.push(MappedLut {
             root: SignalId(node),
             inputs: cut.leaves().iter().map(|&l| SignalId(l)).collect(),
@@ -617,6 +633,9 @@ pub fn map_luts(netlist: &Netlist, k: usize, strategy: MapStrategy) -> crate::Re
             require(leaf, &mut required);
         }
     }
+
+    clapped_obs::count("netlist.map.truths_copied", copied);
+    clapped_obs::count("netlist.map.truths_extracted", luts.len() as u64 - copied);
 
     // Ordered by root id, which is the source netlist's creation order —
     // already topological.
@@ -766,41 +785,47 @@ impl ConeScratch {
     }
 }
 
-/// Verifies that a mapping, lowered by [`MappedNetlist::to_netlist`],
-/// is functionally equivalent to its source netlist on `rounds * 64`
-/// random vectors. The rounds run through the evaluation kernel
-/// [`BLOCK_ROUNDS`] at a time, one round per word of a block; the
-/// stimulus is drawn round by round, one word per input.
+/// Rounds of stimulus per verification pass: the flow's default of four
+/// rounds ([`crate::SynthConfig::verify_rounds`]) fills one pass.
+const VERIFY_BLOCK: usize = 4;
+
+/// Verifies that a mapping is functionally equivalent to its source
+/// netlist on `rounds * 64` random vectors, simulating the LUT network
+/// from its truth tables. The rounds run [`VERIFY_BLOCK`] at a time, one
+/// round per word of a block; the stimulus is drawn round by round, one
+/// word per input.
 ///
 /// # Errors
 ///
 /// Returns [`NetlistError::MappingMismatch`] when a counterexample is
-/// found, or propagates simulation errors.
+/// found, or propagates simulation errors, those of a malformed LUT
+/// network included.
 pub(crate) fn verify_mapping(
     netlist: &Netlist,
-    lowered: &Netlist,
+    mapped: &MappedNetlist,
     rounds: usize,
     seed: u64,
 ) -> crate::Result<()> {
     use rand::{Rng, SeedableRng};
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    if netlist.outputs().len() != lowered.outputs().len() {
+    let program = mapped.program()?;
+    if netlist.outputs().len() != program.outputs.len() {
         return Err(NetlistError::MappingMismatch);
     }
-    let mut words: Vec<[u64; BLOCK_ROUNDS]> = vec![[0; BLOCK_ROUNDS]; netlist.inputs().len()];
+    let mut words: Vec<[u64; VERIFY_BLOCK]> = vec![[0; VERIFY_BLOCK]; netlist.inputs().len()];
     let (mut want, mut got) = (Vec::new(), Vec::new());
-    for first in (0..rounds).step_by(BLOCK_ROUNDS) {
+    for first in (0..rounds).step_by(VERIFY_BLOCK) {
         // A last, partial block leaves its tail words unread.
-        let block = (rounds - first).min(BLOCK_ROUNDS);
+        let block = (rounds - first).min(VERIFY_BLOCK);
         for r in 0..block {
             for w in &mut words {
                 w[r] = rng.gen();
             }
         }
         netlist.eval_blocks_masked(&words, &[], &mut want)?;
-        lowered.eval_blocks_masked(&words, &[], &mut got)?;
-        let mut outputs = netlist.outputs().iter().zip(lowered.outputs());
-        if outputs.any(|((_, a), (_, b))| want[a.index()][..block] != got[b.index()][..block]) {
+        program.eval_blocks(&words, &mut got)?;
+        let mut outputs = netlist.outputs().iter().zip(&program.outputs);
+        if outputs.any(|((_, a), &b)| want[a.index()][..block] != got[b][..block]) {
             return Err(NetlistError::MappingMismatch);
         }
     }
@@ -815,7 +840,7 @@ mod tests {
     fn map_and_verify(n: &Netlist, k: usize, strategy: MapStrategy) -> MappedNetlist {
         let opt = optimize(n);
         let mapped = map_luts(&opt, k, strategy).expect("mapping succeeds");
-        verify_mapping(&opt, &mapped.to_netlist("verify"), 16, 42).expect("mapping is equivalent");
+        verify_mapping(&opt, &mapped, 16, 42).expect("mapping is equivalent");
         mapped
     }
 
@@ -871,16 +896,15 @@ mod tests {
         let opt = optimize(&n);
         let mut mapped = map_luts(&opt, 4, MapStrategy::Depth).unwrap();
         // Whole and partial blocks of rounds.
-        let lowered = mapped.to_netlist("v");
-        for rounds in [1, 16, 17] {
-            assert_eq!(verify_mapping(&opt, &lowered, rounds, 3), Ok(()));
+        for rounds in [1, 4, 17] {
+            assert_eq!(verify_mapping(&opt, &mapped, rounds, 3), Ok(()));
         }
         let out = mapped.outputs[0].1;
         let lut = mapped.luts.iter_mut().find(|l| l.root == out).unwrap();
         lut.truth ^= (1u64 << (1 << lut.inputs.len())) - 1;
         for rounds in [1, 17] {
             assert_eq!(
-                verify_mapping(&opt, &mapped.to_netlist("v"), rounds, 3),
+                verify_mapping(&opt, &mapped, rounds, 3),
                 Err(NetlistError::MappingMismatch)
             );
         }

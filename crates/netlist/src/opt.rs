@@ -9,6 +9,7 @@
 
 use crate::ir::{Gate, Netlist, SignalId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Optimizes a netlist, returning a functionally equivalent netlist whose
 /// primary input interface is preserved exactly (unused inputs stay).
@@ -45,125 +46,86 @@ pub fn optimize(netlist: &Netlist) -> Netlist {
     out
 }
 
-/// What an old signal resolved to in the new netlist.
-#[derive(Clone, Copy)]
-enum Resolved {
-    Sig(SignalId),
-}
-
 fn fold_and_hash(netlist: &Netlist) -> Netlist {
-    let mut out = Netlist::new(netlist.name().to_string());
-    // old id -> new id
-    let mut map: Vec<Option<Resolved>> = vec![None; netlist.len()];
-    // constant value of a *new* signal, if known
-    let mut const_of: HashMap<SignalId, bool> = HashMap::new();
-    // structural hash: canonical gate in the new netlist -> new id
-    let mut hash: HashMap<CanonGate, SignalId> = HashMap::new();
-    // remember Not gates for double-negation removal: new id -> its operand
-    let mut not_of: HashMap<SignalId, SignalId> = HashMap::new();
-
-    let konst = |out: &mut Netlist,
-                     const_of: &mut HashMap<SignalId, bool>,
-                     v: bool|
-     -> SignalId {
-        let id = out.constant(v);
-        const_of.insert(id, v);
-        id
+    let mut f = Folder {
+        out: Netlist::new(netlist.name().to_string()),
+        hash: HashMap::with_capacity_and_hasher(netlist.len(), BuildHasherDefault::default()),
+        not_of: Vec::new(),
     };
-
-    for (idx, gate) in netlist.gates().iter().enumerate() {
-        let resolve = |s: SignalId, map: &Vec<Option<Resolved>>| -> SignalId {
-            match map[s.index()] {
-                Some(Resolved::Sig(id)) => id,
-                None => unreachable!("fanin resolved before use (topological order)"),
-            }
-        };
+    // old id -> new id; fanins precede their users (topological order)
+    let mut map: Vec<SignalId> = Vec::with_capacity(netlist.len());
+    for gate in netlist.gates() {
+        let resolve = |s: SignalId| map[s.index()];
         let new_sig: SignalId = match gate {
-            Gate::Input { name } => {
-                let id = out.input(name.clone());
-                map[idx] = Some(Resolved::Sig(id));
-                continue;
-            }
-            Gate::Const(v) => konst(&mut out, &mut const_of, *v),
-            Gate::Buf(a) => resolve(*a, &map),
+            Gate::Input { name } => f.out.input(name.clone()),
+            Gate::Const(v) => f.out.constant(*v),
+            Gate::Buf(a) => resolve(*a),
             Gate::Not(a) => {
-                let a = resolve(*a, &map);
-                if let Some(&v) = const_of.get(&a) {
-                    konst(&mut out, &mut const_of, !v)
-                } else if let Some(&inner) = not_of.get(&a) {
+                let a = resolve(*a);
+                if let Some(v) = f.const_of(a) {
+                    f.out.constant(!v)
+                } else if let Some(inner) = f.not_of(a) {
                     inner // double negation
                 } else {
-                    let id = emit(&mut out, &mut hash, CanonGate::Not(a));
-                    not_of.insert(id, a);
+                    let id = f.emit(CanonGate::Not(a));
+                    f.set_not_of(id, a);
                     id
                 }
             }
             Gate::And(a, b) | Gate::Nand(a, b) => {
-                let invert = matches!(gate, Gate::Nand(..));
-                let (a, b) = (resolve(*a, &map), resolve(*b, &map));
-                let base = simplify_and(&mut out, &mut hash, &mut const_of, a, b);
-                apply_inv(&mut out, &mut hash, &mut const_of, &mut not_of, base, invert)
+                let base = f.and(resolve(*a), resolve(*b));
+                f.apply_inv(base, matches!(gate, Gate::Nand(..)))
             }
             Gate::Or(a, b) | Gate::Nor(a, b) => {
-                let invert = matches!(gate, Gate::Nor(..));
-                let (a, b) = (resolve(*a, &map), resolve(*b, &map));
-                let base = simplify_or(&mut out, &mut hash, &mut const_of, a, b);
-                apply_inv(&mut out, &mut hash, &mut const_of, &mut not_of, base, invert)
+                let base = f.or(resolve(*a), resolve(*b));
+                f.apply_inv(base, matches!(gate, Gate::Nor(..)))
             }
             Gate::Xor(a, b) | Gate::Xnor(a, b) => {
-                let invert = matches!(gate, Gate::Xnor(..));
-                let (a, b) = (resolve(*a, &map), resolve(*b, &map));
-                let base = simplify_xor(&mut out, &mut hash, &mut const_of, a, b);
-                apply_inv(&mut out, &mut hash, &mut const_of, &mut not_of, base, invert)
+                let base = f.xor(resolve(*a), resolve(*b));
+                f.apply_inv(base, matches!(gate, Gate::Xnor(..)))
             }
-            Gate::Mux { sel, t, f } => {
-                let (sel, t, f) = (resolve(*sel, &map), resolve(*t, &map), resolve(*f, &map));
-                if let Some(&sv) = const_of.get(&sel) {
+            Gate::Mux { sel, t, f: e } => {
+                let (sel, t, e) = (resolve(*sel), resolve(*t), resolve(*e));
+                if let Some(sv) = f.const_of(sel) {
                     if sv {
                         t
                     } else {
-                        f
+                        e
                     }
-                } else if t == f {
+                } else if t == e {
                     t
                 } else {
-                    match (const_of.get(&t).copied(), const_of.get(&f).copied()) {
+                    match (f.const_of(t), f.const_of(e)) {
                         (Some(true), Some(false)) => sel,
-                        (Some(false), Some(true)) => {
-                            emit_not(&mut out, &mut hash, &mut not_of, sel)
-                        }
-                        (Some(true), None) => simplify_or(&mut out, &mut hash, &mut const_of, sel, f),
+                        (Some(false), Some(true)) => f.emit_not(sel),
+                        (Some(true), None) => f.or(sel, e),
                         (Some(false), None) => {
-                            let ns = emit_not(&mut out, &mut hash, &mut not_of, sel);
-                            simplify_and(&mut out, &mut hash, &mut const_of, ns, f)
+                            let ns = f.emit_not(sel);
+                            f.and(ns, e)
                         }
                         (None, Some(true)) => {
-                            let ns = emit_not(&mut out, &mut hash, &mut not_of, sel);
-                            simplify_or(&mut out, &mut hash, &mut const_of, ns, t)
+                            let ns = f.emit_not(sel);
+                            f.or(ns, t)
                         }
-                        (None, Some(false)) => {
-                            simplify_and(&mut out, &mut hash, &mut const_of, sel, t)
-                        }
-                        _ => emit(&mut out, &mut hash, CanonGate::Mux(sel, t, f)),
+                        (None, Some(false)) => f.and(sel, t),
+                        _ => f.emit(CanonGate::Mux(sel, t, e)),
                     }
                 }
             }
             Gate::Maj(a, b, c) => {
-                let (a, b, c) = (resolve(*a, &map), resolve(*b, &map), resolve(*c, &map));
-                let consts = [
-                    const_of.get(&a).copied(),
-                    const_of.get(&b).copied(),
-                    const_of.get(&c).copied(),
-                ];
-                let sigs = [a, b, c];
+                let (a, b, c) = (resolve(*a), resolve(*b), resolve(*c));
+                let consts = [f.const_of(a), f.const_of(b), f.const_of(c)];
                 // Pull out constant operands: Maj(x,y,1) = x|y, Maj(x,y,0) = x&y.
                 if let Some(pos) = consts.iter().position(Option::is_some) {
-                    let cv = consts[pos].expect("position found");
-                    let others: Vec<SignalId> = (0..3).filter(|&i| i != pos).map(|i| sigs[i]).collect();
-                    if cv {
-                        simplify_or(&mut out, &mut hash, &mut const_of, others[0], others[1])
+                    let [x, y] = match pos {
+                        0 => [b, c],
+                        1 => [a, c],
+                        _ => [a, b],
+                    };
+                    if consts[pos] == Some(true) {
+                        f.or(x, y)
                     } else {
-                        simplify_and(&mut out, &mut hash, &mut const_of, others[0], others[1])
+                        f.and(x, y)
                     }
                 } else if a == b || a == c {
                     a // Maj(x,x,y) = x
@@ -172,20 +134,16 @@ fn fold_and_hash(netlist: &Netlist) -> Netlist {
                 } else {
                     let mut s = [a, b, c];
                     s.sort();
-                    emit(&mut out, &mut hash, CanonGate::Maj(s[0], s[1], s[2]))
+                    f.emit(CanonGate::Maj(s[0], s[1], s[2]))
                 }
             }
         };
-        // Track constants produced by simplification chains.
-        map[idx] = Some(Resolved::Sig(new_sig));
+        map.push(new_sig);
     }
 
+    let mut out = f.out;
     for (name, sig) in netlist.outputs() {
-        let new_sig = match map[sig.index()] {
-            Some(Resolved::Sig(id)) => id,
-            None => unreachable!("outputs reference existing gates"),
-        };
-        out.output(name.clone(), new_sig);
+        out.output(name.clone(), map[sig.index()]);
     }
     out
 }
@@ -202,127 +160,143 @@ enum CanonGate {
     Maj(SignalId, SignalId, SignalId),
 }
 
-fn emit(out: &mut Netlist, hash: &mut HashMap<CanonGate, SignalId>, g: CanonGate) -> SignalId {
-    let canon = match g {
-        CanonGate::And(a, b) if a > b => CanonGate::And(b, a),
-        CanonGate::Or(a, b) if a > b => CanonGate::Or(b, a),
-        CanonGate::Xor(a, b) if a > b => CanonGate::Xor(b, a),
-        other => other,
-    };
-    if let Some(&id) = hash.get(&canon) {
-        return id;
-    }
-    let id = match canon {
-        CanonGate::Not(a) => out.not(a),
-        CanonGate::And(a, b) => out.and(a, b),
-        CanonGate::Or(a, b) => out.or(a, b),
-        CanonGate::Xor(a, b) => out.xor(a, b),
-        CanonGate::Mux(s, t, f) => out.mux(s, t, f),
-        CanonGate::Maj(a, b, c) => out.maj(a, b, c),
-    };
-    hash.insert(canon, id);
-    id
-}
+/// A multiplicative hasher for [`CanonGate`] keys. The keys are gate
+/// kinds and signal ids this module creates, never outside input, so a
+/// keyed hash's protection against chosen collisions buys nothing.
+#[derive(Default)]
+struct GateHasher(u64);
 
-fn emit_not(
-    out: &mut Netlist,
-    hash: &mut HashMap<CanonGate, SignalId>,
-    not_of: &mut HashMap<SignalId, SignalId>,
-    a: SignalId,
-) -> SignalId {
-    if let Some(&inner) = not_of.get(&a) {
-        return inner;
-    }
-    let id = emit(out, hash, CanonGate::Not(a));
-    not_of.insert(id, a);
-    id
-}
-
-fn apply_inv(
-    out: &mut Netlist,
-    hash: &mut HashMap<CanonGate, SignalId>,
-    const_of: &mut HashMap<SignalId, bool>,
-    not_of: &mut HashMap<SignalId, SignalId>,
-    base: SignalId,
-    invert: bool,
-) -> SignalId {
-    if !invert {
-        return base;
-    }
-    if let Some(&v) = const_of.get(&base) {
-        let id = out.constant(!v);
-        const_of.insert(id, !v);
-        return id;
-    }
-    emit_not(out, hash, not_of, base)
-}
-
-fn simplify_and(
-    out: &mut Netlist,
-    hash: &mut HashMap<CanonGate, SignalId>,
-    const_of: &mut HashMap<SignalId, bool>,
-    a: SignalId,
-    b: SignalId,
-) -> SignalId {
-    match (const_of.get(&a).copied(), const_of.get(&b).copied()) {
-        (Some(false), _) | (_, Some(false)) => {
-            let id = out.constant(false);
-            const_of.insert(id, false);
-            id
-        }
-        (Some(true), _) => b,
-        (_, Some(true)) => a,
-        _ if a == b => a,
-        _ => emit(out, hash, CanonGate::And(a, b)),
+impl GateHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
     }
 }
 
-fn simplify_or(
-    out: &mut Netlist,
-    hash: &mut HashMap<CanonGate, SignalId>,
-    const_of: &mut HashMap<SignalId, bool>,
-    a: SignalId,
-    b: SignalId,
-) -> SignalId {
-    match (const_of.get(&a).copied(), const_of.get(&b).copied()) {
-        (Some(true), _) | (_, Some(true)) => {
-            let id = out.constant(true);
-            const_of.insert(id, true);
-            id
+impl Hasher for GateHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
         }
-        (Some(false), _) => b,
-        (_, Some(false)) => a,
-        _ if a == b => a,
-        _ => emit(out, hash, CanonGate::Or(a, b)),
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.add(n.cast_unsigned() as u64);
     }
 }
 
-fn simplify_xor(
-    out: &mut Netlist,
-    hash: &mut HashMap<CanonGate, SignalId>,
-    const_of: &mut HashMap<SignalId, bool>,
-    a: SignalId,
-    b: SignalId,
-) -> SignalId {
-    match (const_of.get(&a).copied(), const_of.get(&b).copied()) {
-        (Some(x), Some(y)) => {
-            let id = out.constant(x ^ y);
-            const_of.insert(id, x ^ y);
-            id
+/// The optimized netlist under construction and what is known about
+/// its signals.
+struct Folder {
+    out: Netlist,
+    /// Structural hash: canonical gate in `out` -> its id.
+    hash: HashMap<CanonGate, SignalId, BuildHasherDefault<GateHasher>>,
+    /// The operand of each Not gate of `out` recorded for double-negation
+    /// removal, indexed by signal (`None` past the end).
+    not_of: Vec<Option<SignalId>>,
+}
+
+impl Folder {
+    /// The value of a signal of `out` that is a constant.
+    fn const_of(&self, s: SignalId) -> Option<bool> {
+        match self.out.gate(s) {
+            Gate::Const(v) => Some(*v),
+            _ => None,
         }
-        (Some(false), _) => b,
-        (_, Some(false)) => a,
-        // x ^ 1 handled by caller via apply_inv when needed; emit Not here.
-        (Some(true), _) | (_, Some(true)) => {
-            let other = if const_of.contains_key(&a) { b } else { a };
-            emit(out, hash, CanonGate::Not(other))
+    }
+
+    fn not_of(&self, s: SignalId) -> Option<SignalId> {
+        self.not_of.get(s.index()).copied().flatten()
+    }
+
+    fn set_not_of(&mut self, id: SignalId, a: SignalId) {
+        if self.not_of.len() <= id.index() {
+            self.not_of.resize(self.out.len(), None);
         }
-        _ if a == b => {
-            let id = out.constant(false);
-            const_of.insert(id, false);
-            id
+        self.not_of[id.index()] = Some(a);
+    }
+
+    fn emit(&mut self, g: CanonGate) -> SignalId {
+        let canon = match g {
+            CanonGate::And(a, b) if a > b => CanonGate::And(b, a),
+            CanonGate::Or(a, b) if a > b => CanonGate::Or(b, a),
+            CanonGate::Xor(a, b) if a > b => CanonGate::Xor(b, a),
+            other => other,
+        };
+        if let Some(&id) = self.hash.get(&canon) {
+            return id;
         }
-        _ => emit(out, hash, CanonGate::Xor(a, b)),
+        let out = &mut self.out;
+        let id = match canon {
+            CanonGate::Not(a) => out.not(a),
+            CanonGate::And(a, b) => out.and(a, b),
+            CanonGate::Or(a, b) => out.or(a, b),
+            CanonGate::Xor(a, b) => out.xor(a, b),
+            CanonGate::Mux(s, t, f) => out.mux(s, t, f),
+            CanonGate::Maj(a, b, c) => out.maj(a, b, c),
+        };
+        self.hash.insert(canon, id);
+        id
+    }
+
+    fn emit_not(&mut self, a: SignalId) -> SignalId {
+        if let Some(inner) = self.not_of(a) {
+            return inner;
+        }
+        let id = self.emit(CanonGate::Not(a));
+        self.set_not_of(id, a);
+        id
+    }
+
+    fn apply_inv(&mut self, base: SignalId, invert: bool) -> SignalId {
+        if !invert {
+            return base;
+        }
+        if let Some(v) = self.const_of(base) {
+            return self.out.constant(!v);
+        }
+        self.emit_not(base)
+    }
+
+    fn and(&mut self, a: SignalId, b: SignalId) -> SignalId {
+        match (self.const_of(a), self.const_of(b)) {
+            (Some(false), _) | (_, Some(false)) => self.out.constant(false),
+            (Some(true), _) => b,
+            (_, Some(true)) => a,
+            _ if a == b => a,
+            _ => self.emit(CanonGate::And(a, b)),
+        }
+    }
+
+    fn or(&mut self, a: SignalId, b: SignalId) -> SignalId {
+        match (self.const_of(a), self.const_of(b)) {
+            (Some(true), _) | (_, Some(true)) => self.out.constant(true),
+            (Some(false), _) => b,
+            (_, Some(false)) => a,
+            _ if a == b => a,
+            _ => self.emit(CanonGate::Or(a, b)),
+        }
+    }
+
+    fn xor(&mut self, a: SignalId, b: SignalId) -> SignalId {
+        match (self.const_of(a), self.const_of(b)) {
+            (Some(x), Some(y)) => self.out.constant(x ^ y),
+            (Some(false), _) => b,
+            (_, Some(false)) => a,
+            // x ^ 1 = !x, emitted without recording it for
+            // double-negation removal.
+            (Some(true), _) => self.emit(CanonGate::Not(b)),
+            (_, Some(true)) => self.emit(CanonGate::Not(a)),
+            _ if a == b => self.out.constant(false),
+            _ => self.emit(CanonGate::Xor(a, b)),
+        }
     }
 }
 

@@ -15,16 +15,23 @@
 //!   pipeline run it at `W = 8` or `W = 16`, where the per-gate loops
 //!   over the block words autovectorize and the per-gate dispatch
 //!   (match, bounds checks, fault-mask probe) amortizes over `W` words;
-//! - LUT networks are lowered to mux trees and simulated as netlists,
-//!   and LUT truth tables are extracted by running [`eval_gate`] over a
+//! - LUT truth tables are extracted by running [`eval_gate`] over a
 //!   cut's cone.
+//!
+//! A mapped LUT network has an evaluator of its own on the same blocks,
+//! [`MappedNetlist::simulate_blocks`]: each LUT's block is its truth
+//! table expanded on the highest input (Shannon expansion), the mux
+//! tree [`MappedNetlist::to_netlist`] would build, evaluated on words
+//! without building it.
 //!
 //! Padding lanes of a partial final block are driven with zeros; their
 //! outputs are well-defined but meaningless, and callers mask them out.
 
 use crate::fault::FaultSet;
 use crate::ir::{Gate, Netlist, SignalId};
+use crate::map::{MappedNetlist, MAX_K};
 use crate::NetlistError;
+use std::ops::Range;
 
 /// Applies a unary word operation across a block.
 #[inline(always)]
@@ -275,6 +282,177 @@ impl Netlist {
         outputs.clear();
         outputs.extend(self.outputs().iter().map(|(_, s)| scratch[s.index()]));
         Ok(())
+    }
+}
+
+/// A [`MappedNetlist`] checked and laid out for simulation, one value
+/// slot per net: the primary inputs in order, then the constants in
+/// signal order, then one slot per LUT in order.
+pub(crate) struct LutProgram {
+    /// Number of primary inputs, the first slots.
+    pub(crate) inputs: usize,
+    /// The constants' values, in the slots after the inputs.
+    pub(crate) constants: Vec<bool>,
+    /// The LUTs, in the last slots.
+    pub(crate) luts: Vec<LutStep>,
+    /// The slot of each primary output.
+    pub(crate) outputs: Vec<usize>,
+}
+
+/// One LUT of a [`LutProgram`]: its truth table over the slots of its
+/// inputs, each an earlier slot.
+pub(crate) struct LutStep {
+    ins: [u32; MAX_K],
+    len: usize,
+    pub(crate) truth: u64,
+}
+
+impl LutStep {
+    /// The slots of the LUT's inputs; input `j` is bit `j` of the truth
+    /// table's index.
+    pub(crate) fn inputs(&self) -> &[u32] {
+        &self.ins[..self.len]
+    }
+}
+
+impl LutProgram {
+    /// The LUTs' slots, the last ones.
+    pub(crate) fn lut_slots(&self) -> Range<usize> {
+        let first = self.inputs + self.constants.len();
+        first..first + self.luts.len()
+    }
+
+    /// Computes every slot's block for `W × 64` lanes into `vals`, which
+    /// is reused: a warm caller allocates nothing.
+    pub(crate) fn eval_blocks<const W: usize>(
+        &self,
+        input_blocks: &[[u64; W]],
+        vals: &mut Vec<[u64; W]>,
+    ) -> crate::Result<()> {
+        if input_blocks.len() != self.inputs {
+            return Err(NetlistError::InputCountMismatch {
+                expected: self.inputs,
+                found: input_blocks.len(),
+            });
+        }
+        vals.clear();
+        vals.extend_from_slice(input_blocks);
+        vals.extend(self.constants.iter().map(|&c| [if c { u64::MAX } else { 0 }; W]));
+        for lut in &self.luts {
+            let v = shannon(lut.truth, lut.inputs(), vals);
+            vals.push(v);
+        }
+        Ok(())
+    }
+}
+
+/// The block of a truth table over the blocks in the slots `ins` (at
+/// most [`MAX_K`]; input `j` is bit `j` of the table's index): Shannon
+/// expansion on the highest input, one mux per pair of unequal
+/// half-tables, with the multiplexer gate's semantics.
+fn shannon<const W: usize>(truth: u64, ins: &[u32], vals: &[[u64; W]]) -> [u64; W] {
+    let Some((&top, rest)) = ins.split_last() else {
+        return [if truth & 1 == 1 { u64::MAX } else { 0 }; W];
+    };
+    if rest.is_empty() {
+        // The mux of two constants: a constant, the input or its inverse.
+        let x = &vals[top as usize];
+        return match truth & 0b11 {
+            0b00 => [0; W],
+            0b01 => un(x, |v| !v),
+            0b10 => *x,
+            _ => [u64::MAX; W],
+        };
+    }
+    // Each half-table has 2^rest.len() <= 32 bits.
+    let half = 1u32 << rest.len();
+    let mask = (1u64 << half) - 1;
+    let (lo, hi) = (truth & mask, (truth >> half) & mask);
+    let f = shannon(lo, rest, vals);
+    if lo == hi {
+        return f;
+    }
+    let t = shannon(hi, rest, vals);
+    tri(&vals[top as usize], &t, &f, |s, t, f| (s & t) | (!s & f))
+}
+
+impl MappedNetlist {
+    /// Checks the network and lays it out for simulation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::LutSize`] for a LUT with more than six
+    /// inputs, and [`NetlistError::UndefinedSignal`] for a LUT input or
+    /// primary output that no primary input, constant or earlier LUT
+    /// defines.
+    pub(crate) fn program(&self) -> crate::Result<LutProgram> {
+        const UNDEFINED: u32 = u32::MAX;
+        let roots = self.luts.iter().map(|l| l.root);
+        let defined = self.inputs.iter().chain(self.constants.keys()).copied();
+        let signals = defined.clone().chain(roots).map(|s| s.index() + 1).max().unwrap_or(0);
+        // Each net's slot, indexed by signal and set as the net is
+        // defined, so a LUT reads only the nets before it.
+        let mut slot = vec![UNDEFINED; signals];
+        let mut next = 0;
+        for s in defined {
+            slot[s.index()] = next;
+            next += 1;
+        }
+        let slot_of = |slot: &[u32], signal: SignalId, lut| match slot.get(signal.index()) {
+            Some(&at) if at != UNDEFINED => Ok(at),
+            _ => Err(NetlistError::UndefinedSignal { signal, lut }),
+        };
+        let mut luts = Vec::with_capacity(self.luts.len());
+        for lut in &self.luts {
+            let len = lut.inputs.len();
+            if len > MAX_K {
+                return Err(NetlistError::LutSize { k: len });
+            }
+            let mut ins = [0; MAX_K];
+            for (at, &s) in ins.iter_mut().zip(&lut.inputs) {
+                *at = slot_of(&slot, s, Some(lut.root))?;
+            }
+            luts.push(LutStep {
+                ins,
+                len,
+                truth: lut.truth,
+            });
+            slot[lut.root.index()] = next;
+            next += 1;
+        }
+        let outputs = self
+            .outputs
+            .iter()
+            .map(|(_, s)| slot_of(&slot, *s, None).map(|at| at as usize))
+            .collect::<crate::Result<_>>()?;
+        Ok(LutProgram {
+            inputs: self.inputs.len(),
+            constants: self.constants.values().copied().collect(),
+            luts,
+            outputs,
+        })
+    }
+
+    /// Evaluates the primary outputs for `W × 64` parallel lanes, each
+    /// LUT from its truth table. Bit-identical, word for word, to
+    /// simulating [`MappedNetlist::to_netlist`] with
+    /// [`Netlist::simulate_blocks`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::InputCountMismatch`] if the number of
+    /// blocks differs from the number of primary inputs,
+    /// [`NetlistError::LutSize`] for a LUT with more than six inputs, and
+    /// [`NetlistError::UndefinedSignal`] for a LUT input or primary
+    /// output that no primary input, constant or earlier LUT defines.
+    pub fn simulate_blocks<const W: usize>(
+        &self,
+        input_blocks: &[[u64; W]],
+    ) -> crate::Result<Vec<[u64; W]>> {
+        let program = self.program()?;
+        let mut vals = Vec::new();
+        program.eval_blocks(input_blocks, &mut vals)?;
+        Ok(program.outputs.iter().map(|&at| vals[at]).collect())
     }
 }
 

@@ -7,7 +7,7 @@
 
 use crate::map::{map_luts, verify_mapping, MapStrategy, MappedNetlist};
 use crate::opt::optimize;
-use crate::power::{estimate_power_lowered, PowerModel, PowerReport};
+use crate::power::{estimate_power, PowerModel, PowerReport};
 use crate::timing::TimingModel;
 use crate::Netlist;
 
@@ -79,9 +79,10 @@ impl SynthReport {
 
 /// Runs the full synthesis flow on a netlist. The optimization, mapping
 /// and power stages are traced as the `netlist.optimize`, `netlist.map`
-/// and `netlist.power` spans. The mapped network is lowered to gates
-/// once, in the power stage, and that lowering also serves the
-/// verification that follows it.
+/// and `netlist.power` spans. Power estimation and the random
+/// verification simulate the mapped network from its truth tables; it
+/// is lowered to a gate-level netlist only for the formal check that
+/// `formal_verify_limit` asks for.
 ///
 /// # Errors
 ///
@@ -99,17 +100,15 @@ pub fn synthesize(netlist: &Netlist, config: &SynthConfig) -> crate::Result<Synt
     };
     let cpd_ns = config.timing.critical_path_ns(&mapped);
     let fmax_mhz = config.timing.fmax_mhz(&mapped);
-    let (lowered, power) = {
+    let power = {
         let _span = clapped_obs::span("netlist.power");
-        let (lowered, ids) = mapped.lower("mapped");
-        let power = estimate_power_lowered(&mapped, &lowered, &ids, &config.power)?;
-        (lowered, power)
+        estimate_power(&mapped, &config.power)?
     };
     if config.verify_rounds > 0 {
-        verify_mapping(&opt, &lowered, config.verify_rounds, config.seed)?;
+        verify_mapping(&opt, &mapped, config.verify_rounds, config.seed)?;
     }
     if let Some(limit) = config.formal_verify_limit {
-        match crate::bdd::check_equivalence(&opt, &lowered, limit) {
+        match crate::bdd::check_equivalence(&opt, &mapped.to_netlist("mapped"), limit) {
             Ok(crate::bdd::Equivalence::Equal) => {}
             Ok(crate::bdd::Equivalence::Differ { .. }) => {
                 return Err(crate::NetlistError::MappingMismatch)

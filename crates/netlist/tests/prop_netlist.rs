@@ -8,6 +8,7 @@ use clapped_netlist::{
     Netlist, SignalId,
 };
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// Scalar reference interpreter of a LUT network, one input vector at a
@@ -136,6 +137,57 @@ proptest! {
         let report = lint_netlist(&optimize(&n));
         prop_assert!(report.errors().next().is_none(), "{:?}", report.findings);
         prop_assert_eq!(report.stats.dead_gates, 0, "DCE left dead gates");
+    }
+
+    /// The LUT network's evaluator equals its mux-tree lowering run on
+    /// the gate kernel, word for word. Random logic, with outputs tied
+    /// to both constants and to a primary input, is mapped at every LUT
+    /// size under both strategies, and every LUT root becomes an output
+    /// too. The stimulus fills `rounds` words of 16-word blocks, so the
+    /// last block is often partial, its tail words left from the block
+    /// before, as the power estimator leaves them.
+    #[test]
+    fn lut_evaluator_matches_its_lowering(
+        ops in proptest::collection::vec(any::<u8>(), 4..60),
+        k in 2usize..=6,
+        rounds in 1usize..=40,
+        seed in any::<u64>(),
+    ) {
+        // Multiplexers and majority gates need three-input LUTs.
+        let ops: Vec<u8> = if k == 2 { ops.iter().map(|o| o % 7).collect() } else { ops };
+        let mut n = random_netlist(4, &ops);
+        let (zero, one, input) = (n.constant(false), n.constant(true), n.inputs()[2]);
+        for (name, s) in [("zero", zero), ("one", one), ("input", input)] {
+            n.output(name, s);
+        }
+        let opt = optimize(&n);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        for strategy in [MapStrategy::Depth, MapStrategy::Area] {
+            let mut mapped = map_luts(&opt, k, strategy).expect("mappable");
+            prop_assert!(mapped.luts.iter().all(|l| l.inputs.len() <= k));
+            let roots: Vec<SignalId> = mapped.luts.iter().map(|l| l.root).collect();
+            for (i, root) in roots.into_iter().enumerate() {
+                mapped.outputs.push((format!("lut{i}"), root));
+            }
+            let lowered = mapped.to_netlist("lowered");
+            let mut blocks = vec![[0u64; 16]; mapped.inputs.len()];
+            for first in (0..rounds).step_by(16) {
+                for r in 0..(rounds - first).min(16) {
+                    for b in &mut blocks {
+                        b[r] = rng.gen();
+                    }
+                }
+                prop_assert_eq!(
+                    mapped.simulate_blocks(&blocks).expect("simulates"),
+                    lowered.simulate_blocks(&blocks).expect("simulates")
+                );
+            }
+            let words: Vec<[u64; 1]> = blocks.iter().map(|b| [b[0]]).collect();
+            prop_assert_eq!(
+                mapped.simulate_blocks(&words).expect("simulates"),
+                lowered.simulate_blocks(&words).expect("simulates")
+            );
+        }
     }
 
     /// Adders of random widths are exact through the whole flow.
