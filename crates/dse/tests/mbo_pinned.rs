@@ -1,12 +1,15 @@
-//! MBO search trajectories and GP predictions, pinned digest for digest.
+//! MBO search trajectories, GP fits and GP predictions, pinned digest
+//! for digest.
 //!
 //! Three seeded `MboState` runs, at two, three and four objectives,
 //! cover the 2D sweep, the 3D slicing and the WFG recursion of the
 //! acquisition's hypervolume scoring. Each run's surrogates grow past 100
 //! training rows and the last fit has 111, not a multiple of four, so
-//! blocked kernels exercise their remainders. A change to the GP fit, the
-//! batched prediction, the Cholesky factorization or the acquisition
-//! scoring that moves a single pick or a single bit fails here.
+//! blocked kernels exercise their remainders. Seeded fits at the widths
+//! and sizes `explore` reaches pin each selected grid point and its
+//! weights. A change to the GP fit, the batched prediction, the Cholesky
+//! factorization or the acquisition scoring that moves a single pick or a
+//! single bit fails here.
 
 use clapped_dse::{BatchOutcome, Gp, MboConfig, MboState};
 use clapped_exec::Fnv64;
@@ -111,4 +114,90 @@ fn batched_gp_prediction_is_pinned() {
         h.write_u64(var.to_bits());
     }
     assert_eq!(h.finish(), 0x3b18_57cd_f88c_a8e1);
+}
+
+/// `n` seeded rows of `width` features, uniform in `[0, 1)`.
+fn rows(rng: &mut ChaCha8Rng, width: usize, n: usize) -> Vec<Vec<f64>> {
+    (0..n)
+        .map(|_| (0..width).map(|_| rng.gen_range(0.0..1.0)).collect())
+        .collect()
+}
+
+/// A target smooth in every feature.
+fn smooth(x: &[f64]) -> f64 {
+    x.iter().enumerate().map(|(j, v)| v / (j + 1) as f64).sum()
+}
+
+/// A target that varies quickly in a few features.
+fn rough(x: &[f64]) -> f64 {
+    (7.0 * x[0]).sin() * x[x.len() - 1] + 0.3 * (11.0 * x[1] * x[2]).cos()
+}
+
+/// Fits `ys` on `xs` and feeds the selected lengthscale and noise, the
+/// weights and the predictions at `queries` into `h`, bit for bit.
+fn feed_fit(h: &mut Fnv64, xs: &[Vec<f64>], ys: &[f64], queries: &[Vec<f64>]) {
+    let gp = Gp::fit(xs, ys).expect("fit");
+    h.write_u64(gp.lengthscale().to_bits());
+    h.write_u64(gp.noise().to_bits());
+    for a in gp.alpha() {
+        h.write_u64(a.to_bits());
+    }
+    for (mean, var) in gp.predict_batch(queries).expect("predict") {
+        h.write_u64(mean.to_bits());
+        h.write_u64(var.to_bits());
+    }
+}
+
+#[test]
+fn gp_fits_are_pinned() {
+    // One digest per width (62 is what `explore` fits on: `Coeffs(4)`
+    // features plus a 3x3's hardware features), then the duplicated-rows
+    // and the constant-target datasets.
+    let mut digests = Vec::new();
+    for width in [5usize, 13, 40, 62] {
+        let mut h = Fnv64::new();
+        for n in [1usize, 7, 61, 130, 250] {
+            let mut rng = ChaCha8Rng::seed_from_u64(1000 * width as u64 + n as u64);
+            let xs = rows(&mut rng, width, n);
+            let queries = rows(&mut rng, width, 9);
+            for target in [smooth, rough] {
+                let ys: Vec<f64> = xs.iter().map(|x| target(x)).collect();
+                feed_fit(&mut h, &xs, &ys, &queries);
+            }
+        }
+        digests.push(h.finish());
+    }
+
+    let mut rng = ChaCha8Rng::seed_from_u64(77);
+    let distinct = rows(&mut rng, 13, 12);
+    let xs: Vec<Vec<f64>> = (0..61).map(|i| distinct[(i * 5) % 12].clone()).collect();
+    let queries = rows(&mut rng, 13, 9);
+    let mut h = Fnv64::new();
+    for target in [smooth, rough] {
+        let ys: Vec<f64> = xs.iter().map(|x| target(x)).collect();
+        feed_fit(&mut h, &xs, &ys, &queries);
+    }
+    digests.push(h.finish());
+
+    let xs = rows(&mut rng, 40, 61);
+    let queries = rows(&mut rng, 40, 9);
+    let mut h = Fnv64::new();
+    feed_fit(&mut h, &xs, &[2.0; 61], &queries);
+    let ys: Vec<f64> = xs.iter().map(|x| smooth(x)).collect();
+    feed_fit(&mut h, &xs, &ys, &queries);
+    digests.push(h.finish());
+
+    let hex: Vec<String> = digests.iter().map(|d| format!("{d:#018x}")).collect();
+    assert_eq!(
+        digests,
+        [
+            0x0881_31b9_849f_16a0,
+            0xa9bc_1fd3_ba12_acbe,
+            0x0894_ed32_7afe_1760,
+            0xaa95_bbe1_f045_54b0,
+            0x581f_3e15_0e03_6a39,
+            0x2c0d_2eb5_fed6_d3d4,
+        ],
+        "digests {hex:?}"
+    );
 }
