@@ -242,6 +242,7 @@ impl<C: CheckpointCodec + Clone> MboState<C> {
             hv_trace,
             initial_done,
             iterations_done,
+            features: Vec::new(),
         })
     }
 }

@@ -135,6 +135,11 @@ pub struct MboState<C> {
     pub(crate) hv_trace: Vec<(usize, f64)>,
     pub(crate) initial_done: bool,
     pub(crate) iterations_done: usize,
+    /// Surrogate features of `evaluated`'s points, index for index,
+    /// each `encode`d the first time it trains a surrogate (empty until
+    /// then; a failed evaluation never trains one). Not checkpointed: a
+    /// restored state starts empty and refills them on its next fit.
+    pub(crate) features: Vec<Vec<f64>>,
 }
 
 /// One candidate's true evaluation, as the batch evaluator of
@@ -168,6 +173,7 @@ impl<C: Clone> MboState<C> {
             hv_trace: Vec::new(),
             initial_done: false,
             iterations_done: 0,
+            features: Vec::new(),
         })
     }
 
@@ -294,6 +300,11 @@ impl<C: Clone> MboState<C> {
     /// evaluation has succeeded, an iteration samples its whole batch at
     /// random.
     ///
+    /// `encode` maps a candidate to its surrogate features and must be
+    /// the same pure function at every step of a run: the state encodes
+    /// each evaluated point once, the first time it trains a surrogate,
+    /// and keeps the row for every later fit.
+    ///
     /// # Errors
     ///
     /// Returns [`DseError::BadObjectives`] when the outcome count does
@@ -356,10 +367,13 @@ impl<C: Clone> MboState<C> {
         encode: &impl Fn(&C) -> Vec<f64>,
     ) -> Result<Vec<C>> {
         let d = self.config.reference.len();
-        let xs: Vec<Vec<f64>> = train
-            .iter()
-            .map(|&i| encode(&self.evaluated[i].0))
-            .collect();
+        self.features.resize(self.evaluated.len(), Vec::new());
+        for &i in train {
+            if self.features[i].is_empty() {
+                self.features[i] = encode(&self.evaluated[i].0);
+            }
+        }
+        let xs: Vec<&[f64]> = train.iter().map(|&i| self.features[i].as_slice()).collect();
         let gps = {
             let _span = clapped_obs::span("dse.mbo.gp_fit");
             let targets: Vec<Vec<f64>> = (0..d)
@@ -613,6 +627,51 @@ mod tests {
             assert_eq!(ca, cb);
             assert_eq!(oa, ob);
         }
+    }
+
+    #[test]
+    fn each_training_point_is_encoded_once() {
+        let config = MboConfig {
+            initial_samples: 6,
+            iterations: 3,
+            batch: 3,
+            candidates: 10,
+            reference: vec![1.5, 1.5],
+            kappa: 1.0,
+            explore_fraction: 0.1,
+            seed: 9,
+        };
+        let calls = std::cell::Cell::new(0);
+        let encode = |c: &Vec<f64>| {
+            calls.set(calls.get() + 1);
+            c.clone()
+        };
+        let mut sample = toy_sample;
+        let mut state = MboState::new(&config).unwrap();
+        state.step(&mut sample, &encode, &mut toy_batch).unwrap();
+        state.step(&mut sample, &encode, &mut toy_batch).unwrap();
+        let checkpoint = state.to_checkpoint();
+        while !state.is_complete() {
+            state.step(&mut sample, &encode, &mut toy_batch).unwrap();
+        }
+        // Every point but the last batch's trains a surrogate and is
+        // encoded once; each iteration also encodes its 10 candidates.
+        assert_eq!(calls.get(), (6 + 2 * 3) + 3 * 10);
+        let straight = state.into_result();
+        assert_eq!(
+            straight.hv_trace,
+            mbo(&config, toy_sample, |c| c.clone(), toy_objective).unwrap().hv_trace
+        );
+
+        // A restored state encodes the rows it was saved with once more,
+        // on its first fit, and goes on as the uninterrupted run did.
+        calls.set(0);
+        let mut resumed = MboState::<Vec<f64>>::from_checkpoint(&checkpoint).unwrap();
+        while !resumed.is_complete() {
+            resumed.step(&mut sample, &encode, &mut toy_batch).unwrap();
+        }
+        assert_eq!(calls.get(), 9 + 3 + 2 * 10);
+        assert_eq!(resumed.into_result().evaluated, straight.evaluated);
     }
 
     #[test]

@@ -72,11 +72,12 @@ impl Standardizer {
     /// # Panics
     ///
     /// Panics if `rows` is empty or the rows have inconsistent lengths.
-    pub fn fit(rows: &[Vec<f64>]) -> Standardizer {
+    pub fn fit<R: AsRef<[f64]>>(rows: &[R]) -> Standardizer {
         assert!(!rows.is_empty(), "cannot fit a standardizer on no data");
-        let dim = rows[0].len();
+        let dim = rows[0].as_ref().len();
         let mut means = vec![0.0; dim];
         for row in rows {
+            let row = row.as_ref();
             assert_eq!(row.len(), dim, "inconsistent feature dimension");
             for (m, &v) in means.iter_mut().zip(row) {
                 *m += v;
@@ -87,7 +88,7 @@ impl Standardizer {
         }
         let mut vars = vec![0.0; dim];
         for row in rows {
-            for ((v, &x), &m) in vars.iter_mut().zip(row).zip(&means) {
+            for ((v, &x), &m) in vars.iter_mut().zip(row.as_ref()).zip(&means) {
                 *v += (x - m) * (x - m);
             }
         }
