@@ -71,7 +71,7 @@ fn datapath_memo() -> &'static Memo<u64, Arc<Netlist>> {
 ///
 /// Returns [`crate::AccelError::BadSpec`] if the spec fails validation
 /// (nothing is cached for failing specs).
-pub fn build_datapath_cached(spec: &AcceleratorSpec, shift: u32) -> Result<Arc<Netlist>> {
+pub(crate) fn build_datapath_cached(spec: &AcceleratorSpec, shift: u32) -> Result<Arc<Netlist>> {
     let key = clapped_exec::StructDigest::new("accel::datapath")
         .field("spec", &spec.content_digest())
         .field("shift", &u64::from(shift))

@@ -71,18 +71,8 @@ impl OpLibrary {
     }
 
     /// Catalog index of a named operator.
-    pub fn index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn index(&self, name: &str) -> Option<usize> {
         self.indices.get(name).copied()
-    }
-
-    /// Number of characterized operators.
-    pub fn len(&self) -> usize {
-        self.props.len()
-    }
-
-    /// True when the library is empty.
-    pub fn is_empty(&self) -> bool {
-        self.props.is_empty()
     }
 }
 

@@ -37,7 +37,7 @@ mod perf;
 mod spec;
 mod streamsim;
 
-pub use datapath::{build_datapath, build_datapath_cached, datapath_cache_stats};
+pub use datapath::{build_datapath, datapath_cache_stats};
 pub use features::{features, table1_rows, FeatureMode, MulProps, OpLibrary, PerfMetric};
 pub use perf::{characterize, compute_duty_factor, latency_cycles, AccelReport, CharacterizeConfig};
 pub use spec::AcceleratorSpec;

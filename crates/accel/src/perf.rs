@@ -69,11 +69,6 @@ impl AccelReport {
     pub fn image_time_us(&self) -> f64 {
         self.latency_cycles as f64 / self.clock_mhz
     }
-
-    /// Throughput in images per second.
-    pub fn images_per_second(&self) -> f64 {
-        1e6 / self.image_time_us()
-    }
 }
 
 /// Cycle-count model of the line-buffer sliding-window accelerator.

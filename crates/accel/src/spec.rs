@@ -54,7 +54,7 @@ impl AcceleratorSpec {
     }
 
     /// Number of multiplication sites of this architecture.
-    pub fn taps(&self) -> usize {
+    pub(crate) fn taps(&self) -> usize {
         match self.mode {
             ConvMode::TwoD => self.window * self.window,
             ConvMode::Separable => 2 * self.window,
@@ -66,7 +66,8 @@ impl AcceleratorSpec {
     /// # Errors
     ///
     /// Returns [`AccelError::BadSpec`] when a field is out of domain or
-    /// the multiplier list length does not match [`AcceleratorSpec::taps`].
+    /// the multiplier list length does not match the tap count of the
+    /// window and mode.
     pub fn validate(&self) -> Result<()> {
         if self.window.is_multiple_of(2) || self.window == 0 || self.window > 9 {
             return Err(AccelError::BadSpec {
@@ -102,8 +103,8 @@ impl AcceleratorSpec {
     /// datapath: the architectural fields plus every tap's behavioural
     /// digest, in tap order. Two specs with equal digests build
     /// identical datapath netlists, which is what makes the digest a
-    /// sound memoization key for [`crate::build_datapath_cached`].
-    pub fn content_digest(&self) -> u64 {
+    /// sound memoization key for `build_datapath_cached`.
+    pub(crate) fn content_digest(&self) -> u64 {
         use clapped_axops::Mul8s;
         let mode = match self.mode {
             ConvMode::TwoD => "2d",
@@ -134,7 +135,7 @@ impl AcceleratorSpec {
     }
 
     /// Window/shift register bits.
-    pub fn register_bits(&self) -> usize {
+    pub(crate) fn register_bits(&self) -> usize {
         match self.mode {
             ConvMode::TwoD => self.window * self.window * 8,
             ConvMode::Separable => 2 * self.window * 8,

@@ -9,7 +9,7 @@
 //! assert.
 //!
 //! The production path here is *compiled*: the datapath netlist is
-//! memoized per `(spec, shift)` digest ([`crate::build_datapath_cached`])
+//! memoized per `(spec, shift)` digest ([`build_datapath_cached`])
 //! so steady-state streams never rebuild it, coefficient input blocks
 //! are broadcast once per pass, the frame is quantized into a
 //! border-replicated padded buffer once per pass (tap reads become
@@ -20,7 +20,8 @@
 //! retains the original per-frame-rebuild, 64-lane implementation;
 //! tests pin the two bit-identical and `bench_sim` measures the gap.
 
-use crate::{build_datapath, build_datapath_cached, AccelError, AcceleratorSpec, Result};
+use crate::datapath::build_datapath_cached;
+use crate::{build_datapath, AccelError, AcceleratorSpec, Result};
 use clapped_imgproc::{ConvMode, Image};
 use clapped_netlist::{pack_bus_samples, transpose8x8, FaultSet, Netlist};
 

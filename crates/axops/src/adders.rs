@@ -97,7 +97,7 @@ pub struct AxAdd {
 
 impl AxAdd {
     /// Instantiates an adder architecture under a given name.
-    pub fn new(name: impl Into<String>, arch: AddArch) -> AxAdd {
+    pub(crate) fn new(name: impl Into<String>, arch: AddArch) -> AxAdd {
         let netlist = arch.build_netlist();
         let table = build_add_table(&netlist);
         AxAdd {
@@ -106,11 +106,6 @@ impl AxAdd {
             netlist: Arc::new(netlist),
             table: table.into(),
         }
-    }
-
-    /// The instantiated architecture.
-    pub fn arch(&self) -> &AddArch {
-        &self.arch
     }
 
     /// The adder's gate-level netlist.

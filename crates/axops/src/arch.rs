@@ -105,7 +105,7 @@ pub struct ComposedSpec {
 impl ComposedSpec {
     /// True when every axis is zero — the spec degenerates to the exact
     /// Baugh-Wooley multiplier.
-    pub fn is_exact(&self) -> bool {
+    pub(crate) fn is_exact(&self) -> bool {
         self.trunc == 0
             && self.vbl == 0
             && self.hbl == 0

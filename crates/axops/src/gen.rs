@@ -27,7 +27,7 @@
 #![warn(clippy::expect_used)]
 
 use crate::table::build_mul_table;
-use crate::{AxMul, ComposedSpec, MulArch};
+use crate::{ComposedSpec, MulArch};
 use clapped_exec::{
     CacheCodec, Engine, Fnv64, ResultCache, StructDigest, CODE_VERSION_SALT,
 };
@@ -270,7 +270,7 @@ impl GenFeatures {
 
     /// Rebuilds features from a [`GenFeatures::to_vec`] vector; `None`
     /// if the dimension is wrong or any value is non-finite.
-    pub fn from_vec(v: &[f64]) -> Option<GenFeatures> {
+    pub(crate) fn from_vec(v: &[f64]) -> Option<GenFeatures> {
         if v.len() != GEN_FEATURE_DIM || v.iter().any(|x| !x.is_finite()) {
             return None;
         }
@@ -344,15 +344,6 @@ pub struct GenEntry {
     pub behaviour_digest: u64,
     /// The operator's pre-filter features.
     pub features: GenFeatures,
-}
-
-impl GenEntry {
-    /// Materializes the entry into a full library operator (netlist +
-    /// behavioural table). Expensive — intended for pre-filter
-    /// *survivors*, not the whole catalog.
-    pub fn materialize(&self) -> AxMul {
-        AxMul::new(self.name.clone(), self.arch)
-    }
 }
 
 /// Counters of one [`GenerativeCatalog::build`] run.
@@ -549,7 +540,7 @@ pub fn gen_cache_with_disk(
 /// warm rebuild computes it without building anything; the
 /// [`CODE_VERSION_SALT`] folded into the cache invalidates records
 /// whenever generator semantics change.
-pub fn spec_digest(arch: &MulArch) -> u64 {
+pub(crate) fn spec_digest(arch: &MulArch) -> u64 {
     StructDigest::new("axops.gen.spec")
         .field("arch", format!("{arch:?}").as_str())
         .finish()
@@ -599,7 +590,7 @@ fn table_bias(table: &[i16]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mul8s;
+    use crate::{AxMul, Mul8s};
 
     #[test]
     fn quick_space_builds_and_dedups() {
@@ -616,7 +607,7 @@ mod tests {
         assert!(stats.duplicates > 0, "the grid must contain behavioural duplicates");
         assert_eq!(stats.distinct + stats.duplicates, stats.raw_specs);
         // Entry 0 is the exact multiplier.
-        let exact = cat.entries()[0].materialize();
+        let exact = AxMul::new("exact", cat.entries()[0].arch);
         assert_eq!(exact.mul(-7, 9), -63);
         assert_eq!(cat.entries()[0].features.mae, 0.0);
         // The interval analyzer proves the exact entry equal to the

@@ -58,14 +58,11 @@ pub use booth::booth_reference;
 pub use drum::drum_reference;
 pub use fault::{build_mul_table_with_faults, FaultedMul};
 pub use gen::{
-    gen_cache_in_memory, gen_cache_with_disk, spec_digest, table_digest, GenBuildStats, GenEntry,
-    GenFeatures, GenRecord, GenSpace, GenSpec, GenerativeCatalog, GEN_FEATURE_DIM,
+    gen_cache_in_memory, gen_cache_with_disk, table_digest, GenBuildStats, GenEntry, GenFeatures,
+    GenRecord, GenSpace, GenSpec, GenerativeCatalog, GEN_FEATURE_DIM,
 };
 pub use logmul::mitchell_reference;
-pub use table::{
-    build_mul_table, build_mul_table_cached, build_mul_table_ref64, exhaustive_pairs,
-    table_cache_stats,
-};
+pub use table::{build_mul_table, build_mul_table_ref64, exhaustive_pairs, table_cache_stats};
 
 use clapped_netlist::Netlist;
 use std::fmt;
@@ -179,18 +176,6 @@ impl AxMul {
     pub fn shared_netlist(&self) -> (&Arc<Netlist>, u64) {
         (&self.netlist, self.digest)
     }
-
-    /// Iterates over `((a, b), product)` for the full input space.
-    pub fn iter_exhaustive(&self) -> impl Iterator<Item = ((i8, i8), i16)> + '_ {
-        exhaustive_pairs().map(move |(a, b)| ((a, b), self.mul(a, b)))
-    }
-
-    /// True when both operators share the *same* behavioural-table
-    /// allocation — the observable proof that the process-wide table
-    /// memo deduplicated their construction.
-    pub fn shares_table_with(&self, other: &AxMul) -> bool {
-        Arc::ptr_eq(&self.table, &other.table)
-    }
 }
 
 impl Mul8s for AxMul {
@@ -260,8 +245,8 @@ mod tests {
         let a = AxMul::new("first", MulArch::Truncated { k: 5 });
         let b = AxMul::new("second", MulArch::Truncated { k: 5 });
         let c = AxMul::new("third", MulArch::Truncated { k: 4 });
-        assert!(a.shares_table_with(&b), "same netlist → one memoized table");
-        assert!(!a.shares_table_with(&c), "different netlist → different table");
+        assert!(Arc::ptr_eq(&a.table, &b.table), "same netlist → one memoized table");
+        assert!(!Arc::ptr_eq(&a.table, &c.table), "different netlist → different table");
     }
 
     #[test]

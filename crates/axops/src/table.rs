@@ -198,7 +198,7 @@ fn table_memo() -> &'static Memo<u64, Arc<[i16]>> {
 /// # Panics
 ///
 /// See [`build_mul_table`].
-pub fn build_mul_table_cached(netlist: &Netlist) -> Arc<[i16]> {
+pub(crate) fn build_mul_table_cached(netlist: &Netlist) -> Arc<[i16]> {
     table_memo().get_or_insert_with(netlist.content_digest(), || build_mul_table(netlist).into())
 }
 

@@ -25,16 +25,7 @@ fn main() {
         ..TrainConfig::default()
     };
     let err_model = fw.train_error_model(&xs, &ys, &train_cfg).expect("trains");
-    let lut_ys: Vec<f64> = configs
-        .iter()
-        .map(|c| fw.characterize_hw(c).expect("synthesis").luts as f64)
-        .collect();
-    let hw_xs: Vec<Vec<f64>> = configs
-        .iter()
-        .map(|c| fw.encode_hw(c).expect("characterized"))
-        .collect();
-    let lut_model =
-        clapped_mlp::Regressor::fit(&hw_xs, &lut_ys, &[32, 16], &train_cfg).expect("trains");
+    let lut_model = fw.train_lut_model(&configs, &train_cfg).expect("trains");
     let objective = |c: &clapped_dse::Configuration| -> Vec<f64> {
         vec![
             err_model.predict(&fw.encode(c, repr)).max(0.0),
@@ -54,11 +45,7 @@ fn main() {
         explore_fraction: 0.1,
         seed: 77,
     };
-    let surrogate_features = |c: &clapped_dse::Configuration| -> Vec<f64> {
-        let mut v = fw.encode(c, repr);
-        v.extend(fw.encode_hw(c).expect("library characterized"));
-        v
-    };
+    let surrogate_features = |c: &clapped_dse::Configuration| fw.surrogate_features(c, repr);
     let run = |cfg: &MboConfig| -> f64 {
         let space = fw.space().clone();
         mbo(cfg, |rng| space.sample(rng), surrogate_features, objective)

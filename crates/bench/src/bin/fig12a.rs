@@ -33,15 +33,8 @@ fn main() {
     let err_model = fw
         .train_error_model(&xs, &ys, &train_cfg)
         .expect("error model trains");
-    let lut_ys: Vec<f64> = configs
-        .iter()
-        .map(|c| fw.characterize_hw(c).expect("synthesis").luts as f64)
-        .collect();
-    let hw_xs: Vec<Vec<f64>> = configs
-        .iter()
-        .map(|c| fw.encode_hw(c).expect("library characterized"))
-        .collect();
-    let lut_model = clapped_mlp::Regressor::fit(&hw_xs, &lut_ys, &[32, 16], &train_cfg)
+    let lut_model = fw
+        .train_lut_model(&configs, &train_cfg)
         .expect("LUT model trains");
 
     let objective = |c: &clapped_dse::Configuration| -> Vec<f64> {
@@ -73,15 +66,10 @@ fn main() {
             mbo_cfg.initial_samples + mbo_cfg.iterations * mbo_cfg.batch
         );
         let space = fw.space().clone();
-        let surrogate_features = |c: &clapped_dse::Configuration| -> Vec<f64> {
-            let mut v = fw.encode(c, repr);
-            v.extend(fw.encode_hw(c).expect("library characterized"));
-            v
-        };
         let mbo_run = mbo(
             &mbo_cfg,
             |rng| space.sample(rng),
-            surrogate_features,
+            |c| fw.surrogate_features(c, repr),
             objective,
         )
         .expect("MBO run");

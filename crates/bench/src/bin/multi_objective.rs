@@ -42,11 +42,7 @@ fn main() {
         seed: 41,
     };
     let space = fw.space().clone();
-    let surrogate_features = |c: &clapped_dse::Configuration| -> Vec<f64> {
-        let mut v = fw.encode(c, repr);
-        v.extend(fw.encode_hw(c).expect("characterized"));
-        v
-    };
+    let surrogate_features = |c: &clapped_dse::Configuration| fw.surrogate_features(c, repr);
     println!("running 4-objective MBO (150 true evaluations) ...");
     let run = mbo(&cfg, |rng| space.sample(rng), surrogate_features, objective)
         .expect("mbo");

@@ -107,7 +107,7 @@ pub fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
 /// # Panics
 ///
 /// Panics if `bins == 0` or `samples` is empty.
-pub fn histogram(samples: &[f64], bins: usize) -> Vec<(f64, usize)> {
+pub(crate) fn histogram(samples: &[f64], bins: usize) -> Vec<(f64, usize)> {
     assert!(bins > 0 && !samples.is_empty());
     let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);

@@ -156,15 +156,7 @@ pub fn explore(fw: &Clapped, opts: &ExploreOptions) -> Result<ExploreResult> {
             err_model = Some(fw.train_error_model(&xs, &ys, &opts.train)?);
         }
         if opts.hw_mode == EstimationMode::Ml {
-            // LUT labels from true synthesis of the training configs,
-            // with hardware (Table-I style) features.
-            let mut lut_ys = Vec::with_capacity(configs.len());
-            let mut hw_xs = Vec::with_capacity(configs.len());
-            for c in &configs {
-                lut_ys.push(fw.characterize_hw(c)?.luts as f64);
-                hw_xs.push(fw.encode_hw(c)?);
-            }
-            lut_model = Some(Regressor::fit(&hw_xs, &lut_ys, &[32, 16], &opts.train)?);
+            lut_model = Some(fw.train_lut_model(&configs, &opts.train)?);
         }
     }
 
@@ -270,26 +262,15 @@ pub fn explore(fw: &Clapped, opts: &ExploreOptions) -> Result<ExploreResult> {
 /// Advances `state` by one MBO phase over `fw`'s design space. This is
 /// the one stepping path of [`explore`] and [`crate::Session::step`], so
 /// their trajectories agree by construction: both sample from the same
-/// space and fit the surrogate on the same features. Those features are
-/// the behavioural representation plus, when the operator library is
-/// characterized, the hardware (Table-I) features, in which the LUT
-/// objective is nearly linear.
+/// space and fit the surrogate on the same
+/// [`Clapped::surrogate_features`].
 pub(crate) fn step_mbo(
     fw: &Clapped,
     state: &mut MboState<Configuration>,
     repr: MulRepr,
     evaluate_batch: &mut impl FnMut(&[Configuration]) -> Vec<BatchOutcome>,
 ) -> Result<()> {
-    let hw_ready = fw.op_library().is_ok();
-    let features = |c: &Configuration| -> Vec<f64> {
-        let mut v = fw.encode(c, repr);
-        if hw_ready {
-            if let Ok(h) = fw.encode_hw(c) {
-                v.extend(h);
-            }
-        }
-        v
-    };
+    let features = |c: &Configuration| fw.surrogate_features(c, repr);
     let mut sample = |rng: &mut ChaCha8Rng| fw.space().sample(rng);
     state.step(&mut sample, &features, evaluate_batch).map_err(ClappedError::Dse)
 }

@@ -22,6 +22,10 @@ const PR_DEGREE: usize = 3;
 /// Entries held by the in-memory result cache.
 const CACHE_CAPACITY: usize = 4096;
 
+/// Hidden layers of both Fig. 12 estimators: the application-error MLP
+/// and the LUT MLP.
+const ESTIMATOR_HIDDEN: [usize; 2] = [32, 16];
+
 /// Smallest workload image side a framework accepts. It equals the
 /// largest DATA scale a configuration may request (`ConvConfig` accepts
 /// scales `1..=4`), so every scaled workload keeps at least one pixel.
@@ -136,12 +140,6 @@ impl ClappedBuilder {
     /// exact multiplier.
     pub fn catalog(mut self, catalog: Catalog) -> Self {
         self.config.catalog = Some(catalog);
-        self
-    }
-
-    /// Accelerator characterization parameters.
-    pub fn characterization(mut self, config: CharacterizeConfig) -> Self {
-        self.config.char_config = config;
         self
     }
 
@@ -383,11 +381,6 @@ impl Clapped {
         ClappedBuilder::default()
     }
 
-    /// The recipe this instance was built from.
-    pub fn config(&self) -> &ClappedConfig {
-        &self.config
-    }
-
     /// The operator catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
@@ -398,37 +391,17 @@ impl Clapped {
         &self.space
     }
 
-    /// The selected application kind.
-    pub fn app_kind(&self) -> AppKind {
-        self.config.app_kind
-    }
-
     /// The Gaussian-smoothing workload.
     ///
     /// # Errors
     ///
     /// Returns [`ClappedError::Unavailable`] if the framework was built
-    /// with a different application; see [`Clapped::app_kind`].
+    /// with a different application.
     pub fn app(&self) -> Result<&GaussianDenoise> {
         match &self.app {
             AppModel::Gaussian(app) => Ok(app),
             AppModel::Sobel(_) => Err(ClappedError::Unavailable {
-                reason: "framework was built with AppKind::SobelEdge; use sobel_app()".to_string(),
-            }),
-        }
-    }
-
-    /// The Sobel workload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClappedError::Unavailable`] if the framework was built
-    /// with a different application; see [`Clapped::app_kind`].
-    pub fn sobel_app(&self) -> Result<&SobelEdge> {
-        match &self.app {
-            AppModel::Sobel(app) => Ok(app),
-            AppModel::Gaussian(_) => Err(ClappedError::Unavailable {
-                reason: "framework was built with AppKind::GaussianDenoise; use app()".to_string(),
+                reason: "framework was built with AppKind::SobelEdge".to_string(),
             }),
         }
     }
@@ -466,29 +439,9 @@ impl Clapped {
         Ok(clapped_runtime::StreamSupervisor::new(ladder, sla, options)?)
     }
 
-    /// Per-operator degree-3 PR models (catalog order).
-    pub fn pr_models(&self) -> &[PrModel] {
-        &self.pr_models
-    }
-
-    /// Global PR-term significance ranking.
-    pub fn term_ranking(&self) -> &[usize] {
-        &self.ranking
-    }
-
-    /// Per-operator statistical error metrics (catalog order).
-    pub fn operator_stats(&self) -> &[ErrorStats] {
-        &self.stats
-    }
-
     /// Accelerator characterization parameters.
     pub fn characterization(&self) -> &CharacterizeConfig {
         &self.config.char_config
-    }
-
-    /// Workload image side length.
-    pub fn image_size(&self) -> usize {
-        self.config.image_size
     }
 
     /// Master seed.
@@ -496,9 +449,9 @@ impl Clapped {
         self.config.seed
     }
 
-    /// The parallel evaluation engine. Batched entry points
-    /// ([`Clapped::evaluate_error_many`], [`crate::explore`], the fault
-    /// campaign) fan their independent jobs over it; results are always
+    /// The parallel evaluation engine. Batched entry points (dataset
+    /// generation, [`crate::explore`], the fault campaign) fan their
+    /// independent jobs over it; results are always
     /// returned in input order, so the thread count never changes any
     /// outcome.
     pub fn engine(&self) -> &Engine {
@@ -510,21 +463,12 @@ impl Clapped {
         self.eval_cache.stats()
     }
 
-    /// Hit/miss counters of the process-wide compiled-convolution LUT
-    /// cache (`clapped-imgproc`'s plan compiler). A DSE run revisits the
-    /// same few hundred `(operator, coefficient)` pairs across thousands
-    /// of candidate evaluations, so after warm-up `misses` freezes while
-    /// `hits` keeps climbing.
-    pub fn plan_cache_stats(&self) -> clapped_exec::MemoStats {
-        clapped_imgproc::plan_cache_stats()
-    }
-
     /// Stable content digest of a configuration — the key under which
     /// this instance caches evaluation results and which
     /// [`clapped_dse::MboState`] checkpoints record per evaluation.
     /// Depends only on the configuration's fields, never on memory
     /// layout or field-visit order.
-    pub fn config_digest(&self, config: &Configuration) -> u64 {
+    pub(crate) fn config_digest(&self, config: &Configuration) -> u64 {
         StructDigest::new("Configuration")
             .field("window", &(config.window as u64))
             .field("stride", &(config.stride as u64))
@@ -562,7 +506,7 @@ impl Clapped {
     /// Returns [`ClappedError::BadConfiguration`] if the configuration
     /// does not carry `window²` tap indices or any tap index is outside
     /// the catalog.
-    pub fn try_taps_for(&self, config: &Configuration) -> Result<Vec<Arc<dyn Mul8s>>> {
+    pub(crate) fn try_taps_for(&self, config: &Configuration) -> Result<Vec<Arc<dyn Mul8s>>> {
         check_tap_count(config)?;
         config
             .active_mul_indices()
@@ -606,7 +550,7 @@ impl Clapped {
     /// # Errors
     ///
     /// Propagates configuration errors from the convolution engine.
-    pub fn evaluate_error_with(
+    pub(crate) fn evaluate_error_with(
         &self,
         config: &Configuration,
         taps: &[Arc<dyn Mul8s>],
@@ -622,7 +566,7 @@ impl Clapped {
     /// # Errors
     ///
     /// The first (by input index) configuration's evaluation error.
-    pub fn evaluate_error_many(&self, configs: &[Configuration]) -> Result<Vec<AppResult>> {
+    pub(crate) fn evaluate_error_many(&self, configs: &[Configuration]) -> Result<Vec<AppResult>> {
         self.engine.try_evaluate_many(configs, |_, c| self.evaluate_error(c))
     }
 
@@ -631,7 +575,7 @@ impl Clapped {
     /// [`OBJECTIVE_SENTINEL`], which MBO records but leaves out of its
     /// surrogates (matching the ML-mode objective closures), counted on
     /// `core.objective_sentinel` and never cached.
-    pub fn true_objectives_cached(&self, config: &Configuration) -> Vec<f64> {
+    pub(crate) fn true_objectives_cached(&self, config: &Configuration) -> Vec<f64> {
         let key = self.config_digest(config) ^ ROLE_OBJECTIVES;
         if let Some(v) = self.eval_cache.get(key) {
             return v;
@@ -651,7 +595,7 @@ impl Clapped {
     /// returns its [`Clapped::true_objectives_cached`] vector paired
     /// with its [`Clapped::config_digest`]. Outcomes come back in input
     /// order, so results are bit-identical at any thread count.
-    pub fn true_outcomes_cached(&self, configs: &[Configuration]) -> Vec<BatchOutcome> {
+    pub(crate) fn true_outcomes_cached(&self, configs: &[Configuration]) -> Vec<BatchOutcome> {
         self.engine.evaluate_many(configs, |_, c| BatchOutcome {
             objectives: self.true_objectives_cached(c),
             digest: self.config_digest(c),
@@ -798,7 +742,42 @@ impl Clapped {
         ys: &[f64],
         config: &TrainConfig,
     ) -> Result<Regressor> {
-        Ok(Regressor::fit(xs, ys, &[32, 16], config)?)
+        Ok(Regressor::fit(xs, ys, &ESTIMATOR_HIDDEN, config)?)
+    }
+
+    /// Trains the LUT-prediction MLP on `configs`: each label is the
+    /// LUT count of the configuration's synthesized datapath
+    /// ([`Clapped::characterize_hw`], serially and in input order), each
+    /// feature row its [`Clapped::encode_hw`] vector.
+    ///
+    /// # Errors
+    ///
+    /// Propagates synthesis, encoding and training failures.
+    pub fn train_lut_model(
+        &self,
+        configs: &[Configuration],
+        config: &TrainConfig,
+    ) -> Result<Regressor> {
+        let mut xs = Vec::with_capacity(configs.len());
+        let mut ys = Vec::with_capacity(configs.len());
+        for c in configs {
+            ys.push(self.characterize_hw(c)?.luts as f64);
+            xs.push(self.encode_hw(c)?);
+        }
+        Ok(Regressor::fit(&xs, &ys, &ESTIMATOR_HIDDEN, config)?)
+    }
+
+    /// The MBO surrogate's feature row of a configuration: its
+    /// behavioural encoding ([`Clapped::encode`]) followed, when the
+    /// operator library characterizes, by its hardware (Table-I)
+    /// features ([`Clapped::encode_hw`]), in which the LUT objective is
+    /// nearly linear.
+    pub fn surrogate_features(&self, config: &Configuration, repr: MulRepr) -> Vec<f64> {
+        let mut v = self.encode(config, repr);
+        if let Ok(hw) = self.encode_hw(config) {
+            v.extend(hw);
+        }
+        v
     }
 }
 
@@ -934,10 +913,8 @@ mod tests {
     fn out_of_range_lut_size_is_an_error_and_a_counted_sentinel() {
         let mut char_config = CharacterizeConfig::default();
         char_config.synth.k = 7;
-        let fw = Clapped::builder()
-            .image_size(16)
-            .characterization(char_config)
-            .build()
+        let fw = ClappedConfig { image_size: 16, char_config, ..ClappedConfig::default() }
+            .instantiate()
             .unwrap();
         let golden = Configuration::golden(3);
         let err = fw.characterize_hw(&golden).unwrap_err();
@@ -974,7 +951,7 @@ mod tests {
             .application(crate::AppKind::SobelEdge)
             .build()
             .unwrap();
-        assert_eq!(fw.app_kind(), crate::AppKind::SobelEdge);
+        assert_eq!(fw.config.app_kind, crate::AppKind::SobelEdge);
         // The mode DoF is restricted to 2D for gradient applications.
         assert_eq!(fw.space().modes, vec![clapped_imgproc::ConvMode::TwoD]);
         let golden = Configuration::golden(3);
@@ -988,7 +965,6 @@ mod tests {
         let (_, xs, ys) = fw.make_error_dataset(6, MulRepr::Coeffs(3), 2).unwrap();
         assert_eq!(xs.len(), 6);
         assert!(ys.iter().any(|&e| e > 0.0));
-        assert_eq!(fw.sobel_app().unwrap().image_count(), 3);
     }
 
     #[test]
@@ -999,7 +975,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(fw.app().is_err());
-        assert!(small().sobel_app().is_err());
     }
 
     #[test]
@@ -1016,8 +991,8 @@ mod tests {
         assert_eq!(a.digest(), d.digest());
         // The instantiated framework carries its recipe, digest intact.
         let fw = a.instantiate().unwrap();
-        assert_eq!(fw.config().digest(), b.digest());
-        assert_eq!(fw.image_size(), 16);
+        assert_eq!(fw.config.digest(), b.digest());
+        assert_eq!(fw.config.image_size, 16);
     }
 
     #[test]
@@ -1061,9 +1036,9 @@ mod tests {
         let fw = small();
         let c = Configuration::golden(3);
         fw.evaluate_error(&c).unwrap();
-        let warm = fw.plan_cache_stats();
+        let warm = clapped_imgproc::plan_cache_stats();
         fw.evaluate_error(&c).unwrap();
-        let after = fw.plan_cache_stats();
+        let after = clapped_imgproc::plan_cache_stats();
         // Re-evaluating an already-seen configuration lowers no new tap
         // LUTs; it only hits the process-wide plan cache. (Concurrent
         // tests may add their own misses, so only hit growth is

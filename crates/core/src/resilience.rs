@@ -41,19 +41,6 @@ pub struct FaultCampaignConfig {
     pub seed: u64,
 }
 
-impl FaultCampaignConfig {
-    /// Campaign over the catalog operator at `mul_index` with default
-    /// depth: 8 promoted sites, 4 pre-screening batches.
-    pub fn new(mul_index: usize) -> FaultCampaignConfig {
-        FaultCampaignConfig {
-            mul_index,
-            top_k: 8,
-            prescreen_batches: 4,
-            seed: 0xC1A9,
-        }
-    }
-}
-
 /// One fault site's measured impact across both layers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultImpact {
@@ -242,7 +229,12 @@ mod tests {
     #[test]
     fn out_of_catalog_operator_is_rejected() {
         let fw = Clapped::builder().image_size(32).build().unwrap();
-        let campaign = FaultCampaignConfig::new(10_000);
+        let campaign = FaultCampaignConfig {
+            mul_index: 10_000,
+            top_k: 1,
+            prescreen_batches: 1,
+            seed: 5,
+        };
         let r = fw.fault_campaign(&Configuration::golden(3), &campaign);
         assert!(matches!(r, Err(ClappedError::BadConfiguration { .. })));
     }

@@ -4,7 +4,7 @@
 //! model fits, workload generation) but immutable once built, so one
 //! process can share a single `Arc<Clapped>` across many concurrent
 //! explorations. A [`Session`] is the cheap per-job half: an
-//! [`MboState`] plus the tenant-facing quality constraint and budget.
+//! [`MboState`] plus the tenant-facing evaluation budget.
 //! Sessions step one MBO phase at a time, checkpoint to the
 //! [`clapped_dse`] JSON format at any phase boundary, and resume
 //! bit-exactly — the contract `clapped-serve` builds crash recovery on.
@@ -15,7 +15,7 @@ use clapped_dse::{Configuration, MboConfig, MboState};
 use std::sync::Arc;
 
 /// What one exploration job asks for: MBO parameters plus the
-/// tenant-facing quality constraint and evaluation budget.
+/// tenant-facing evaluation budget.
 #[derive(Debug, Clone)]
 pub struct SessionSpec {
     /// MBO loop parameters (seed, batch shape, reference point).
@@ -24,10 +24,6 @@ pub struct SessionSpec {
     /// the search trajectory: resuming a checkpoint under a different
     /// representation diverges from the uninterrupted run.
     pub repr: MulRepr,
-    /// Quality constraint: [`Session::pareto_feasible`] keeps Pareto
-    /// points whose application error is at most this many percent
-    /// (`None` = unconstrained).
-    pub max_error_percent: Option<f64>,
     /// Tenant budget: clamps the planned true-evaluation count (initial
     /// samples, then whole batches). `None` runs the full plan.
     pub max_evaluations: Option<usize>,
@@ -38,7 +34,6 @@ impl Default for SessionSpec {
         SessionSpec {
             mbo: crate::ExploreOptions::default().mbo,
             repr: MulRepr::Coeffs(4),
-            max_error_percent: None,
             max_evaluations: None,
         }
     }
@@ -47,21 +42,20 @@ impl Default for SessionSpec {
 impl SessionSpec {
     /// The MBO configuration after applying `max_evaluations`: the
     /// initial design is truncated first, then whole surrogate batches
-    /// are dropped from the back. Returns the clamped configuration and
-    /// whether anything was actually cut.
-    fn clamped_mbo(&self) -> (MboConfig, bool) {
+    /// are dropped from the back.
+    fn clamped_mbo(&self) -> MboConfig {
         let mut mbo = self.mbo.clone();
         let Some(budget) = self.max_evaluations else {
-            return (mbo, false);
+            return mbo;
         };
         // A plan that overflows `usize` exceeds every budget.
         if mbo.planned_evaluations().is_some_and(|planned| budget >= planned) {
-            return (mbo, false);
+            return mbo;
         }
         mbo.initial_samples = mbo.initial_samples.min(budget);
         let remaining = budget - mbo.initial_samples;
         mbo.iterations = remaining.checked_div(mbo.batch).unwrap_or(0);
-        (mbo, true)
+        mbo
     }
 
     /// The true evaluations a session opened from this spec plans: the
@@ -69,7 +63,7 @@ impl SessionSpec {
     /// [`Session::progress`] reports. `None` when the plan overflows
     /// `usize`, which [`Session::new`] rejects.
     pub fn planned_evaluations(&self) -> Option<usize> {
-        self.clamped_mbo().0.planned_evaluations()
+        self.clamped_mbo().planned_evaluations()
     }
 }
 
@@ -96,8 +90,6 @@ pub struct Session {
     fw: Arc<Clapped>,
     state: MboState<Configuration>,
     repr: MulRepr,
-    max_error_percent: Option<f64>,
-    truncated: bool,
 }
 
 impl Session {
@@ -109,38 +101,22 @@ impl Session {
     ///
     /// Propagates [`MboState::new`] validation failures.
     pub fn new(fw: Arc<Clapped>, spec: &SessionSpec) -> Result<Session> {
-        let (mbo, truncated) = spec.clamped_mbo();
-        let state = MboState::new(&mbo).map_err(ClappedError::Dse)?;
-        Ok(Session {
-            fw,
-            state,
-            repr: spec.repr,
-            max_error_percent: spec.max_error_percent,
-            truncated,
-        })
+        let state = MboState::new(&spec.clamped_mbo()).map_err(ClappedError::Dse)?;
+        Ok(Session { fw, state, repr: spec.repr })
     }
 
     /// Reopens a session from a checkpoint produced by
     /// [`Session::checkpoint`]. The MBO plan (including any budget
-    /// clamping) is embedded in the checkpoint; only the spec's
-    /// `repr` and `max_error_percent` are taken from `spec`, and they
-    /// must match the original for the trajectory to stay bit-exact.
+    /// clamping) is embedded in the checkpoint; only the spec's `repr`
+    /// is taken from `spec`, and it must match the original for the
+    /// trajectory to stay bit-exact.
     ///
     /// # Errors
     ///
     /// Propagates checkpoint-decoding failures.
     pub fn resume(fw: Arc<Clapped>, checkpoint: &str, spec: &SessionSpec) -> Result<Session> {
         let state = MboState::from_checkpoint(checkpoint).map_err(ClappedError::Dse)?;
-        let (clamped, _) = spec.clamped_mbo();
-        let truncated = clamped.initial_samples != spec.mbo.initial_samples
-            || clamped.iterations != spec.mbo.iterations;
-        Ok(Session {
-            fw,
-            state,
-            repr: spec.repr,
-            max_error_percent: spec.max_error_percent,
-            truncated,
-        })
+        Ok(Session { fw, state, repr: spec.repr })
     }
 
     /// Serializes the session's exploration state (versioned JSON, RNG
@@ -166,16 +142,6 @@ impl Session {
         let mut evaluate = |cs: &[Configuration]| fw.true_outcomes_cached(cs);
         step_mbo(fw, &mut self.state, self.repr, &mut evaluate)?;
         Ok(self.state.is_complete())
-    }
-
-    /// Whether the plan has run to completion.
-    pub fn is_complete(&self) -> bool {
-        self.state.is_complete()
-    }
-
-    /// Whether the tenant budget cut the original MBO plan short.
-    pub fn truncated(&self) -> bool {
-        self.truncated
     }
 
     /// A progress snapshot (cheap; safe to call every step).
@@ -207,27 +173,6 @@ impl Session {
                 }
             })
             .collect()
-    }
-
-    /// The Pareto points satisfying the session's quality constraint
-    /// (all of them when unconstrained). May be empty if no explored
-    /// point meets the constraint.
-    pub fn pareto_feasible(&self) -> Vec<ParetoPoint> {
-        let front = self.pareto();
-        match self.max_error_percent {
-            None => front,
-            Some(limit) => front.into_iter().filter(|p| p.searched[0] <= limit).collect(),
-        }
-    }
-
-    /// The shared framework this session evaluates on.
-    pub fn framework(&self) -> &Arc<Clapped> {
-        &self.fw
-    }
-
-    /// The exploration state (read access for reporting and tests).
-    pub fn state(&self) -> &MboState<Configuration> {
-        &self.state
     }
 }
 
@@ -281,8 +226,8 @@ mod tests {
         // A second instance of the same recipe: caches are warm but the
         // trajectory must not depend on that.
         let result = explore(&fw, &opts).unwrap();
-        assert_eq!(session.state().evaluated().len(), result.search.evaluated.len());
-        for ((ca, oa), (cb, ob)) in session.state().evaluated().iter().zip(&result.search.evaluated)
+        assert_eq!(session.state.evaluated().len(), result.search.evaluated.len());
+        for ((ca, oa), (cb, ob)) in session.state.evaluated().iter().zip(&result.search.evaluated)
         {
             assert_eq!(ca, cb, "candidate streams diverged");
             for (x, y) in oa.iter().zip(ob) {
@@ -292,6 +237,10 @@ mod tests {
         let front: Vec<_> = session.pareto().into_iter().map(|p| p.config).collect();
         let expected: Vec<_> = result.pareto.into_iter().map(|p| p.config).collect();
         assert_eq!(front, expected);
+        let progress = session.progress();
+        assert!(progress.complete);
+        assert_eq!(progress.evaluations_done, 12);
+        assert!(progress.hypervolume > 0.0);
     }
 
     #[test]
@@ -312,9 +261,9 @@ mod tests {
         let mut resumed = Session::resume(Arc::clone(&fw), &saved, &spec).unwrap();
         while !resumed.step().unwrap() {}
 
-        assert_eq!(straight.state().evaluated().len(), resumed.state().evaluated().len());
+        assert_eq!(straight.state.evaluated().len(), resumed.state.evaluated().len());
         for ((ca, oa), (cb, ob)) in
-            straight.state().evaluated().iter().zip(resumed.state().evaluated())
+            straight.state.evaluated().iter().zip(resumed.state.evaluated())
         {
             assert_eq!(ca, cb);
             for (x, y) in oa.iter().zip(ob) {
@@ -337,7 +286,6 @@ mod tests {
             ..SessionSpec::default()
         };
         let session = Session::new(Arc::clone(&fw), &spec).unwrap();
-        assert!(session.truncated());
         // 6 initial + one whole batch of 3 fits; the second batch does not.
         assert_eq!(session.progress().evaluations_planned, 9);
         // The spec reports the same plan before any session exists, even
@@ -351,30 +299,6 @@ mod tests {
             ..SessionSpec::default()
         };
         let s2 = Session::new(fw, &generous).unwrap();
-        assert!(!s2.truncated());
         assert_eq!(s2.progress().evaluations_planned, 12);
-    }
-
-    #[test]
-    fn feasible_front_respects_quality_constraint() {
-        let fw = small_fw();
-        let spec = SessionSpec {
-            mbo: small_mbo(5),
-            max_error_percent: Some(10.0),
-            ..SessionSpec::default()
-        };
-        let mut session = Session::new(fw, &spec).unwrap();
-        while !session.step().unwrap() {}
-        let full = session.pareto();
-        let feasible = session.pareto_feasible();
-        assert!(feasible.len() <= full.len());
-        for p in &feasible {
-            assert!(p.searched[0] <= 10.0);
-            assert!(full.iter().any(|q| q.config == p.config));
-        }
-        let progress = session.progress();
-        assert!(progress.complete);
-        assert_eq!(progress.evaluations_done, 12);
-        assert!(progress.hypervolume > 0.0);
     }
 }

@@ -138,8 +138,7 @@ impl Gp {
     ///
     /// # Panics
     ///
-    /// Panics if `x.len()` differs from the training dimension. Use
-    /// [`Gp::try_predict`] for a non-panicking variant.
+    /// Panics if `x.len()` differs from the training dimension.
     pub fn predict(&self, x: &[f64]) -> (f64, f64) {
         match self.try_predict(x) {
             Ok(p) => p,
@@ -155,7 +154,7 @@ impl Gp {
     ///
     /// Returns [`DseError::Surrogate`] when `x.len()` differs from the
     /// training dimension or contains non-finite values.
-    pub fn try_predict(&self, x: &[f64]) -> Result<(f64, f64)> {
+    pub(crate) fn try_predict(&self, x: &[f64]) -> Result<(f64, f64)> {
         self.check_query(x)?;
         let xq = self.train.x_std.transform_row(x);
         PREDICT_SCRATCH.with(|scratch| {

@@ -66,12 +66,27 @@ impl MboConfig {
     }
 }
 
-/// Checks what every state — new or restored from a checkpoint — relies
-/// on: a hypervolume reference point with at least one coordinate, all
-/// finite (so no step reaches [`hypervolume`]'s dimension assertion),
-/// and a plan whose evaluation count fits in `usize`.
+/// Checks what every state — new or restored from a checkpoint — and
+/// [`crate::random_search`] rely on: a valid reference point (see
+/// [`check_reference`]) and a plan whose evaluation count fits in
+/// `usize`.
 pub(crate) fn check_config(config: &MboConfig) -> Result<()> {
-    let reference = &config.reference;
+    check_reference(&config.reference)?;
+    if config.planned_evaluations().is_none() {
+        return Err(DseError::BadPlan {
+            reason: format!(
+                "{} initial samples + {} iterations * {} per batch overflows usize",
+                config.initial_samples, config.iterations, config.batch
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// [`DseError::BadObjectives`] unless the hypervolume reference point
+/// has at least one coordinate, all finite, so no search reaches
+/// [`hypervolume`]'s dimension assertion or traces a meaningless volume.
+pub(crate) fn check_reference(reference: &[f64]) -> Result<()> {
     if reference.is_empty() {
         return Err(DseError::BadObjectives {
             reason: "empty hypervolume reference point".to_string(),
@@ -80,14 +95,6 @@ pub(crate) fn check_config(config: &MboConfig) -> Result<()> {
     if reference.iter().any(|r| !r.is_finite()) {
         return Err(DseError::BadObjectives {
             reason: format!("non-finite reference point {reference:?}"),
-        });
-    }
-    if config.planned_evaluations().is_none() {
-        return Err(DseError::BadPlan {
-            reason: format!(
-                "{} initial samples + {} iterations * {} per batch overflows usize",
-                config.initial_samples, config.iterations, config.batch
-            ),
         });
     }
     Ok(())
@@ -756,5 +763,23 @@ mod tests {
         let huge = MboConfig { iterations: usize::MAX / 2, batch: 3, ..MboConfig::default() };
         assert_eq!(huge.planned_evaluations(), None);
         assert!(matches!(MboState::<Vec<f64>>::new(&huge), Err(DseError::BadPlan { .. })));
+
+        // The baseline searchers check the reference point they carry.
+        let rejected = |r: Result<SearchResult<Vec<f64>>>| {
+            matches!(r, Err(DseError::BadObjectives { .. }))
+        };
+        let keep = |_: &mut Vec<f64>, _: &mut ChaCha8Rng| {};
+        let first = |a: &Vec<f64>, _: &Vec<f64>, _: &mut ChaCha8Rng| a.clone();
+        assert!(rejected(crate::random_search(&nan, toy_sample, toy_objective)));
+        // Empty objectives against an empty reference.
+        assert!(rejected(crate::random_search(&empty, toy_sample, |_: &Vec<f64>| Vec::new())));
+        let nsga = crate::NsgaConfig { reference: nan.reference.clone(), ..Default::default() };
+        assert!(rejected(crate::nsga2(&nsga, toy_sample, first, keep, toy_objective)));
+        let sa = crate::SaConfig { reference: nan.reference.clone(), ..Default::default() };
+        assert!(rejected(crate::simulated_annealing(&sa, toy_sample, keep, toy_objective)));
+        assert!(matches!(
+            crate::random_search(&huge, toy_sample, toy_objective),
+            Err(DseError::BadPlan { .. })
+        ));
     }
 }

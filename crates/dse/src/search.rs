@@ -2,7 +2,7 @@
 //! annealing.
 
 use crate::hv::hypervolume;
-use crate::mbo::{MboConfig, SearchResult};
+use crate::mbo::{check_config, check_reference, MboConfig, SearchResult};
 use crate::pareto::dominates;
 use crate::{DseError, Result};
 use rand::{Rng, SeedableRng};
@@ -13,12 +13,16 @@ use rand_chacha::ChaCha8Rng;
 ///
 /// # Errors
 ///
-/// Returns [`DseError::BadObjectives`] on dimension mismatches.
+/// Returns [`DseError::BadObjectives`] for an empty or non-finite
+/// reference point and on dimension mismatches, and
+/// [`DseError::BadPlan`] when the planned evaluation count overflows
+/// `usize`.
 pub fn random_search<C: Clone>(
     config: &MboConfig,
     mut sample: impl FnMut(&mut ChaCha8Rng) -> C,
     mut objective: impl FnMut(&C) -> Vec<f64>,
 ) -> Result<SearchResult<C>> {
+    check_config(config)?;
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let d = config.reference.len();
     let mut evaluated: Vec<(C, Vec<f64>)> = Vec::new();
@@ -83,7 +87,8 @@ impl Default for NsgaConfig {
 ///
 /// # Errors
 ///
-/// Returns [`DseError::BadObjectives`] on dimension mismatches.
+/// Returns [`DseError::BadObjectives`] for an empty or non-finite
+/// reference point and on dimension mismatches.
 pub fn nsga2<C: Clone>(
     config: &NsgaConfig,
     mut sample: impl FnMut(&mut ChaCha8Rng) -> C,
@@ -91,6 +96,7 @@ pub fn nsga2<C: Clone>(
     mut mutate: impl FnMut(&mut C, &mut ChaCha8Rng),
     mut objective: impl FnMut(&C) -> Vec<f64>,
 ) -> Result<SearchResult<C>> {
+    check_reference(&config.reference)?;
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let d = config.reference.len();
     let mut evaluated: Vec<(C, Vec<f64>)> = Vec::new();
@@ -257,13 +263,15 @@ impl Default for SaConfig {
 ///
 /// # Errors
 ///
-/// Returns [`DseError::BadObjectives`] on dimension mismatches.
+/// Returns [`DseError::BadObjectives`] for an empty or non-finite
+/// reference point and on dimension mismatches.
 pub fn simulated_annealing<C: Clone>(
     config: &SaConfig,
     mut sample: impl FnMut(&mut ChaCha8Rng) -> C,
     mut mutate: impl FnMut(&mut C, &mut ChaCha8Rng),
     mut objective: impl FnMut(&C) -> Vec<f64>,
 ) -> Result<SearchResult<C>> {
+    check_reference(&config.reference)?;
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let d = config.reference.len();
     let scalar = |o: &[f64]| -> f64 { o.iter().zip(&config.weights).map(|(x, w)| x * w).sum() };

@@ -55,22 +55,6 @@ impl DesignSpace {
         }
     }
 
-    /// Log2 of the number of distinct design points (a capacity
-    /// measure; the paper's "2 × 3⁹" style counting).
-    pub fn log2_size(&self) -> f64 {
-        let per_window: f64 = self
-            .windows
-            .iter()
-            .map(|w| (self.catalog_size as f64).powi((w * w) as i32))
-            .sum();
-        (self.strides.len() as f64
-            * self.downsample.len() as f64
-            * self.modes.len() as f64
-            * self.scales.len() as f64
-            * per_window)
-            .log2()
-    }
-
     /// Draws a uniformly random configuration.
     ///
     /// # Panics
@@ -234,21 +218,6 @@ mod tests {
         let strides: std::collections::HashSet<usize> =
             configs.iter().map(|c| c.stride).collect();
         assert!(strides.len() > 1, "sampling should hit several strides");
-    }
-
-    #[test]
-    fn log2_size_matches_paper_intuition() {
-        // 2 multiplier choices for 9 taps and one other binary DoF:
-        // 2 * 2^9 = 2^10 points.
-        let space = DesignSpace {
-            windows: vec![3],
-            strides: vec![1, 2],
-            downsample: vec![false],
-            modes: vec![ConvMode::TwoD],
-            scales: vec![1],
-            catalog_size: 2,
-        };
-        assert!((space.log2_size() - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -34,7 +34,7 @@ const LM_TOL: f64 = 1e-9;
 ///
 /// Returns [`FitError::Numeric`] if the damped normal equations become
 /// unsolvable at every damping level.
-pub fn levenberg_marquardt(
+pub(crate) fn levenberg_marquardt(
     mut residuals: impl FnMut(&[f64], &mut Vec<f64>),
     theta0: &[f64],
 ) -> Result<(Vec<f64>, f64)> {
@@ -124,7 +124,6 @@ pub struct SurfaceFit {
     kind: DistKind,
     theta: Vec<f64>,
     sse: f64,
-    n_samples: usize,
 }
 
 impl SurfaceFit {
@@ -133,18 +132,8 @@ impl SurfaceFit {
         self.kind
     }
 
-    /// Final sum of squared residuals on the fitting sample.
-    pub fn sse(&self) -> f64 {
-        self.sse
-    }
-
-    /// Root-mean-square residual on the fitting sample.
-    pub fn rmse(&self) -> f64 {
-        (self.sse / self.n_samples.max(1) as f64).sqrt()
-    }
-
     /// Predicts the operator output for an input pair.
-    pub fn predict(&self, a: i8, b: i8) -> f64 {
+    pub(crate) fn predict(&self, a: i8, b: i8) -> f64 {
         surface(&self.theta, self.kind, a, b)
     }
 
@@ -220,14 +209,8 @@ pub fn fit_surface_fn(f: impl Fn(i8, i8) -> f64, kind: DistKind) -> Result<Surfa
                 .map(|&(a, b, target)| surface(theta, kind, a, b) - target),
         );
     };
-    let n = samples.len();
     let (theta, sse) = levenberg_marquardt(residuals, &theta0)?;
-    Ok(SurfaceFit {
-        kind,
-        theta,
-        sse,
-        n_samples: n,
-    })
+    Ok(SurfaceFit { kind, theta, sse })
 }
 
 /// Runs the full curve-fitting baseline: distribution-fits the operator's
@@ -340,7 +323,7 @@ mod tests {
         let fits = best_curve_fits(&m, 3).unwrap();
         assert_eq!(fits.len(), 3);
         for w in fits.windows(2) {
-            assert!(w[0].sse() <= w[1].sse());
+            assert!(w[0].sse <= w[1].sse);
         }
     }
 }

@@ -153,7 +153,7 @@ impl Dist {
     }
 
     /// Probability density function.
-    pub fn pdf(&self, x: f64) -> f64 {
+    pub(crate) fn pdf(&self, x: f64) -> f64 {
         let z = (x - self.mu) / self.s;
         let core = match self.kind {
             DistKind::Normal => (-0.5 * z * z).exp() / (2.0 * PI).sqrt(),
@@ -239,7 +239,7 @@ pub fn rank_distributions(samples: &[f64]) -> Vec<(Dist, f64)> {
 }
 
 /// Error function approximation (Abramowitz & Stegun 7.1.26, |err| < 1.5e-7).
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x);

@@ -10,9 +10,7 @@
 //!   distribution-shaped surfaces to operator outputs ([`curvefit`]),
 //! - the paper's novel **polynomial-regression characterization**
 //!   ([`PrModel`]): per-operator monomial coefficients with significance
-//!   ranking, clipping (`Clipped_k`) and subset retraining (`C_k`), plus a
-//!   [`PrMul`] adapter so a PR model can stand in for the real operator in
-//!   application code.
+//!   ranking, clipping (`Clipped_k`) and subset retraining (`C_k`).
 //!
 //! # Examples
 //!
@@ -33,8 +31,8 @@ pub mod dist;
 mod metrics;
 mod poly;
 
-pub use metrics::{error_samples, metrics_cache_stats, ErrorStats};
-pub use poly::{canonical_terms, rank_terms, PrModel, PrMul};
+pub use metrics::{error_samples, ErrorStats};
+pub use poly::{canonical_terms, rank_terms, PrModel};
 
 use std::error::Error;
 use std::fmt;

@@ -24,12 +24,6 @@ fn samples_memo() -> &'static Memo<u64, Vec<f64>> {
     MEMO.get_or_init(Memo::default)
 }
 
-/// Hit/miss statistics of the exhaustive characterization memos:
-/// `(metrics, sample vectors)`.
-pub fn metrics_cache_stats() -> (clapped_exec::MemoStats, clapped_exec::MemoStats) {
-    (stats_memo().stats(), samples_memo().stats())
-}
-
 /// Classic statistical error metrics of an approximate binary operator,
 /// computed over the full 8-bit signed input space.
 ///
@@ -226,16 +220,16 @@ mod tests {
         let m = AxMul::new("memo-probe", MulArch::Truncated { k: 3 });
         assert!(m.behaviour_digest().is_some(), "AxMul exposes a digest");
         let first = ErrorStats::of_multiplier(&m);
-        let (before, _) = metrics_cache_stats();
+        let before = stats_memo().stats();
         let second = ErrorStats::of_multiplier(&m);
-        let (after, _) = metrics_cache_stats();
+        let after = stats_memo().stats();
         assert_eq!(first, second);
         assert!(after.hits > before.hits, "second characterization must hit the memo");
 
         let s1 = error_samples(&m);
-        let (_, sam_before) = metrics_cache_stats();
+        let sam_before = samples_memo().stats();
         let s2 = error_samples(&m);
-        let (_, sam_after) = metrics_cache_stats();
+        let sam_after = samples_memo().stats();
         assert_eq!(s1, s2);
         assert!(sam_after.hits > sam_before.hits);
     }

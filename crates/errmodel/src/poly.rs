@@ -101,32 +101,10 @@ impl PrModel {
             .expect("canonical basis is well conditioned")
     }
 
-    /// Fits a PR model restricted to an explicit subset of monomials (the
-    /// paper's retrained `C_k` models).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FitError::BadTerm`] for a term outside
-    /// [`canonical_terms`]`(degree)` or a repeated term,
-    /// [`FitError::TooFewSamples`] if `terms` is empty and
-    /// [`FitError::Numeric`] if the restricted basis is singular.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `degree` is 0 or greater than 6.
-    pub fn fit_terms(m: &dyn Mul8s, degree: usize, terms: Vec<(u8, u8)>) -> Result<PrModel> {
-        Self::fit_one(&|a, b| f64::from(m.mul(a, b)), degree, terms)
-    }
-
     /// The one-operator case of the fitting pass.
     fn fit_one(f: &dyn Fn(i8, i8) -> f64, degree: usize, terms: Vec<(u8, u8)>) -> Result<PrModel> {
         let mut models = fit_pass(1, &|a, b, ys: &mut [f64]| ys[0] = f(a, b), degree, terms)?;
         Ok(models.swap_remove(0))
-    }
-
-    /// Model degree.
-    pub fn degree(&self) -> usize {
-        self.degree
     }
 
     /// Monomial exponents in model order.
@@ -205,7 +183,7 @@ impl PrModel {
     /// # Errors
     ///
     /// See [`PrModel::refit_top`].
-    pub fn refit_top_fn(
+    pub(crate) fn refit_top_fn(
         &self,
         f: impl Fn(i8, i8) -> f64,
         ranking: &[usize],
@@ -457,40 +435,6 @@ fn feature_std(i: u8, j: u8) -> f64 {
     var.sqrt()
 }
 
-/// Adapter exposing a [`PrModel`] as a [`Mul8s`] operator, so PR-based
-/// estimates can replace real operator tables inside application models
-/// (Section II-B's "PR coefficients-based estimates" execution mode).
-#[derive(Debug, Clone)]
-pub struct PrMul {
-    name: String,
-    model: PrModel,
-}
-
-impl PrMul {
-    /// Wraps a model under an operator name.
-    pub fn new(name: impl Into<String>, model: PrModel) -> PrMul {
-        PrMul {
-            name: name.into(),
-            model,
-        }
-    }
-
-    /// The underlying PR model.
-    pub fn model(&self) -> &PrModel {
-        &self.model
-    }
-}
-
-impl Mul8s for PrMul {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn mul(&self, a: i8, b: i8) -> i16 {
-        self.model.predict_i16(a, b)
-    }
-}
-
 impl fmt::Display for PrModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "PR(degree {}, {} terms, R2 {:.4})", self.degree, self.terms.len(), self.r2)
@@ -598,17 +542,6 @@ mod tests {
         assert_eq!(fv[0], pr.coeffs()[ranking[0]]);
     }
 
-    #[test]
-    fn pr_mul_adapter_matches_rounded_predictions() {
-        let m = AxMul::new("t", MulArch::Truncated { k: 3 });
-        let pr = PrModel::fit(&m, 3);
-        let adapter = PrMul::new("pr_t", pr.clone());
-        for (a, b) in [(0i8, 0i8), (5, -5), (-128, 127), (99, 3)] {
-            assert_eq!(Mul8s::mul(&adapter, a, b), pr.predict_i16(a, b));
-        }
-        assert_eq!(adapter.name(), "pr_t");
-    }
-
     fn bits(pr: &PrModel) -> (Vec<u64>, u64) {
         (
             pr.coeffs().iter().map(|c| c.to_bits()).collect(),
@@ -627,26 +560,6 @@ mod tests {
             assert_eq!(bits(pr), bits(&lone), "{}", m.name());
         }
         assert!(PrModel::fit_many::<&AxMul>(&[], 3).is_empty());
-    }
-
-    #[test]
-    fn terms_outside_the_basis_or_repeated_are_rejected() {
-        let m = AxMul::new("e", MulArch::Exact);
-        for (terms, named) in [
-            (vec![(7, 0)], "(7, 0)"),
-            (vec![(4, 0)], "(4, 0)"),
-            (vec![(1, 1), (3, 4)], "(3, 4)"),
-            (vec![(1, 0), (1, 0)], "(1, 0)"),
-        ] {
-            match PrModel::fit_terms(&m, 3, terms.clone()) {
-                Err(FitError::BadTerm {
-                    term, degree: 3, ..
-                }) => assert_eq!(term, named),
-                other => panic!("{terms:?}: {other:?}"),
-            }
-        }
-        // Every term of the basis, once each, still fits.
-        assert!(PrModel::fit_terms(&m, 3, canonical_terms(3)).is_ok());
     }
 
     #[test]
@@ -669,8 +582,9 @@ mod tests {
     #[test]
     fn empty_term_set_is_rejected() {
         let m = AxMul::new("e", MulArch::Exact);
+        let pr = PrModel::fit(&m, 2);
         assert!(matches!(
-            PrModel::fit_terms(&m, 2, vec![]),
+            pr.refit_top(&m, &[0, 1], 0),
             Err(FitError::TooFewSamples { .. })
         ));
     }

@@ -109,18 +109,6 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-impl CacheStats {
-    /// Combined (memory + disk) hit ratio in `[0, 1]`.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.disk_hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            (self.hits + self.disk_hits) as f64 / total as f64
-        }
-    }
-}
-
 /// Bounded LRU keyed by `u64` digests: the map holds the value and its
 /// last-use tick; the tick index finds the coldest entry in O(log n).
 #[derive(Debug)]

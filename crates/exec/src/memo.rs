@@ -25,18 +25,6 @@ pub struct MemoStats {
     pub entries: usize,
 }
 
-impl MemoStats {
-    /// Hit ratio in `[0, 1]`; `0` when no lookups happened yet.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A concurrent, unbounded, compute-once memo table.
 ///
 /// # Examples
@@ -135,11 +123,6 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
             entries: self.table().len(),
         }
     }
-
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
-        self.table().clear();
-    }
 }
 
 #[cfg(test)]
@@ -184,14 +167,5 @@ mod tests {
             }
         });
         assert_eq!(computed.load(Ordering::Relaxed), 1, "strict once-per-process");
-    }
-
-    #[test]
-    fn hit_ratio() {
-        let memo: Memo<u8, u8> = Memo::new();
-        assert_eq!(memo.stats().hit_ratio(), 0.0);
-        memo.get_or_insert_with(1, || 1);
-        memo.get_or_insert_with(1, || 1);
-        assert!((memo.stats().hit_ratio() - 0.5).abs() < 1e-12);
     }
 }

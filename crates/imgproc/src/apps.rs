@@ -40,28 +40,10 @@ pub struct GaussianDenoise {
     noisy: Vec<Image>,
     golden: Vec<Image>,
     engines: BTreeMap<usize, ConvEngine>,
-    golden_window: usize,
     noise_psnr: f64,
 }
 
 impl GaussianDenoise {
-    /// Builds the application over explicit clean images.
-    ///
-    /// `noise_sigma` is the injected Gaussian noise level; `exact` is the
-    /// operator used for the golden reference outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `images` is empty.
-    pub fn new(
-        images: Vec<Image>,
-        noise_sigma: f64,
-        kernel: QuantKernel,
-        exact: Arc<dyn Mul8s>,
-        seed: u64,
-    ) -> GaussianDenoise {
-        GaussianDenoise::with_kernels(images, noise_sigma, vec![kernel], exact, seed)
-    }
 
     /// Builds the application with one kernel per supported window size
     /// (the paper's SOFTWARE "Window Size" DoF). The first kernel's
@@ -71,7 +53,7 @@ impl GaussianDenoise {
     ///
     /// Panics if `images` or `kernels` is empty, or two kernels share a
     /// window size.
-    pub fn with_kernels(
+    pub(crate) fn with_kernels(
         images: Vec<Image>,
         noise_sigma: f64,
         kernels: Vec<QuantKernel>,
@@ -118,7 +100,6 @@ impl GaussianDenoise {
             noisy,
             golden,
             engines,
-            golden_window,
             noise_psnr,
         }
     }
@@ -145,29 +126,9 @@ impl GaussianDenoise {
         )
     }
 
-    /// The convolution engine of the golden window size.
-    pub fn engine(&self) -> &ConvEngine {
-        &self.engines[&self.golden_window]
-    }
-
-    /// The convolution engine for a given window size, when configured.
-    pub fn engine_for(&self, window: usize) -> Option<&ConvEngine> {
-        self.engines.get(&window)
-    }
-
     /// Window sizes this application instance supports.
     pub fn windows(&self) -> Vec<usize> {
         self.engines.keys().copied().collect()
-    }
-
-    /// Number of images in the workload.
-    pub fn image_count(&self) -> usize {
-        self.clean.len()
-    }
-
-    /// Pixel count of one clean image.
-    pub fn image_pixels(&self) -> usize {
-        self.clean[0].width() * self.clean[0].height()
     }
 
     /// Mean PSNR of the *noisy inputs* against the clean images — the
@@ -199,7 +160,7 @@ impl GaussianDenoise {
             } else {
                 out
             };
-            psnr_sum += crate::psnr_capped(clean, &full);
+            psnr_sum += crate::image::psnr_capped(clean, &full);
             err_sum += crate::app_error_percent(&full, golden);
         }
         let n = self.clean.len() as f64;

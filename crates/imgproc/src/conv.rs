@@ -77,7 +77,7 @@ impl ConvConfig {
 
     /// Total size-reduction factor of the output relative to the input
     /// (`scale`, times `stride` when downsampling).
-    pub fn reduction_factor(&self) -> usize {
+    pub(crate) fn reduction_factor(&self) -> usize {
         self.scale * if self.downsample { self.stride } else { 1 }
     }
 
@@ -105,7 +105,7 @@ impl ConvConfig {
 }
 
 /// Tap-multiplier assignment: one operator per multiplication site.
-pub type TapMuls = [Arc<dyn Mul8s>];
+pub(crate) type TapMuls = [Arc<dyn Mul8s>];
 
 /// The convolution engine: a quantized kernel plus the execution logic
 /// for every configuration of the cross-layer DoFs.
@@ -121,16 +121,16 @@ impl ConvEngine {
     }
 
     /// The engine's kernel.
-    pub fn kernel(&self) -> &QuantKernel {
+    pub(crate) fn kernel(&self) -> &QuantKernel {
         &self.kernel
     }
 
     /// Runs the configured convolution with the given per-tap
     /// multipliers, through a compiled plan (LUT-lowered taps with an
-    /// interior/border split — see [`crate::plan`]).
+    /// interior/border split — see the `plan` module).
     ///
     /// The output's natural size is the input size divided by
-    /// [`ConvConfig::reduction_factor`]; use [`Image::upscale_to`] to
+    /// the configuration's reduction factor; use [`Image::upscale_to`] to
     /// compare against full-size references. Results are bit-identical
     /// to [`ConvEngine::convolve_naive`].
     ///

@@ -52,7 +52,7 @@ impl Image {
     /// # Panics
     ///
     /// Panics if `data.len() != width * height` or a dimension is zero.
-    pub fn from_vec(width: usize, height: usize, data: Vec<u8>) -> Image {
+    pub(crate) fn from_vec(width: usize, height: usize, data: Vec<u8>) -> Image {
         assert!(width > 0 && height > 0, "image dimensions must be positive");
         assert_eq!(data.len(), width * height, "data length mismatch");
         Image {
@@ -105,7 +105,7 @@ impl Image {
     }
 
     /// Mean pixel value.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.data.iter().map(|&v| f64::from(v)).sum::<f64>() / self.data.len() as f64
     }
 
@@ -191,7 +191,7 @@ pub fn psnr(a: &Image, b: &Image) -> f64 {
 /// # Panics
 ///
 /// Panics if the dimensions differ.
-pub fn psnr_capped(a: &Image, b: &Image) -> f64 {
+pub(crate) fn psnr_capped(a: &Image, b: &Image) -> f64 {
     psnr(a, b).min(99.0)
 }
 

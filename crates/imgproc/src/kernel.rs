@@ -91,7 +91,7 @@ impl QuantKernel {
     ///
     /// Panics if `coeffs.len() != window²`, `window` is even or zero, or
     /// `shift > 14`.
-    pub fn from_coeffs(window: usize, coeffs: &[i8], shift: u32) -> QuantKernel {
+    pub(crate) fn from_coeffs(window: usize, coeffs: &[i8], shift: u32) -> QuantKernel {
         assert!(window % 2 == 1 && window > 0 && window <= 9, "window must be odd, 1..=9");
         assert_eq!(coeffs.len(), window * window, "one weight per tap");
         assert!(shift <= 14, "shift out of range");
@@ -106,7 +106,7 @@ impl QuantKernel {
 
     /// True when the kernel carries separable 1D factors (Gaussian
     /// kernels do; explicit-coefficient kernels do not).
-    pub fn is_separable(&self) -> bool {
+    pub(crate) fn is_separable(&self) -> bool {
         !self.coeffs_1d.is_empty()
     }
 

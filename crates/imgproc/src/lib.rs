@@ -50,7 +50,7 @@ mod synth;
 
 pub use apps::{AppResult, GaussianDenoise};
 pub use conv::{ConvConfig, ConvEngine, ConvMode};
-pub use image::{app_error_percent, psnr, psnr_capped, Image};
+pub use image::{app_error_percent, psnr, Image};
 pub use kernel::QuantKernel;
 pub use plan::plan_cache_stats;
 pub use raw::RawBuf;

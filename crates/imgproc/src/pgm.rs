@@ -103,15 +103,6 @@ impl Image {
         };
         Ok(Image::from_vec(width, height, data))
     }
-
-    /// Loads a PGM file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem and format errors.
-    pub fn load_pgm(path: impl AsRef<Path>) -> io::Result<Image> {
-        Image::from_pgm(&fs::read(path)?)
-    }
 }
 
 #[cfg(test)]
@@ -160,7 +151,7 @@ mod tests {
         let path = dir.join("t.pgm");
         let img = Image::synthetic(SynthKind::Blobs, 8, 8, 1);
         img.save_pgm(&path).unwrap();
-        let back = Image::load_pgm(&path).unwrap();
+        let back = Image::from_pgm(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(img, back);
     }
 }

@@ -45,7 +45,7 @@ impl RawBuf {
     }
 
     /// The whole buffer, row-major.
-    pub fn as_slice(&self) -> &[i32] {
+    pub(crate) fn as_slice(&self) -> &[i32] {
         &self.data
     }
 

@@ -50,7 +50,7 @@ impl SobelEdge {
     /// # Panics
     ///
     /// Panics if `images` is empty.
-    pub fn new(images: Vec<Image>, exact: Arc<dyn Mul8s>) -> SobelEdge {
+    pub(crate) fn new(images: Vec<Image>, exact: Arc<dyn Mul8s>) -> SobelEdge {
         assert!(!images.is_empty(), "need at least one image");
         let gx = ConvEngine::new(QuantKernel::from_coeffs(3, &GX, SHIFT));
         let gy = ConvEngine::new(QuantKernel::from_coeffs(3, &GY, SHIFT));
@@ -79,11 +79,6 @@ impl SobelEdge {
             Image::synthetic(SynthKind::Checkerboard, size, size, seed.wrapping_add(2)),
         ];
         SobelEdge::new(images, exact)
-    }
-
-    /// Number of images in the workload.
-    pub fn image_count(&self) -> usize {
-        self.images.len()
     }
 
     /// Window sizes this application instance supports: its kernels'.
@@ -129,7 +124,7 @@ impl SobelEdge {
             } else {
                 out
             };
-            psnr_sum += crate::psnr_capped(golden, &full);
+            psnr_sum += crate::image::psnr_capped(golden, &full);
             err_sum += crate::app_error_percent(&full, golden);
         }
         let n = self.images.len() as f64;

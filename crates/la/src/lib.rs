@@ -30,7 +30,7 @@ mod stats;
 pub use cholesky::Cholesky;
 pub use mat::Mat;
 pub use qr::Qr;
-pub use stats::{mean, population_std, standardize_in_place, variance, Standardizer};
+pub use stats::{mean, population_std, Standardizer};
 
 use std::error::Error;
 use std::fmt;

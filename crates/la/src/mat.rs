@@ -129,16 +129,6 @@ impl Mat {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copies column `j` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.cols()`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols, "column index out of bounds");
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
     /// Returns the transpose of `self`.
     pub fn transpose(&self) -> Mat {
         let mut t = Mat::zeros(self.cols, self.rows);
@@ -205,15 +195,6 @@ impl Mat {
         self.zip_with(rhs, |a, b| a + b)
     }
 
-    /// Subtracts `rhs` element-wise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LaError::DimensionMismatch`] on shape mismatch.
-    pub fn sub(&self, rhs: &Mat) -> Result<Mat> {
-        self.zip_with(rhs, |a, b| a - b)
-    }
-
     /// Multiplies every element by `s`.
     pub fn scale(&self, s: f64) -> Mat {
         let mut out = self.clone();
@@ -245,11 +226,6 @@ impl Mat {
             }
         }
         g
-    }
-
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Solves the least-squares problem `min ||self * x - b||` via
@@ -378,11 +354,10 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scale() {
+    fn add_and_scale() {
         let a = Mat::from_rows(&[&[1.0, 2.0]]);
         let b = Mat::from_rows(&[&[3.0, 4.0]]);
         assert_eq!(a.add(&b).unwrap().as_slice(), &[4.0, 6.0]);
-        assert_eq!(b.sub(&a).unwrap().as_slice(), &[2.0, 2.0]);
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0]);
     }
 

@@ -98,12 +98,6 @@ impl Qr {
         })
     }
 
-    /// Returns the upper-triangular factor `R` (size `n × n`).
-    pub fn r(&self) -> Mat {
-        let n = self.cols;
-        Mat::from_fn(n, n, |i, j| if j >= i { self.qt[(i, j)] } else { 0.0 })
-    }
-
     /// Solves the least-squares problem `min ||A x - b||`.
     ///
     /// # Errors
@@ -213,14 +207,6 @@ mod tests {
             Qr::factor(&a),
             Err(LaError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn r_is_upper_triangular() {
-        let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let qr = Qr::factor(&a).unwrap();
-        let r = qr.r();
-        assert_eq!(r[(1, 0)], 0.0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Population variance of a slice; returns `0.0` for slices shorter than 2.
-pub fn variance(xs: &[f64]) -> f64 {
+pub(crate) fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -26,21 +26,6 @@ pub fn variance(xs: &[f64]) -> f64 {
 /// Population standard deviation.
 pub fn population_std(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
-}
-
-/// Standardizes `xs` in place to zero mean and unit variance.
-///
-/// Returns the `(mean, std)` used. If the standard deviation is zero the
-/// values are only centred (scale 1 is used) so the operation is always
-/// invertible.
-pub fn standardize_in_place(xs: &mut [f64]) -> (f64, f64) {
-    let m = mean(xs);
-    let s = population_std(xs);
-    let scale = if s > 0.0 { s } else { 1.0 };
-    for x in xs.iter_mut() {
-        *x = (*x - m) / scale;
-    }
-    (m, scale)
 }
 
 /// Per-column feature standardizer (z-score) for design matrices stored as
@@ -154,16 +139,6 @@ mod tests {
         assert_eq!(variance(&[1.0]), 0.0);
         assert!((variance(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
         assert!((population_std(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn standardize_in_place_roundtrip() {
-        let mut xs = vec![1.0, 2.0, 3.0, 4.0];
-        let (m, s) = standardize_in_place(&mut xs);
-        assert!((mean(&xs)).abs() < 1e-12);
-        assert!((population_std(&xs) - 1.0).abs() < 1e-12);
-        let back: Vec<f64> = xs.iter().map(|x| x * s + m).collect();
-        assert!((back[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]

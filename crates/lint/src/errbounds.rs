@@ -20,7 +20,7 @@
 //!
 //! A blown BDD budget is *not* a violation — the analyzer falls back to
 //! the interval bound, which is still checked for soundness. The pure
-//! checker [`check_operator_bounds`] is exposed separately so the
+//! checker `check_operator_bounds` is a function of its own so the
 //! mutation tests can prove the gate actually fails on a tampered
 //! (unsound) bound.
 
@@ -65,7 +65,7 @@ pub fn gate_config() -> ErrBoundConfig {
 /// Cross-checks proved bounds against exhaustively observed error
 /// statistics, returning every violation found. Pure — this is the
 /// function the seeded-mutation tests tamper with.
-pub fn check_operator_bounds(
+pub(crate) fn check_operator_bounds(
     bounds: &ErrorBounds,
     observed_max_abs: u64,
     observed_mismatches: u64,

@@ -33,7 +33,7 @@ pub mod errbounds;
 pub mod layering;
 pub mod netlists;
 
-pub use clapped_netlist::{lint_netlist, live_cone, StructFinding, StructReport, StructSeverity};
+pub use clapped_netlist::{live_cone, StructFinding, StructReport, StructSeverity};
 
 use std::fmt;
 

@@ -34,7 +34,7 @@ mod train;
 
 pub use metrics::{fidelity, mae, r2_score, rmse};
 pub use net::Mlp;
-pub use train::{Regressor, TrainConfig, TrainReport};
+pub use train::{Regressor, TrainConfig};
 
 use std::error::Error;
 use std::fmt;

@@ -67,13 +67,8 @@ impl Mlp {
     }
 
     /// Input dimension.
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.layers[0].w.cols()
-    }
-
-    /// Output dimension.
-    pub fn output_dim(&self) -> usize {
-        self.layers.last().expect("at least one layer").w.rows()
     }
 
     /// Total number of trainable parameters.
@@ -161,7 +156,6 @@ mod tests {
     fn shapes_and_parameter_count() {
         let m = Mlp::new(&[3, 5, 2], 1);
         assert_eq!(m.input_dim(), 3);
-        assert_eq!(m.output_dim(), 2);
         assert_eq!(m.parameter_count(), 3 * 5 + 5 + 5 * 2 + 2);
         let y = m.forward(&[0.1, 0.2, 0.3]);
         assert_eq!(y.len(), 2);

@@ -45,7 +45,7 @@ impl Default for TrainConfig {
 
 /// Summary of one training run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TrainReport {
+pub(crate) struct TrainReport {
     /// Mean training loss per epoch (half-MSE).
     pub train_loss: Vec<f64>,
     /// Mean validation loss per epoch (empty when no validation split).
@@ -94,7 +94,6 @@ pub struct Regressor {
     y_mean: f64,
     y_scale: f64,
     mlp: Mlp,
-    report: TrainReport,
 }
 
 impl Regressor {
@@ -113,6 +112,16 @@ impl Regressor {
         hidden: &[usize],
         config: &TrainConfig,
     ) -> Result<Regressor> {
+        Regressor::fit_reporting(xs, ys, hidden, config).map(|(model, _)| model)
+    }
+
+    /// [`Regressor::fit`], also returning the training run's report.
+    pub(crate) fn fit_reporting(
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        hidden: &[usize],
+        config: &TrainConfig,
+    ) -> Result<(Regressor, TrainReport)> {
         if xs.is_empty() || xs.len() != ys.len() {
             return Err(MlpError::BadDataset {
                 reason: format!("{} feature rows vs {} targets", xs.len(), ys.len()),
@@ -136,13 +145,7 @@ impl Regressor {
         sizes.push(1);
         let mut mlp = Mlp::new(&sizes, config.seed);
         let report = train(&mut mlp, &xt, &yt, config);
-        Ok(Regressor {
-            x_std,
-            y_mean,
-            y_scale,
-            mlp,
-            report,
-        })
+        Ok((Regressor { x_std, y_mean, y_scale, mlp }, report))
     }
 
     /// Predicts the target for one feature row.
@@ -158,11 +161,6 @@ impl Regressor {
     /// Predicts a batch of rows.
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
         xs.iter().map(|x| self.predict(x)).collect()
-    }
-
-    /// The training report.
-    pub fn report(&self) -> &TrainReport {
-        &self.report
     }
 
     /// Number of trainable parameters in the underlying network.
@@ -386,9 +384,9 @@ mod tests {
             patience: 5,
             ..TrainConfig::default()
         };
-        let model = Regressor::fit(&xs, &ys, &[4], &config).unwrap();
-        assert!(model.report().stopped_epoch <= 1000);
-        assert!(!model.report().val_loss.is_empty());
+        let (_, report) = Regressor::fit_reporting(&xs, &ys, &[4], &config).unwrap();
+        assert!(report.stopped_epoch <= 1000);
+        assert!(!report.val_loss.is_empty());
     }
 
     #[test]
@@ -403,9 +401,8 @@ mod tests {
                 patience: 3,
                 ..TrainConfig::default()
             };
-            let model =
-                Regressor::fit(&xs, &ys, &[4], &config).unwrap_or_else(|e| panic!("n={n}: {e:?}"));
-            let report = model.report();
+            let (model, report) = Regressor::fit_reporting(&xs, &ys, &[4], &config)
+                .unwrap_or_else(|e| panic!("n={n}: {e:?}"));
             assert_eq!((report.n_train, report.n_val), (n - n_val, n_val), "n={n}");
             assert_eq!(report.val_loss.is_empty(), n_val == 0, "n={n}");
             assert!(report.train_loss.iter().all(|l| l.is_finite()));
@@ -426,8 +423,7 @@ mod tests {
             learning_rate: 0.0,
             ..TrainConfig::default()
         };
-        let model = Regressor::fit(&xs, &ys, &[4], &config).unwrap();
-        let report = model.report();
+        let (_, report) = Regressor::fit_reporting(&xs, &ys, &[4], &config).unwrap();
         assert_eq!(report.n_val, 0);
         assert!(report.val_loss.is_empty());
         assert_eq!(
@@ -452,8 +448,8 @@ mod tests {
         // layers: the split, batching, optimizer and activations all
         // feed this digest, so any change to the arithmetic moves it.
         let (xs, ys) = grid_dataset(|a, b| a * b + 0.5 * a - b);
-        let model = Regressor::fit(&xs, &ys, &[8, 6], &TrainConfig::default()).unwrap();
-        let report = model.report();
+        let (model, report) =
+            Regressor::fit_reporting(&xs, &ys, &[8, 6], &TrainConfig::default()).unwrap();
         assert!(report.n_val > 0, "the pin must cover the validation split");
         let mut h = Fnv64::new();
         for losses in [&report.train_loss, &report.val_loss] {

@@ -69,32 +69,12 @@ impl BddManager {
         }
     }
 
-    /// Number of live nodes (including terminals).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Occupancy snapshot: node-store and apply-cache sizes against the
-    /// budget. Lets callers that sweep many netlists through one manager
-    /// (the error-bound analyzer) decide when a [`BddManager::reset`]
-    /// pays off.
-    pub fn stats(&self) -> BddStats {
-        BddStats {
-            nodes: self.nodes.len(),
-            node_limit: self.node_limit,
-            var_count: self.var_count as usize,
-            and_cache_entries: self.and_cache.len(),
-            xor_cache_entries: self.xor_cache.len(),
-            not_cache_entries: self.not_cache.len(),
-        }
-    }
-
     /// Clears every node and apply cache while **preserving allocated
     /// capacity**, and re-declares the variable count. After a reset the
     /// manager behaves like a fresh [`BddManager::new`] but reuses its
     /// buffers, so a pass analyzing hundreds of operators does not churn
     /// the allocator.
-    pub fn reset(&mut self, var_count: usize) {
+    pub(crate) fn reset(&mut self, var_count: usize) {
         self.nodes.clear();
         self.nodes.push(Node { var: u32::MAX, lo: 0, hi: 0 });
         self.nodes.push(Node { var: u32::MAX, lo: 1, hi: 1 });
@@ -106,12 +86,12 @@ impl BddManager {
     }
 
     /// The constant-false BDD.
-    pub fn zero(&self) -> u32 {
+    pub(crate) fn zero(&self) -> u32 {
         FALSE
     }
 
     /// The constant-true BDD.
-    pub fn one(&self) -> u32 {
+    pub(crate) fn one(&self) -> u32 {
         TRUE
     }
 
@@ -200,7 +180,7 @@ impl BddManager {
     /// # Errors
     ///
     /// Returns [`NetlistError::BddLimit`] when the budget is exhausted.
-    pub fn not(&mut self, f: u32) -> crate::Result<u32> {
+    pub(crate) fn not(&mut self, f: u32) -> crate::Result<u32> {
         if f == FALSE {
             return Ok(TRUE);
         }
@@ -224,7 +204,7 @@ impl BddManager {
     /// # Errors
     ///
     /// Returns [`NetlistError::BddLimit`] when the budget is exhausted.
-    pub fn or(&mut self, f: u32, g: u32) -> crate::Result<u32> {
+    pub(crate) fn or(&mut self, f: u32, g: u32) -> crate::Result<u32> {
         let nf = self.not(f)?;
         let ng = self.not(g)?;
         let a = self.and(nf, ng)?;
@@ -236,7 +216,7 @@ impl BddManager {
     /// # Errors
     ///
     /// Returns [`NetlistError::BddLimit`] when the budget is exhausted.
-    pub fn xor(&mut self, f: u32, g: u32) -> crate::Result<u32> {
+    pub(crate) fn xor(&mut self, f: u32, g: u32) -> crate::Result<u32> {
         if f == g {
             return Ok(FALSE);
         }
@@ -271,7 +251,7 @@ impl BddManager {
     /// # Errors
     ///
     /// Returns [`NetlistError::BddLimit`] when the budget is exhausted.
-    pub fn ite(&mut self, sel: u32, t: u32, f: u32) -> crate::Result<u32> {
+    pub(crate) fn ite(&mut self, sel: u32, t: u32, f: u32) -> crate::Result<u32> {
         let st = self.and(sel, t)?;
         let ns = self.not(sel)?;
         let sf = self.and(ns, f)?;
@@ -372,7 +352,7 @@ impl BddManager {
 
     /// Finds one satisfying assignment of `f` (as input-index/value
     /// pairs), or `None` for the constant-false function.
-    pub fn any_sat(&self, f: u32) -> Option<Vec<(usize, bool)>> {
+    pub(crate) fn any_sat(&self, f: u32) -> Option<Vec<(usize, bool)>> {
         if f == FALSE {
             return None;
         }
@@ -405,7 +385,7 @@ impl BddManager {
     /// `var_count` variables (variables the function does not depend on
     /// count as free). Exact in `u128`; panics only if `var_count`
     /// exceeds 127, far beyond any netlist this crate builds.
-    pub fn sat_count(&self, f: u32) -> u128 {
+    pub(crate) fn sat_count(&self, f: u32) -> u128 {
         let mut memo: HashMap<u32, u128> = HashMap::new();
         let suffix = self.count_suffix(f, &mut memo);
         suffix << self.level(f).min(self.var_count)
@@ -431,23 +411,6 @@ impl BddManager {
         memo.insert(f, c);
         c
     }
-}
-
-/// Occupancy snapshot of a [`BddManager`], from [`BddManager::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BddStats {
-    /// Live nodes, terminals included.
-    pub nodes: usize,
-    /// Node budget the manager was created with.
-    pub node_limit: usize,
-    /// Declared variable count.
-    pub var_count: usize,
-    /// Entries in the AND apply cache.
-    pub and_cache_entries: usize,
-    /// Entries in the XOR apply cache.
-    pub xor_cache_entries: usize,
-    /// Entries in the NOT cache.
-    pub not_cache_entries: usize,
 }
 
 /// Outcome of a formal equivalence check.
@@ -640,14 +603,12 @@ mod tests {
         let x = mgr.var(0).unwrap();
         let y = mgr.var(1).unwrap();
         let _ = mgr.and(x, y).unwrap();
-        let before = mgr.stats();
-        assert!(before.nodes > 2);
-        assert!(before.and_cache_entries > 0);
+        assert!(mgr.nodes.len() > 2);
+        assert!(!mgr.and_cache.is_empty());
         mgr.reset(3);
-        let after = mgr.stats();
-        assert_eq!(after.nodes, 2);
-        assert_eq!(after.var_count, 3);
-        assert_eq!(after.and_cache_entries, 0);
+        assert_eq!(mgr.nodes.len(), 2);
+        assert_eq!(mgr.var_count, 3);
+        assert!(mgr.and_cache.is_empty());
         // The reset manager produces canonical results again.
         let a = mgr.var(0).unwrap();
         let b = mgr.var(2).unwrap();

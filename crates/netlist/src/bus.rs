@@ -21,7 +21,7 @@ pub fn constant_bus(n: &mut Netlist, value: i64, width: usize) -> Bus {
 }
 
 /// Half adder; returns `(sum, carry)`.
-pub fn half_adder(n: &mut Netlist, a: SignalId, b: SignalId) -> (SignalId, SignalId) {
+pub(crate) fn half_adder(n: &mut Netlist, a: SignalId, b: SignalId) -> (SignalId, SignalId) {
     (n.xor(a, b), n.and(a, b))
 }
 
@@ -199,27 +199,6 @@ pub fn encode_one_hot(n: &mut Netlist, one_hot: &[SignalId]) -> Bus {
         .collect()
 }
 
-/// Exact 4:2 compressor.
-///
-/// Compresses four bits plus `cin` into `(sum, carry, cout)` where the
-/// arithmetic identity `x1+x2+x3+x4+cin = sum + 2*(carry + cout)` holds.
-pub fn compressor_4_2(
-    n: &mut Netlist,
-    x1: SignalId,
-    x2: SignalId,
-    x3: SignalId,
-    x4: SignalId,
-    cin: SignalId,
-) -> (SignalId, SignalId, SignalId) {
-    let x12 = n.xor(x1, x2);
-    let x34 = n.xor(x3, x4);
-    let x1234 = n.xor(x12, x34);
-    let sum = n.xor(x1234, cin);
-    let cout = n.mux(x12, x3, x1);
-    let carry = n.mux(x1234, cin, x4);
-    (sum, carry, cout)
-}
-
 /// Approximate 4:2 compressor (no carry chain).
 ///
 /// Uses the common dual-rail approximation `sum = (x1 ^ x2) | (x3 ^ x4)`,
@@ -285,11 +264,6 @@ impl Columns {
         } else {
             Vec::new()
         }
-    }
-
-    /// Maximum column height.
-    pub fn max_height(&self) -> usize {
-        self.cols.iter().map(Vec::len).max().unwrap_or(0)
     }
 
     /// Reduces the matrix with full/half adders until every column holds
@@ -614,23 +588,6 @@ mod tests {
         // All-zero input: no one-hot bit, nz = 0.
         let out = n.simulate_bool(&[false; 8]).unwrap();
         assert!(out[..9].iter().all(|&b| !b));
-    }
-
-    #[test]
-    fn compressor_identity_exact() {
-        let mut n = Netlist::new("c42");
-        let x = n.input_bus("x", 5);
-        let (s, c, co) = compressor_4_2(&mut n, x[0], x[1], x[2], x[3], x[4]);
-        n.output("s", s);
-        n.output("c", c);
-        n.output("co", co);
-        for v in 0..32i64 {
-            let bools: Vec<bool> = (0..5).map(|k| (v >> k) & 1 == 1).collect();
-            let out = n.simulate_bool(&bools).unwrap();
-            let total: i64 = bools.iter().map(|&b| i64::from(b)).sum();
-            let got = i64::from(out[0]) + 2 * (i64::from(out[1]) + i64::from(out[2]));
-            assert_eq!(got, total, "compressing {v:05b}");
-        }
     }
 
     #[test]

@@ -164,7 +164,7 @@ pub fn analyze(
 /// # Errors
 ///
 /// See [`analyze`].
-pub fn analyze_with(
+pub(crate) fn analyze_with(
     mgr: &mut BddManager,
     approx: &Netlist,
     exact: &Netlist,

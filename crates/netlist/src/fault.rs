@@ -96,16 +96,6 @@ impl FaultSet {
         FaultSet::default()
     }
 
-    /// The number of faulted nets.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no fault is injected.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Adds a permanent stuck-at fault.
     pub fn stuck_at(mut self, signal: SignalId, kind: FaultKind) -> FaultSet {
         let (and_mask, or_mask) = match kind {

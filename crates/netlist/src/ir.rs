@@ -83,7 +83,7 @@ pub enum Gate {
 
 impl Gate {
     /// Iterates over the fanin signals of this gate.
-    pub fn fanins(&self) -> impl Iterator<Item = SignalId> + '_ {
+    pub(crate) fn fanins(&self) -> impl Iterator<Item = SignalId> + '_ {
         let (a, b, c): (Option<SignalId>, Option<SignalId>, Option<SignalId>) = match *self {
             Gate::Input { .. } | Gate::Const(_) => (None, None, None),
             Gate::Buf(x) | Gate::Not(x) => (Some(x), None, None),
@@ -100,7 +100,7 @@ impl Gate {
     }
 
     /// True for gates that carry logic (not inputs/constants/buffers).
-    pub fn is_logic(&self) -> bool {
+    pub(crate) fn is_logic(&self) -> bool {
         !matches!(self, Gate::Input { .. } | Gate::Const(_) | Gate::Buf(_))
     }
 }
@@ -199,7 +199,7 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `id` does not belong to this netlist.
-    pub fn gate(&self, id: SignalId) -> &Gate {
+    pub(crate) fn gate(&self, id: SignalId) -> &Gate {
         &self.gates[id.index()]
     }
 
@@ -270,7 +270,7 @@ impl Netlist {
     }
 
     /// Adds a buffer.
-    pub fn buf(&mut self, a: SignalId) -> SignalId {
+    pub(crate) fn buf(&mut self, a: SignalId) -> SignalId {
         self.push(Gate::Buf(a))
     }
 
@@ -320,14 +320,8 @@ impl Netlist {
         self.and(ab, c)
     }
 
-    /// Adds a 3-input OR as a tree.
-    pub fn or3(&mut self, a: SignalId, b: SignalId, c: SignalId) -> SignalId {
-        let ab = self.or(a, b);
-        self.or(ab, c)
-    }
-
     /// Adds a 3-input XOR as a tree (the full-adder sum function).
-    pub fn xor3(&mut self, a: SignalId, b: SignalId, c: SignalId) -> SignalId {
+    pub(crate) fn xor3(&mut self, a: SignalId, b: SignalId, c: SignalId) -> SignalId {
         let ab = self.xor(a, b);
         self.xor(ab, c)
     }
@@ -341,21 +335,6 @@ impl Netlist {
                 let mut acc = xs[0];
                 for &x in &xs[1..] {
                     acc = self.or(acc, x);
-                }
-                acc
-            }
-        }
-    }
-
-    /// Reduces a set of signals with AND; returns constant 1 for an empty set.
-    pub fn and_reduce(&mut self, xs: &[SignalId]) -> SignalId {
-        match xs {
-            [] => self.constant(true),
-            [x] => *x,
-            _ => {
-                let mut acc = xs[0];
-                for &x in &xs[1..] {
-                    acc = self.and(acc, x);
                 }
                 acc
             }
@@ -384,7 +363,7 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from `sub`'s input count.
-    pub fn instantiate(&mut self, sub: &Netlist, inputs: &[SignalId]) -> Vec<SignalId> {
+    pub(crate) fn instantiate(&mut self, sub: &Netlist, inputs: &[SignalId]) -> Vec<SignalId> {
         assert_eq!(
             inputs.len(),
             sub.inputs.len(),
@@ -446,7 +425,7 @@ impl Netlist {
             .collect()
     }
 
-    /// [`Netlist::instantiate`] for a sub-circuit shared between its
+    /// `Netlist::instantiate` for a sub-circuit shared between its
     /// instances, such as a library operator; `digest` must be `sub`'s
     /// [`Netlist::content_digest`]. When every signal in `inputs` is a
     /// primary input of `self`, the instance is also recorded: `sub`,
@@ -501,7 +480,7 @@ impl Netlist {
 
     /// Computes fanout counts for every signal (output references count
     /// as one fanout each).
-    pub fn fanout_counts(&self) -> Vec<u32> {
+    pub(crate) fn fanout_counts(&self) -> Vec<u32> {
         let mut counts = vec![0u32; self.gates.len()];
         for gate in &self.gates {
             for f in gate.fanins() {
@@ -516,7 +495,7 @@ impl Netlist {
 
     /// Depth of each signal in logic levels (inputs/constants are level 0;
     /// buffers are free).
-    pub fn levels(&self) -> Vec<u32> {
+    pub(crate) fn levels(&self) -> Vec<u32> {
         let mut lv = vec![0u32; self.gates.len()];
         for (i, gate) in self.gates.iter().enumerate() {
             lv[i] = match gate {
@@ -529,7 +508,7 @@ impl Netlist {
     }
 
     /// Maximum logic depth over all outputs.
-    pub fn depth(&self) -> u32 {
+    pub(crate) fn depth(&self) -> u32 {
         let lv = self.levels();
         self.outputs
             .iter()
@@ -604,17 +583,9 @@ mod tests {
         let b = n.input("b");
         let c = n.input("c");
         let or = n.or_reduce(&[a, b, c]);
-        let and = n.and_reduce(&[a, b, c]);
         n.output("or", or);
-        n.output("and", and);
-        assert_eq!(
-            n.simulate_bool(&[true, false, false]).unwrap(),
-            vec![true, false]
-        );
-        assert_eq!(
-            n.simulate_bool(&[true, true, true]).unwrap(),
-            vec![true, true]
-        );
+        assert_eq!(n.simulate_bool(&[true, false, false]).unwrap(), vec![true]);
+        assert_eq!(n.simulate_bool(&[false, false, false]).unwrap(), vec![false]);
     }
 
     #[test]

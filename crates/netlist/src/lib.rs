@@ -60,7 +60,7 @@ pub use errbound::{
 pub use fault::{CampaignReport, Fault, FaultKind, FaultSet, FaultSiteReport, CAMPAIGN_BLOCK_WORDS};
 pub use ir::{Gate, Netlist, SignalId};
 pub use lint::{lint_netlist, live_cone, NetlistStats, StructFinding, StructReport, StructSeverity};
-pub use map::{map_luts, map_template_stats, MapStrategy, MappedLut, MappedNetlist};
+pub use map::{map_luts, MapStrategy, MappedLut, MappedNetlist};
 pub use opt::optimize;
 pub use power::{estimate_power, PowerModel, PowerReport};
 pub use sim::{pack_bus_samples, transpose8x8, unpack_bus_samples};

@@ -33,7 +33,7 @@
 //!   or corrupted IR).
 //!
 //! [`live_cone`] (the cone-of-influence computation behind `dead-gate`)
-//! is shared with [`crate::fault`], where stuck-at campaigns skip
+//! is shared with the `fault` module, where stuck-at campaigns skip
 //! provably-dead sites, and cross-checked against [`crate::optimize`]'s
 //! dead-code elimination by the property tests in `clapped-lint`.
 

@@ -34,7 +34,7 @@ use crate::ir::{Gate, Instance, Netlist, SignalId};
 use crate::opt::optimize;
 use crate::sim::eval_gate;
 use crate::NetlistError;
-use clapped_exec::{Memo, MemoStats};
+use clapped_exec::Memo;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -429,12 +429,6 @@ type TemplateMemo = Memo<(u64, usize, MapStrategy), Option<Arc<Template>>>;
 fn template_memo() -> &'static TemplateMemo {
     static MEMO: OnceLock<TemplateMemo> = OnceLock::new();
     MEMO.get_or_init(Memo::new)
-}
-
-/// Hit/miss counters of the process-wide template memo: one miss per
-/// distinct operator, LUT size and strategy [`map_luts`] has met.
-pub fn map_template_stats() -> MemoStats {
-    template_memo().stats()
 }
 
 /// Builds the template of `operator` (traced as `netlist.map.template`).

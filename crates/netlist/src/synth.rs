@@ -161,7 +161,8 @@ mod tests {
         let big = synthesize(&multiplier_netlist(8), &SynthConfig::default()).unwrap();
         assert!(big.lut_count > small.lut_count);
         assert!(big.cpd_ns > small.cpd_ns);
-        assert!(big.power.dynamic_mw() > small.power.dynamic_mw());
+        let dynamic = |r: &SynthReport| r.power.logic_mw + r.power.signal_mw;
+        assert!(dynamic(&big) > dynamic(&small));
     }
 
     #[test]

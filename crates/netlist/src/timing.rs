@@ -56,7 +56,7 @@ impl TimingModel {
     }
 
     /// Maximum clock frequency in MHz for the mapped netlist.
-    pub fn fmax_mhz(&self, mapped: &MappedNetlist) -> f64 {
+    pub(crate) fn fmax_mhz(&self, mapped: &MappedNetlist) -> f64 {
         1000.0 / self.critical_path_ns(mapped)
     }
 }

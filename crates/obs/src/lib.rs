@@ -45,7 +45,7 @@ pub mod sink;
 
 pub use clock::{Deadline, Stopwatch};
 pub use metrics::{count, gauge_set, observe, Counter, Gauge, Histogram, MetricValue};
-pub use sink::{emit_event, emit_point, flush};
+pub use sink::{emit_event, emit_point};
 
 use std::cell::Cell;
 use std::path::Path;
@@ -87,8 +87,8 @@ pub fn disable() {
     sink::close();
 }
 
-/// [`disable`] plus [`metrics::reset_values`]: back to a pristine
-/// state. Intended for tests and benches.
+/// [`disable`] plus zeroing every metric: back to a pristine state.
+/// Intended for tests and benches.
 pub fn reset() {
     disable();
     metrics::reset_values();

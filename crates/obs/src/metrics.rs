@@ -34,14 +34,14 @@ impl Counter {
 
     /// Adds `n`; no-op while observability is disabled.
     #[inline]
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         if crate::enabled() {
             self.value.fetch_add(n, Ordering::Relaxed);
         }
     }
 
     /// Current value.
-    pub fn value(&self) -> u64 {
+    pub(crate) fn value(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 
@@ -63,14 +63,14 @@ impl Gauge {
 
     /// Stores `v`; no-op while observability is disabled.
     #[inline]
-    pub fn set(&self, v: f64) {
+    pub(crate) fn set(&self, v: f64) {
         if crate::enabled() {
             self.bits.store(v.to_bits(), Ordering::Relaxed);
         }
     }
 
     /// Current value (0.0 before the first `set`).
-    pub fn value(&self) -> f64 {
+    pub(crate) fn value(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 
@@ -104,7 +104,7 @@ impl Histogram {
 
     /// Records one sample; no-op while observability is disabled.
     #[inline]
-    pub fn record(&self, v: u64) {
+    pub(crate) fn record(&self, v: u64) {
         if !crate::enabled() {
             return;
         }
@@ -156,7 +156,7 @@ pub struct HistSnapshot {
 
 impl HistSnapshot {
     /// Mean sample value; 0.0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -194,7 +194,7 @@ fn registry() -> std::sync::MutexGuard<'static, BTreeMap<&'static str, Entry>> {
 /// # Panics
 ///
 /// Panics if `name` is already registered as a different metric type.
-pub fn counter(name: &'static str) -> &'static Counter {
+pub(crate) fn counter(name: &'static str) -> &'static Counter {
     match registry().entry(name).or_insert_with(|| Entry::Counter(Box::leak(Box::new(Counter::new())))) {
         Entry::Counter(c) => c,
         _ => panic!("metric {name:?} is not a counter"),
@@ -206,7 +206,7 @@ pub fn counter(name: &'static str) -> &'static Counter {
 /// # Panics
 ///
 /// Panics if `name` is already registered as a different metric type.
-pub fn gauge(name: &'static str) -> &'static Gauge {
+pub(crate) fn gauge(name: &'static str) -> &'static Gauge {
     match registry().entry(name).or_insert_with(|| Entry::Gauge(Box::leak(Box::new(Gauge::new())))) {
         Entry::Gauge(g) => g,
         _ => panic!("metric {name:?} is not a gauge"),
@@ -279,7 +279,7 @@ pub fn snapshot() -> Vec<(&'static str, MetricValue)> {
 
 /// The snapshot as a JSON object (used for the trailing trace record
 /// and `bench_obs`).
-pub fn snapshot_json() -> serde_json::Value {
+pub(crate) fn snapshot_json() -> serde_json::Value {
     let mut map = serde_json::Map::new();
     for (name, value) in snapshot() {
         let v = match value {
@@ -308,7 +308,7 @@ pub fn snapshot_json() -> serde_json::Value {
 
 /// Zeroes every registered metric (handles stay registered). Used by
 /// benches and tests that measure from a clean slate.
-pub fn reset_values() {
+pub(crate) fn reset_values() {
     for entry in registry().values() {
         match entry {
             Entry::Counter(c) => c.reset(),

@@ -135,13 +135,6 @@ pub fn emit_event(name: &str, labels: &[(&str, &str)], fields: &[(&str, f64)]) {
     });
 }
 
-/// Flushes buffered trace records to disk (no-op without a sink).
-pub fn flush() {
-    with_sink(|sink| {
-        let _ = sink.writer.flush();
-    });
-}
-
 /// Writes the trailing metrics record, flushes and closes the sink.
 pub(crate) fn close() {
     let mut guard = SINK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);

@@ -261,20 +261,20 @@ impl DegradationLadder {
 
     /// The nearest more-accurate rung from `from`, skipping quarantined
     /// rungs. `None` at the top of the ladder.
-    pub fn step_up(&self, from: usize, quarantined: &BTreeSet<usize>) -> Option<usize> {
+    pub(crate) fn step_up(&self, from: usize, quarantined: &BTreeSet<usize>) -> Option<usize> {
         (0..from).rev().find(|i| !quarantined.contains(i))
     }
 
     /// The nearest cheaper rung from `from`, skipping quarantined
     /// rungs. `None` at the bottom.
-    pub fn step_down(&self, from: usize, quarantined: &BTreeSet<usize>) -> Option<usize> {
+    pub(crate) fn step_down(&self, from: usize, quarantined: &BTreeSet<usize>) -> Option<usize> {
         ((from + 1)..self.rungs.len()).find(|i| !quarantined.contains(i))
     }
 
     /// The nearest healthy rung to recover onto after quarantining
     /// `from`: prefers buying accuracy back (upward), falls back to the
     /// nearest cheaper rung.
-    pub fn recovery_target(&self, from: usize, quarantined: &BTreeSet<usize>) -> Option<usize> {
+    pub(crate) fn recovery_target(&self, from: usize, quarantined: &BTreeSet<usize>) -> Option<usize> {
         self.step_up(from, quarantined)
             .or_else(|| self.step_down(from, quarantined))
     }

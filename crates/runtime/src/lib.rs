@@ -22,11 +22,11 @@
 //!   reference evaluation (exact single-pixel reconvolution at a few
 //!   deterministic positions), widened into a confidence interval using
 //!   the deployed operator's `clapped-errmodel` statistics.
-//! - [`probe_taps`] — the fault watchdog: probes the deployed taps
-//!   against the healthy operator's exhaustive behavioural table on
-//!   inputs the current frame actually exercised; a mismatch
-//!   quarantines the rung and the supervisor self-heals onto the
-//!   nearest healthy rung.
+//! - `probe_taps` — the fault watchdog, with its [`WatchdogVerdict`]:
+//!   probes the deployed taps against the healthy operator's
+//!   exhaustive behavioural table on inputs the current frame actually
+//!   exercised; a mismatch quarantines the rung and the supervisor
+//!   self-heals onto the nearest healthy rung.
 //! - [`StreamSupervisor`] — the controller: asymmetric hysteresis
 //!   (quality-first step-up, damped step-down) with exponential backoff
 //!   on reconfiguration so it never flaps, checkpointable to versioned
@@ -65,7 +65,7 @@ pub use supervisor::{
     SwapReason, CHECKPOINT_VERSION,
 };
 pub use traffic::TrafficPhase;
-pub use watchdog::{probe_taps, WatchdogVerdict};
+pub use watchdog::WatchdogVerdict;
 
 use std::error::Error;
 use std::fmt;

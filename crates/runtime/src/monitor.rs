@@ -54,7 +54,7 @@ pub struct QualityMonitor {
 
 impl QualityMonitor {
     /// Compiles the exact operator against the kernel.
-    pub fn new(exact: &dyn Mul8s, kernel: &QuantKernel) -> QualityMonitor {
+    pub(crate) fn new(exact: &dyn Mul8s, kernel: &QuantKernel) -> QualityMonitor {
         let coeffs = kernel.coeffs_2d();
         let mut luts = Vec::with_capacity(coeffs.len() * 128);
         for &c in coeffs {
@@ -101,7 +101,7 @@ impl QualityMonitor {
     ///
     /// Only 2D, unscaled configurations are supported (the supervisor
     /// validates this once at construction).
-    pub fn estimate(
+    pub(crate) fn estimate(
         &self,
         input: &Image,
         output: &Image,

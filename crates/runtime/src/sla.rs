@@ -26,7 +26,7 @@ impl SlaSpec {
     ///
     /// Returns [`RuntimeError::BadConfig`] unless both ceilings are
     /// finite and positive.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if !(self.max_error_percent.is_finite() && self.max_error_percent > 0.0) {
             return Err(RuntimeError::BadConfig {
                 reason: format!(

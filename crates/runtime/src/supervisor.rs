@@ -37,13 +37,13 @@
 //! running to frame `N` is bit-identical — same rung trajectory, same
 //! event log, same chained output digest — to an uninterrupted run.
 
+use crate::watchdog::probe_taps;
 use crate::{
-    probe_taps, DegradationLadder, QualityEstimate, QualityMonitor, Result, RuntimeError, SlaSpec,
-    TrafficPhase, WatchdogVerdict,
+    DegradationLadder, QualityEstimate, QualityMonitor, Result, RuntimeError, SlaSpec, TrafficPhase,
+    WatchdogVerdict,
 };
 use clapped_accel::{simulate_stream, AcceleratorSpec};
 use clapped_axops::{FaultedMul, Mul8s};
-use clapped_errmodel::ErrorStats;
 use clapped_exec::{json, Fnv64};
 use clapped_imgproc::{app_error_percent, ConvEngine, ConvMode, QuantKernel};
 use clapped_netlist::FaultSet;
@@ -325,7 +325,7 @@ fn bad(reason: impl Into<String>) -> RuntimeError {
 
 /// The runtime supervisor. Construct with [`StreamSupervisor::new`] (or
 /// [`StreamSupervisor::resume`]), then drive with
-/// [`StreamSupervisor::step`] / [`StreamSupervisor::run`].
+/// [`StreamSupervisor::run`].
 #[derive(Debug)]
 pub struct StreamSupervisor {
     sla: SlaSpec,
@@ -334,7 +334,6 @@ pub struct StreamSupervisor {
     engine: ConvEngine,
     kernel: QuantKernel,
     exact_taps: Vec<Arc<dyn Mul8s>>,
-    exact_stats: ErrorStats,
     monitor: QualityMonitor,
     deployed: Vec<Arc<dyn Mul8s>>,
     state: ControllerState,
@@ -358,8 +357,7 @@ impl StreamSupervisor {
         let kernel = QuantKernel::gaussian(ladder.conv_config().window, ladder.kernel_sigma());
         let engine = ConvEngine::new(kernel.clone());
         let exact = ladder.rungs()[0].op.clone();
-        let exact_stats = ladder.rungs()[0].stats;
-        if exact_stats.error_probability != 0.0 {
+        if ladder.rungs()[0].stats.error_probability != 0.0 {
             return Err(RuntimeError::BadConfig {
                 reason: "ladder rung 0 must be the exact operator".to_string(),
             });
@@ -376,7 +374,6 @@ impl StreamSupervisor {
             engine,
             kernel,
             exact_taps,
-            exact_stats,
             monitor,
             deployed: Vec::new(),
             state,
@@ -480,7 +477,7 @@ impl StreamSupervisor {
     ///
     /// Propagates pipeline errors; returns [`RuntimeError::BadConfig`]
     /// if a fault leaves no healthy rung to recover onto.
-    pub fn step(&mut self) -> Result<FrameRecord> {
+    pub(crate) fn step(&mut self) -> Result<FrameRecord> {
         let _span = clapped_obs::span("runtime.frame");
         let frame = self.state.frame;
         let seed = self.options.seed;
@@ -662,7 +659,7 @@ impl StreamSupervisor {
     ///
     /// # Errors
     ///
-    /// Propagates the first failing [`StreamSupervisor::step`].
+    /// Propagates the first failing frame step.
     pub fn run(&mut self, frames: usize) -> Result<StreamReport> {
         let mut records = Vec::new();
         while self.state.frame < frames {
@@ -688,14 +685,14 @@ impl StreamSupervisor {
 
     /// Whether a scheduled fault is currently deployed (injected, not
     /// yet detected, and sitting on the active rung).
-    pub fn fault_active(&self) -> bool {
+    pub(crate) fn fault_active(&self) -> bool {
         self.state.fault_injected
             && self.state.fault_detected_frame.is_none()
             && self.state.fault_rung == Some(self.state.rung)
     }
 
     /// Frames from injection to detection, once detected.
-    pub fn detection_latency_frames(&self) -> Option<usize> {
+    pub(crate) fn detection_latency_frames(&self) -> Option<usize> {
         match (&self.options.fault, self.state.fault_detected_frame) {
             (Some(plan), Some(at)) => Some(at - plan.frame + 1),
             _ => None,
@@ -712,24 +709,9 @@ impl StreamSupervisor {
         self.state.rung
     }
 
-    /// The reconfiguration/fault log since frame 0.
-    pub fn events(&self) -> &[StreamEvent] {
-        &self.state.events
-    }
-
-    /// Chained digest of every pixel emitted since frame 0.
-    pub fn output_digest(&self) -> u64 {
-        self.state.output_digest
-    }
-
     /// The ladder the supervisor serves on.
     pub fn ladder(&self) -> &DegradationLadder {
         &self.ladder
-    }
-
-    /// Exhaustive error statistics of the exact reference operator.
-    pub fn exact_stats(&self) -> &ErrorStats {
-        &self.exact_stats
     }
 
     /// Serializes the controller state to versioned JSON. Together with

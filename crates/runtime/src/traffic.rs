@@ -46,7 +46,7 @@ pub enum TrafficPhase {
 
 impl TrafficPhase {
     /// Stable name used in checkpoints and reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TrafficPhase::Calm => "calm",
             TrafficPhase::Burst => "burst",
@@ -54,7 +54,7 @@ impl TrafficPhase {
     }
 
     /// Parses a checkpoint phase name.
-    pub fn from_name(name: &str) -> Option<TrafficPhase> {
+    pub(crate) fn from_name(name: &str) -> Option<TrafficPhase> {
         match name {
             "calm" => Some(TrafficPhase::Calm),
             "burst" => Some(TrafficPhase::Burst),

@@ -47,7 +47,7 @@ pub enum WatchdogVerdict {
 /// current frame's pixels and the kernel weights. Probe sites derive
 /// from `(stream seed, frame)`, so detection latency is reproducible
 /// run to run.
-pub fn probe_taps(
+pub(crate) fn probe_taps(
     deployed: &[Arc<dyn Mul8s>],
     healthy: &dyn Mul8s,
     input: &Image,

@@ -95,7 +95,7 @@ impl Client {
     /// # Errors
     ///
     /// I/O failures, undecodable replies, or a remote error reply.
-    pub fn roundtrip(&mut self, request: &Request) -> Result<Reply> {
+    pub(crate) fn roundtrip(&mut self, request: &Request) -> Result<Reply> {
         match self.roundtrip_raw(&request.encode())? {
             Reply::Error { code, detail } => Err(ServeError::Remote { code, detail }),
             reply => Ok(reply),

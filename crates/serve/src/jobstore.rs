@@ -57,7 +57,7 @@ impl JobStore {
     /// # Errors
     ///
     /// Propagates directory-creation failures.
-    pub fn open(root: &Path) -> Result<JobStore> {
+    pub(crate) fn open(root: &Path) -> Result<JobStore> {
         let jobs = root.join("jobs");
         let checkpoints = root.join("checkpoints");
         fs::create_dir_all(&jobs)?;
@@ -70,7 +70,7 @@ impl JobStore {
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn save_job(&self, id: &str, record: &Value) -> Result<()> {
+    pub(crate) fn save_job(&self, id: &str, record: &Value) -> Result<()> {
         atomic_write(&self.jobs, &format!("{id}.json"), record.to_string().as_bytes())
     }
 
@@ -81,7 +81,7 @@ impl JobStore {
     /// # Errors
     ///
     /// Propagates directory-read failures.
-    pub fn load_jobs(&self) -> Result<Vec<Value>> {
+    pub(crate) fn load_jobs(&self) -> Result<Vec<Value>> {
         let mut found: Vec<(u64, Value)> = Vec::new();
         for entry in fs::read_dir(&self.jobs)? {
             let entry = entry?;
@@ -105,17 +105,17 @@ impl JobStore {
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn save_checkpoint(&self, id: &str, checkpoint: &str) -> Result<()> {
+    pub(crate) fn save_checkpoint(&self, id: &str, checkpoint: &str) -> Result<()> {
         atomic_write(&self.checkpoints, &format!("{id}.ckpt"), checkpoint.as_bytes())
     }
 
     /// Loads a session checkpoint, if one was ever persisted.
-    pub fn load_checkpoint(&self, id: &str) -> Option<String> {
+    pub(crate) fn load_checkpoint(&self, id: &str) -> Option<String> {
         fs::read_to_string(self.checkpoints.join(format!("{id}.ckpt"))).ok()
     }
 
     /// Removes a job's checkpoint (terminal states no longer need it).
-    pub fn remove_checkpoint(&self, id: &str) {
+    pub(crate) fn remove_checkpoint(&self, id: &str) {
         let _ = fs::remove_file(self.checkpoints.join(format!("{id}.ckpt")));
     }
 }

@@ -19,11 +19,13 @@
 //!
 //! The module map mirrors the request path:
 //!
-//! * [`protocol`] — wire grammar: requests, replies, error codes.
-//! * [`queue`] — the fair multi-tenant scheduler.
-//! * [`jobstore`] — crash-safe job records and checkpoints.
-//! * [`server`] — listener, connection handling, worker shards.
-//! * [`client`] — a small blocking client for tools and tests.
+//! * `protocol` — wire grammar: [`Request`]s, [`Reply`]s,
+//!   [`ErrorCode`]s.
+//! * `queue` — the fair multi-tenant scheduler, [`FairQueue`].
+//! * `jobstore` — crash-safe job records and checkpoints, [`JobStore`].
+//! * `server` — listener, connection handling, worker shards:
+//!   [`Server`].
+//! * `client` — a small blocking [`Client`] for tools and tests.
 
 #![warn(clippy::unwrap_used, clippy::tests_outside_test_module)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]

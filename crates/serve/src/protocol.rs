@@ -28,7 +28,7 @@ use clapped_exec::{json, CacheStats};
 use serde_json::{json, Value};
 
 /// Default bound on one request line (bytes, newline included).
-pub const DEFAULT_MAX_REQUEST_BYTES: usize = 1 << 20;
+pub(crate) const DEFAULT_MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Upper bound on each MBO phase size a job spec may request: its
 /// `initial_samples`, `batch` and `candidates`. A phase collects that
@@ -57,7 +57,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// The wire token.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ErrorCode::Malformed => "malformed",
             ErrorCode::Oversized => "oversized",
@@ -70,7 +70,7 @@ impl ErrorCode {
     }
 
     /// Parses a wire token.
-    pub fn parse(s: &str) -> Option<ErrorCode> {
+    pub(crate) fn parse(s: &str) -> Option<ErrorCode> {
         Some(match s {
             "malformed" => ErrorCode::Malformed,
             "oversized" => ErrorCode::Oversized,
@@ -171,7 +171,7 @@ impl JobSpec {
     ///
     /// [`ErrorCode::Malformed`] for structural problems,
     /// [`ErrorCode::BadSpec`] for well-formed but invalid jobs.
-    pub fn from_json(v: &Value) -> Result<JobSpec> {
+    pub(crate) fn from_json(v: &Value) -> Result<JobSpec> {
         let spec = JobSpec {
             app: app_from_str(json::field(v, "app")?)?,
             image_size: json::field(v, "image_size")?,
@@ -229,7 +229,7 @@ pub enum JobState {
 
 impl JobState {
     /// The wire token.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
@@ -239,7 +239,7 @@ impl JobState {
     }
 
     /// Parses a wire token.
-    pub fn parse(s: &str) -> Option<JobState> {
+    pub(crate) fn parse(s: &str) -> Option<JobState> {
         Some(match s {
             "queued" => JobState::Queued,
             "running" => JobState::Running,
@@ -281,7 +281,7 @@ pub struct JobStatus {
 
 impl JobStatus {
     /// Encodes the status as a JSON value.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         json::extend(
             json!({
                 "job": self.job.clone(),
@@ -304,7 +304,7 @@ impl JobStatus {
     /// # Errors
     ///
     /// [`ErrorCode::Malformed`] on structural problems.
-    pub fn from_json(v: &Value) -> Result<JobStatus> {
+    pub(crate) fn from_json(v: &Value) -> Result<JobStatus> {
         let state_token: &str = json::field(v, "state")?;
         let state = JobState::parse(state_token)
             .ok_or_else(|| malformed(format!("unknown job state `{state_token}`")))?;
@@ -337,7 +337,7 @@ pub struct ParetoEntry {
 
 impl ParetoEntry {
     /// Encodes the entry as a JSON value.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         json!({
             "config": self.config.to_checkpoint_json(),
             "error_percent": self.error_percent,
@@ -351,7 +351,7 @@ impl ParetoEntry {
     /// # Errors
     ///
     /// [`ErrorCode::Malformed`] on structural problems.
-    pub fn from_json(v: &Value) -> Result<ParetoEntry> {
+    pub(crate) fn from_json(v: &Value) -> Result<ParetoEntry> {
         let config = Configuration::from_checkpoint_json(json::field(v, "config")?)
             .map_err(|e| malformed(format!("bad pareto config: {e}")))?;
         Ok(ParetoEntry {
@@ -411,7 +411,7 @@ fn cache_from_json(v: &Value) -> Result<CacheStats> {
 
 impl ServerStats {
     /// Encodes the stats as a JSON value.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(self) -> Value {
         json!({
             "jobs_submitted": self.jobs_submitted,
             "jobs_done": self.jobs_done,
@@ -428,7 +428,7 @@ impl ServerStats {
     /// # Errors
     ///
     /// [`ErrorCode::Malformed`] on structural problems.
-    pub fn from_json(v: &Value) -> Result<ServerStats> {
+    pub(crate) fn from_json(v: &Value) -> Result<ServerStats> {
         Ok(ServerStats {
             jobs_submitted: json::field(v, "jobs_submitted")?,
             jobs_done: json::field(v, "jobs_done")?,
@@ -473,7 +473,7 @@ pub enum Request {
 
 impl Request {
     /// Encodes the request as a JSON value.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         match self {
             Request::Ping => json!({"op": "ping"}),
             Request::Submit { tenant, spec } => {
@@ -498,7 +498,7 @@ impl Request {
     ///
     /// [`ErrorCode::Malformed`] / [`ErrorCode::BadSpec`] /
     /// [`ErrorCode::UnknownOp`] as appropriate.
-    pub fn from_json(v: &Value) -> Result<Request> {
+    pub(crate) fn from_json(v: &Value) -> Result<Request> {
         match json::field(v, "op")? {
             "ping" => Ok(Request::Ping),
             "submit" => {
@@ -524,8 +524,9 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// As [`Request::from_json`], plus [`ErrorCode::Malformed`] for
-    /// invalid JSON.
+    /// [`ErrorCode::Malformed`] for invalid JSON or a malformed request,
+    /// [`ErrorCode::BadSpec`] for an invalid job and
+    /// [`ErrorCode::UnknownOp`] for an unknown operation.
     pub fn decode(line: &str) -> Result<Request> {
         let v = serde_json::from_str(line).map_err(|e| malformed(format!("invalid JSON: {e}")))?;
         Request::from_json(&v)
@@ -568,7 +569,7 @@ pub enum Reply {
 
 impl Reply {
     /// Encodes the reply as a JSON value.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         match self {
             Reply::Pong => json!({"ok": true, "reply": "pong"}),
             Reply::Submitted { job } => {
@@ -612,7 +613,7 @@ impl Reply {
     /// # Errors
     ///
     /// [`ErrorCode::Malformed`] on structural problems.
-    pub fn from_json(v: &Value) -> Result<Reply> {
+    pub(crate) fn from_json(v: &Value) -> Result<Reply> {
         if !json::field::<bool>(v, "ok")? {
             let token: &str = json::field(v, "error")?;
             let code = ErrorCode::parse(token)
@@ -651,8 +652,7 @@ impl Reply {
     ///
     /// # Errors
     ///
-    /// As [`Reply::from_json`], plus [`ErrorCode::Malformed`] for
-    /// invalid JSON.
+    /// [`ErrorCode::Malformed`] for invalid JSON or a malformed reply.
     pub fn decode(line: &str) -> Result<Reply> {
         let v = serde_json::from_str(line).map_err(|e| malformed(format!("invalid JSON: {e}")))?;
         Reply::from_json(&v)

@@ -24,24 +24,18 @@ pub struct FairQueue {
     /// The tenant served most recently; the next pop starts strictly
     /// after it (wrapping).
     cursor: Option<String>,
-    len: usize,
 }
 
 impl FairQueue {
-    /// Creates an empty queue.
-    pub fn new() -> FairQueue {
-        FairQueue::default()
-    }
 
     /// Enqueues `job` on `tenant`'s lane.
-    pub fn push(&mut self, tenant: &str, job: String) {
+    pub(crate) fn push(&mut self, tenant: &str, job: String) {
         self.lanes.entry(tenant.to_string()).or_default().push_back(job);
-        self.len += 1;
     }
 
     /// Dequeues the next job in round-robin order, together with its
     /// tenant. Returns `None` when the queue is empty.
-    pub fn pop(&mut self) -> Option<(String, String)> {
+    pub(crate) fn pop(&mut self) -> Option<(String, String)> {
         if self.lanes.is_empty() {
             return None;
         }
@@ -65,19 +59,8 @@ impl FairQueue {
         if lane.is_empty() {
             self.lanes.remove(&tenant);
         }
-        self.len -= 1;
         self.cursor = Some(tenant.clone());
         Some((tenant, job))
-    }
-
-    /// Number of queued jobs across all tenants.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no jobs are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -95,20 +78,19 @@ mod tests {
 
     #[test]
     fn round_robin_interleaves_tenants() {
-        let mut q = FairQueue::new();
+        let mut q = FairQueue::default();
         for j in ["a1", "a2", "a3"] {
             q.push("alpha", j.to_string());
         }
         q.push("beta", "b1".to_string());
         q.push("gamma", "g1".to_string());
-        assert_eq!(q.len(), 5);
         assert_eq!(drain(&mut q), ["a1", "b1", "g1", "a2", "a3"]);
-        assert!(q.is_empty());
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn a_burst_cannot_starve_a_singleton() {
-        let mut q = FairQueue::new();
+        let mut q = FairQueue::default();
         for i in 0..50 {
             q.push("hog", format!("h{i}"));
         }
@@ -121,7 +103,7 @@ mod tests {
 
     #[test]
     fn cursor_survives_lane_exhaustion() {
-        let mut q = FairQueue::new();
+        let mut q = FairQueue::default();
         q.push("a", "a1".to_string());
         q.push("b", "b1".to_string());
         assert_eq!(q.pop().unwrap().1, "a1");
@@ -135,7 +117,7 @@ mod tests {
 
     #[test]
     fn pushes_during_drain_keep_fifo_within_tenant() {
-        let mut q = FairQueue::new();
+        let mut q = FairQueue::default();
         q.push("t", "j1".to_string());
         q.push("t", "j2".to_string());
         assert_eq!(q.pop().unwrap().1, "j1");

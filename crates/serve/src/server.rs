@@ -248,7 +248,6 @@ impl Shared {
     fn session_spec(spec: &JobSpec) -> SessionSpec {
         SessionSpec {
             mbo: spec.mbo.clone(),
-            max_error_percent: spec.max_error_percent,
             max_evaluations: spec.max_evaluations,
             ..SessionSpec::default()
         }

@@ -60,7 +60,6 @@ fn reference_front(spec: &JobSpec) -> Vec<(clapped_dse::Configuration, u64, u64)
     );
     let session_spec = SessionSpec {
         mbo: spec.mbo.clone(),
-        max_error_percent: spec.max_error_percent,
         max_evaluations: spec.max_evaluations,
         ..SessionSpec::default()
     };
@@ -164,6 +163,8 @@ fn kill_dash_nine_resumes_every_job_bit_exactly() {
             assert_eq!(&entry.config, config, "config diverged for {job}");
             assert_eq!(entry.error_percent.to_bits(), *err_bits, "error bits for {job}");
             assert_eq!(entry.luts.to_bits(), *lut_bits, "lut bits for {job}");
+            // `job_spec`'s quality limit is 20 %.
+            assert_eq!(entry.feasible, entry.error_percent <= 20.0, "feasible flag for {job}");
         }
     }
 
