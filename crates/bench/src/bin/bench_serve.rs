@@ -243,9 +243,8 @@ fn main() {
     );
     println!(
         "warm speedup (cold p50 / warm p50): {speedup:.2}x; cache hits {} \
-         (disk {}), misses {}, lock contention {}",
+         (disk {}), misses {}",
         cache.cache.hits, cache.cache.disk_hits, cache.cache.misses,
-        cache.cache.lock_contention,
     );
 
     save_snapshot(
@@ -279,7 +278,6 @@ fn main() {
                 "cache_hits": cache.cache.hits,
                 "cache_disk_hits": cache.cache.disk_hits,
                 "cache_misses": cache.cache.misses,
-                "cache_lock_contention": cache.cache.lock_contention,
             },
         }),
     );

@@ -50,11 +50,10 @@ pub enum FitError {
         /// Samples required.
         need: usize,
     },
-    /// A requested term cannot enter a PR fit: a monomial outside
-    /// `canonical_terms(degree)` or a repeated one, or a retraining
-    /// ranking entry that is not an index into the model's terms.
+    /// A retraining ranking entry is not an index into the model's
+    /// terms, or repeats an earlier entry.
     BadTerm {
-        /// The offending monomial `(i, j)` of `x^i·y^j`, or ranking entry.
+        /// The offending ranking entry.
         term: String,
         /// Degree of the model being fitted.
         degree: usize,

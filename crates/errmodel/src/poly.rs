@@ -189,17 +189,22 @@ impl PrModel {
         ranking: &[usize],
         keep: usize,
     ) -> Result<PrModel> {
-        let terms = ranking
-            .iter()
-            .take(keep)
-            .map(|&i| {
-                self.terms.get(i).copied().ok_or_else(|| FitError::BadTerm {
-                    term: format!("ranking index {i}"),
-                    degree: self.degree,
-                    reason: format!("outside the model's {} terms", self.terms.len()),
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let kept = &ranking[..keep.min(ranking.len())];
+        let bad = |i: usize, reason: String| FitError::BadTerm {
+            term: format!("ranking index {i}"),
+            degree: self.degree,
+            reason,
+        };
+        let mut terms = Vec::with_capacity(kept.len());
+        for (k, &i) in kept.iter().enumerate() {
+            if kept[..k].contains(&i) {
+                return Err(bad(i, "repeated".to_string()));
+            }
+            let term = self.terms.get(i).copied().ok_or_else(|| {
+                bad(i, format!("outside the model's {} terms", self.terms.len()))
+            })?;
+            terms.push(term);
+        }
         Self::fit_one(&f, self.degree, terms)
     }
 
@@ -288,28 +293,6 @@ fn powers(v: i8) -> [f64; 7] {
     p
 }
 
-/// Rejects a term outside `canonical_terms(degree)` or repeating an
-/// earlier one: the first would be dropped by
-/// [`PrModel::feature_vector`], the second would split its coefficient
-/// in a way the ridge hides from the factorization.
-fn check_terms(terms: &[(u8, u8)], degree: usize) -> Result<()> {
-    for (k, &(i, j)) in terms.iter().enumerate() {
-        let reason = if usize::from(i) + usize::from(j) > degree {
-            "outside the canonical basis"
-        } else if terms[..k].contains(&(i, j)) {
-            "repeated"
-        } else {
-            continue;
-        };
-        return Err(FitError::BadTerm {
-            term: format!("({i}, {j})"),
-            degree,
-            reason: reason.to_string(),
-        });
-    }
-    Ok(())
-}
-
 /// The fitting pass: least-squares fits of `count` operators on the
 /// monomials `terms`, in one sweep over [`exhaustive_pairs`].
 /// `outputs(a, b, ys)` writes every operator's output at `(a, b)`.
@@ -330,7 +313,6 @@ fn fit_pass(
     if terms.is_empty() {
         return Err(FitError::TooFewSamples { got: 0, need: 1 });
     }
-    check_terms(&terms, degree)?;
     if count == 0 {
         return Ok(Vec::new());
     }

@@ -9,37 +9,34 @@
 //! an entry can never be replayed into a build or context it doesn't
 //! belong to.
 //!
-//! # Cross-process coordination
+//! # Cross-process sharing
 //!
 //! The disk tier doubles as a coordination substrate between processes
 //! sharing one cache directory (the `clapped-serve` daemon runs N
-//! server processes against a single store). Two guarantees make that
-//! safe:
-//!
-//! 1. **No torn reads.** Every entry is written to a hidden temp file
-//!    and published with an atomic `rename`, so a reader either sees a
-//!    complete JSON document or no file at all — never a partial write.
-//! 2. **Advisory write locks.** A writer first claims
-//!    `{key:016x}.lock` with `create_new` (`O_EXCL`). Losing the race
-//!    means another process is publishing the *same content-addressed
-//!    value*; the loser skips its redundant write and counts
-//!    [`CacheStats::lock_contention`]. Locks left behind by a killed
-//!    writer expire after 30 s and are broken by the next writer.
+//! server processes against a single store). Every entry is written to
+//! a hidden temp file of its own, `.{key:016x}.{pid}.{n}.tmp` with `n`
+//! a process-wide write counter, and published with an atomic `rename`,
+//! so a reader sees a complete JSON document or no file at all — never
+//! a partial write. Writers take no file locks. Two writers of one key
+//! (two processes, or two threads of one) each fill their own temp
+//! file, and the later rename replaces the earlier file with the same
+//! bytes: keys are content digests, so a concurrent duplicate write
+//! costs one redundant file and changes nothing a reader can see. The
+//! per-write name keeps that true inside one process: with a name
+//! shared by its threads, one thread could publish a file that another
+//! is still truncating and refilling.
 
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 use crate::digest::mix64;
 
-/// How long an advisory lock file may exist before any writer may break
-/// it — generous against slow NFS-style renames, small against a
-/// permanently wedged entry after a `kill -9` mid-write.
-const LOCK_TTL: Duration = Duration::from_secs(30);
+/// Disk writes this process has started, across every cache: the
+/// suffix that gives each write's temp file a name of its own.
+static DISK_WRITES: AtomicU64 = AtomicU64::new(0);
 
 /// Conversion between a cached value and its on-disk JSON form.
 ///
@@ -75,16 +72,6 @@ impl CacheCodec for Vec<f64> {
     }
 }
 
-impl CacheCodec for u64 {
-    fn to_cache_json(&self) -> Option<Value> {
-        Some(Value::from(*self))
-    }
-
-    fn from_cache_json(value: &Value) -> Option<Self> {
-        value.as_u64()
-    }
-}
-
 /// Counters of a [`ResultCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
@@ -101,10 +88,6 @@ pub struct CacheStats {
     /// Disk files that existed but failed to parse or decode (each is
     /// treated as a miss; the file is left for inspection).
     pub disk_corrupt: u64,
-    /// Disk writes skipped because another process held the advisory
-    /// lock for the same entry (the value is content-addressed, so the
-    /// winner publishes an identical result).
-    pub lock_contention: u64,
     /// Entries currently resident in memory.
     pub entries: usize,
 }
@@ -188,7 +171,6 @@ pub struct ResultCache<V> {
     insertions: AtomicU64,
     evictions: AtomicU64,
     disk_corrupt: AtomicU64,
-    lock_contention: AtomicU64,
 }
 
 impl<V: Clone + CacheCodec> ResultCache<V> {
@@ -204,7 +186,6 @@ impl<V: Clone + CacheCodec> ResultCache<V> {
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             disk_corrupt: AtomicU64::new(0),
-            lock_contention: AtomicU64::new(0),
         }
     }
 
@@ -258,52 +239,10 @@ impl<V: Clone + CacheCodec> ResultCache<V> {
         decoded
     }
 
-    fn lock_path(&self, mixed: u64) -> Option<PathBuf> {
-        self.disk_dir.as_ref().map(|d| d.join(format!("{mixed:016x}.lock")))
-    }
-
-    /// Claims the advisory write lock with `create_new` (`O_EXCL`).
-    /// Returns `false` when another live writer holds it; a lock file
-    /// older than 30 s is the residue of a killed writer and is broken
-    /// and re-claimed.
-    fn claim_lock(&self, lock: &Path) -> bool {
-        let try_claim = || {
-            std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(lock)
-                .map(|mut f| {
-                    // Writer identity, for post-mortem inspection only.
-                    let _ = write!(f, "{}", std::process::id());
-                })
-                .is_ok()
-        };
-        if try_claim() {
-            return true;
-        }
-        // The lock exists. Its age comes from filesystem metadata — an
-        // I/O-level liveness heuristic that only decides whether a
-        // redundant write proceeds, never what any result is (values
-        // are content-addressed, so every writer publishes the same
-        // bytes).
-        #[expect(clippy::disallowed_methods, reason = "lock age gates only a redundant write")]
-        let expired = std::fs::metadata(lock)
-            .and_then(|m| m.modified())
-            .ok()
-            .and_then(|t| t.elapsed().ok())
-            .is_some_and(|age| age >= LOCK_TTL);
-        if expired {
-            let _ = std::fs::remove_file(lock);
-            return try_claim();
-        }
-        false
-    }
-
-    /// Publishes `value` to the disk tier: advisory lock, hidden temp
-    /// file, atomic rename. Concurrent processes writing the same entry
-    /// coordinate through the lock (losers skip — the value is
-    /// identical); readers racing a writer see either the complete old
-    /// JSON, the complete new JSON, or no file — never a torn write.
+    /// Publishes `value` to the disk tier: a temp file of this write's
+    /// own, then an atomic rename. Readers racing a writer see the
+    /// complete old JSON, the complete new JSON, or no file — never a
+    /// torn write.
     fn disk_write(&self, mixed: u64, value: &V) {
         let (Some(dir), Some(path)) = (self.disk_dir.as_ref(), self.disk_path(mixed)) else {
             return;
@@ -317,26 +256,11 @@ impl<V: Clone + CacheCodec> ResultCache<V> {
         if std::fs::create_dir_all(dir).is_err() {
             return;
         }
-        let Some(lock) = self.lock_path(mixed) else {
-            return;
-        };
-        if !self.claim_lock(&lock) {
-            self.lock_contention.fetch_add(1, Ordering::Relaxed);
-            clapped_obs::count("exec.cache.lock_contention", 1);
-            return;
+        let write = DISK_WRITES.fetch_add(1, Ordering::Relaxed);
+        let tmp = dir.join(format!(".{mixed:016x}.{}.{write}.tmp", std::process::id()));
+        if std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, &path)).is_err() {
+            let _ = std::fs::remove_file(&tmp);
         }
-        let tmp = dir.join(format!(".{mixed:016x}.{}.tmp", std::process::id()));
-        match std::fs::write(&tmp, text) {
-            Ok(()) => {
-                if std::fs::rename(&tmp, &path).is_err() {
-                    let _ = std::fs::remove_file(&tmp);
-                }
-            }
-            Err(_) => {
-                let _ = std::fs::remove_file(&tmp);
-            }
-        }
-        let _ = std::fs::remove_file(&lock);
     }
 
     /// Looks `key` up in memory, then disk. A disk hit is promoted into
@@ -398,7 +322,6 @@ impl<V: Clone + CacheCodec> ResultCache<V> {
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             disk_corrupt: self.disk_corrupt.load(Ordering::Relaxed),
-            lock_contention: self.lock_contention.load(Ordering::Relaxed),
             entries: self.lru().map.len(),
         }
     }
@@ -513,49 +436,23 @@ mod tests {
             names.iter().all(|n| n.ends_with(".json")),
             "no .tmp/.lock residue after writes: {names:?}"
         );
-        assert_eq!(cache.stats().lock_contention, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn held_lock_skips_the_write_and_counts_contention() {
+    fn leftover_lock_files_do_not_block_writes() {
         let dir = std::env::temp_dir()
             .join(format!("clapped-exec-test-lock-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let cache: ResultCache<Vec<f64>> = ResultCache::with_disk(8, &dir);
         let mixed = cache.mixed(3);
-        // Another (live) writer holds the advisory lock.
-        std::fs::write(dir.join(format!("{mixed:016x}.lock")), "held").unwrap();
+        // A writer of a build that took advisory locks was killed
+        // mid-write and left its lock file behind.
+        std::fs::write(dir.join(format!("{mixed:016x}.lock")), "4242").unwrap();
         cache.insert(3, vec![9.0]);
-        assert_eq!(cache.stats().lock_contention, 1, "contended write is skipped");
-        // The entry was not published, but memory still serves it.
-        assert_eq!(cache.get(3), Some(vec![9.0]));
         let fresh: ResultCache<Vec<f64>> = ResultCache::with_disk(8, &dir);
-        assert_eq!(fresh.get(3), None, "disk write was skipped under contention");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_locks_are_broken_after_the_ttl() {
-        let dir = std::env::temp_dir()
-            .join(format!("clapped-exec-test-stale-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let cache: ResultCache<Vec<f64>> = ResultCache::with_disk(8, &dir);
-        let mixed = cache.mixed(4);
-        let lock = dir.join(format!("{mixed:016x}.lock"));
-        // A lock last touched just past the TTL is a killed writer's
-        // residue. Its age is set from its own mtime, not the clock.
-        let planted = std::fs::File::create(&lock).unwrap();
-        let created = planted.metadata().unwrap().modified().unwrap();
-        planted.set_modified(created - LOCK_TTL - Duration::from_secs(1)).unwrap();
-        drop(planted);
-        cache.insert(4, vec![7.0, 8.0]);
-        assert_eq!(cache.stats().lock_contention, 0, "stale lock is broken, not contended");
-        assert!(!lock.exists(), "broken lock is cleaned up after the write");
-        let fresh: ResultCache<Vec<f64>> = ResultCache::with_disk(8, &dir);
-        assert_eq!(fresh.get(4), Some(vec![7.0, 8.0]), "write proceeded past the stale lock");
+        assert_eq!(fresh.get(3), Some(vec![9.0]), "the entry is published past the lock file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 
 /// Directory-backed storage for job records and checkpoints.
 #[derive(Debug)]
-pub struct JobStore {
+pub(crate) struct JobStore {
     jobs: PathBuf,
     checkpoints: PathBuf,
 }

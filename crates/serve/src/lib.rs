@@ -21,8 +21,10 @@
 //!
 //! * `protocol` — wire grammar: [`Request`]s, [`Reply`]s,
 //!   [`ErrorCode`]s.
-//! * `queue` — the fair multi-tenant scheduler, [`FairQueue`].
-//! * `jobstore` — crash-safe job records and checkpoints, [`JobStore`].
+//! * `queue` — the fair multi-tenant scheduler: one FIFO lane per
+//!   tenant, served round-robin.
+//! * `jobstore` — crash-safe job records and checkpoints, each written
+//!   to a temp file and published by an atomic rename.
 //! * `server` — listener, connection handling, worker shards:
 //!   [`Server`].
 //! * `client` — a small blocking [`Client`] for tools and tests.
@@ -38,12 +40,10 @@ mod queue;
 mod server;
 
 pub use client::Client;
-pub use jobstore::JobStore;
 pub use protocol::{
     ErrorCode, JobSpec, JobState, JobStatus, ParetoEntry, Reply, Request, ServerStats,
     MAX_PHASE_SIZE,
 };
-pub use queue::FairQueue;
 pub use server::{Listen, Server, ServerConfig};
 
 use std::error::Error;

@@ -391,7 +391,6 @@ fn cache_to_json(c: &CacheStats) -> Value {
         "insertions": c.insertions,
         "evictions": c.evictions,
         "disk_corrupt": c.disk_corrupt,
-        "lock_contention": c.lock_contention,
         "entries": c.entries,
     })
 }
@@ -404,7 +403,6 @@ fn cache_from_json(v: &Value) -> Result<CacheStats> {
         insertions: json::field(v, "insertions")?,
         evictions: json::field(v, "evictions")?,
         disk_corrupt: json::field(v, "disk_corrupt")?,
-        lock_contention: json::field(v, "lock_contention")?,
         entries: json::field(v, "entries")?,
     })
 }

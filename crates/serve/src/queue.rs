@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// tenant served last, so drain order is deterministic given the same
 /// push sequence.
 #[derive(Debug, Default)]
-pub struct FairQueue {
+pub(crate) struct FairQueue {
     lanes: BTreeMap<String, VecDeque<String>>,
     /// The tenant served most recently; the next pop starts strictly
     /// after it (wrapping).

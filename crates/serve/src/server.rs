@@ -294,7 +294,6 @@ impl Shared {
             cache.insertions += s.insertions;
             cache.evictions += s.evictions;
             cache.disk_corrupt += s.disk_corrupt;
-            cache.lock_contention += s.lock_contention;
             cache.entries += s.entries;
         }
         ServerStats {

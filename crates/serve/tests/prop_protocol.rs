@@ -125,7 +125,7 @@ proptest! {
         err in 0.0f64..100.0,
         scale in 1usize..5,
         muls in proptest::collection::vec(0usize..12, 1..6),
-        counters in proptest::collection::vec(0u64..1_000_000, 14),
+        counters in proptest::collection::vec(0u64..1_000_000, 13),
     ) {
         let reply = match variant {
             0 => Reply::Pong,
@@ -154,8 +154,7 @@ proptest! {
                     insertions: counters[9],
                     evictions: counters[10],
                     disk_corrupt: counters[11],
-                    lock_contention: counters[12],
-                    entries: counters[13] as usize,
+                    entries: counters[12] as usize,
                 },
             }),
             6 => Reply::Bye,

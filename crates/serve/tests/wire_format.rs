@@ -87,7 +87,6 @@ fn replies() -> Vec<Reply> {
                 insertions: 30,
                 evictions: 2,
                 disk_corrupt: 0,
-                lock_contention: 1,
                 entries: 28,
             },
         }),
@@ -119,7 +118,7 @@ const PINNED: [u64; 15] = [
     12158194300786295143,
     14047913487530187928,
     16516769039151215561,
-    1891931073871003431,
+    2770880280023013137,
     15983062526322564128,
     12837296457869680109,
 ];
