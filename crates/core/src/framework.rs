@@ -298,15 +298,18 @@ impl ClappedConfig {
             });
         }
         let exact: Arc<dyn Mul8s> = first.clone();
-        let app = match self.app_kind {
-            AppKind::GaussianDenoise => AppModel::Gaussian(GaussianDenoise::standard(
-                self.image_size,
-                self.noise_sigma,
-                exact,
-                self.seed,
-            )),
-            AppKind::SobelEdge => {
-                AppModel::Sobel(SobelEdge::standard(self.image_size, exact, self.seed))
+        let app = {
+            let _span = clapped_obs::span("core.app_build");
+            match self.app_kind {
+                AppKind::GaussianDenoise => AppModel::Gaussian(GaussianDenoise::standard(
+                    self.image_size,
+                    self.noise_sigma,
+                    exact,
+                    self.seed,
+                )),
+                AppKind::SobelEdge => {
+                    AppModel::Sobel(SobelEdge::standard(self.image_size, exact, self.seed))
+                }
             }
         };
         let pr_models = {
@@ -315,10 +318,13 @@ impl ClappedConfig {
         };
         let refs: Vec<&PrModel> = pr_models.iter().collect();
         let ranking = rank_terms(&refs);
-        let stats: Vec<ErrorStats> = catalog
-            .iter()
-            .map(|m| ErrorStats::of_multiplier(m.as_ref()))
-            .collect();
+        let stats: Vec<ErrorStats> = {
+            let _span = clapped_obs::span("core.error_stats");
+            catalog
+                .iter()
+                .map(|m| ErrorStats::of_multiplier(m.as_ref()))
+                .collect()
+        };
         // Paper-style index representation: a unique pseudo-random value
         // per operator.
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xA5A5_5A5A);
@@ -865,7 +871,9 @@ mod tests {
         clapped_obs::enable();
         let spans = [
             "core.instantiate",
+            "core.app_build",
             "core.pr_fit",
+            "core.error_stats",
             "core.op_library",
             "accel.characterize",
             "netlist.optimize",
