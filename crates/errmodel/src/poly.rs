@@ -72,10 +72,11 @@ impl PrModel {
     ///
     /// # Panics
     ///
-    /// See [`PrModel::fit`].
+    /// See [`PrModel::fit`]; also panics if `f` returns a value that is
+    /// not finite.
     pub fn fit_fn(f: impl Fn(i8, i8) -> f64, degree: usize) -> PrModel {
         Self::fit_one(&f, degree, canonical_terms(degree))
-            .expect("canonical basis is well conditioned")
+            .expect("finite outputs on a well-conditioned basis")
     }
 
     /// Fits a degree-`degree` PR model to each operator of a library, in
@@ -293,6 +294,16 @@ fn powers(v: i8) -> [f64; 7] {
     p
 }
 
+/// Input pairs per block of the fitting sweep: one row of `a`.
+const BLOCK: usize = 256;
+
+/// Columns per accumulator tile; the term and operator dimensions of
+/// the blocks are padded to a multiple of it with zeros.
+const TILE: usize = 4;
+
+/// Rows per accumulator tile.
+const ROWS: usize = 2;
+
 /// The fitting pass: least-squares fits of `count` operators on the
 /// monomials `terms`, in one sweep over [`exhaustive_pairs`].
 /// `outputs(a, b, ys)` writes every operator's output at `(a, b)`.
@@ -303,6 +314,16 @@ fn powers(v: i8) -> [f64; 7] {
 /// matrix plus a tiny ridge is factored once and solved per operator.
 /// Every sum sees the same operations in the same order as a fit of one
 /// operator, so a batched model is bit-identical to a lone one.
+///
+/// The sweep runs one row of `a` (256 pairs) at a time: it fills
+/// pair-major feature and output blocks, then adds each block to the
+/// sums tile by tile ([`add_tile`]), each tile held in registers across
+/// the block, so an accumulator is loaded and stored once per row
+/// instead of once per pair. Every sum still adds the same products in
+/// pair order. Where a feature is zero it adds `±0`, which leaves the
+/// sum unchanged: a sum that starts at `+0.0` never becomes `-0.0`
+/// under round-to-nearest. That holds only for finite outputs
+/// (`0 · ∞` is NaN), so an output that is not finite is an error.
 fn fit_pass(
     count: usize,
     outputs: &dyn Fn(i8, i8, &mut [f64]),
@@ -317,49 +338,56 @@ fn fit_pass(
         return Ok(Vec::new());
     }
     let t = terms.len();
+    let (tp, cp) = (t.next_multiple_of(TILE), count.next_multiple_of(TILE));
     // Indexed by the operand's two's-complement byte.
     let table: Vec<[f64; 7]> = (0..=u8::MAX).map(|u| powers(u as i8)).collect();
-    // Row-major upper triangle: row `i` holds columns `i..t`.
-    let mut upper = vec![0.0f64; t * (t + 1) / 2];
-    // Term-major, operator-minor: entry `i * count + k`.
-    let mut rhs = vec![0.0f64; t * count];
-    let mut y_sum = vec![0.0f64; count];
-    let mut y_sq = vec![0.0f64; count];
-    let mut ys = vec![0.0f64; count];
-    let mut features = vec![0.0f64; t];
-    let mut n = 0.0f64;
-    for (a, b) in exhaustive_pairs() {
-        let (xp, yp) = (&table[usize::from(a as u8)], &table[usize::from(b as u8)]);
-        for (slot, &(i, j)) in features.iter_mut().zip(&terms) {
-            *slot = xp[usize::from(i)] * yp[usize::from(j)];
-        }
-        outputs(a, b, &mut ys);
-        let mut row = 0;
-        for ((i, &fi), rhs_i) in features.iter().enumerate().zip(rhs.chunks_exact_mut(count)) {
-            let width = t - i;
-            if fi != 0.0 {
-                for (g, &fj) in upper[row..row + width].iter_mut().zip(&features[i..]) {
-                    *g += fi * fj;
-                }
-                for (r, &y) in rhs_i.iter_mut().zip(&ys) {
-                    *r += fi * y;
-                }
+    // `X'X`, row-major with stride `tp`. The tiles that cross the
+    // diagonal also sum entries below it; only `i <= j < t` are read.
+    let mut xx = vec![0.0f64; tp * tp];
+    // `X'y`, term-major, operator-minor: entry `i * cp + k`.
+    let mut xy = vec![0.0f64; tp * cp];
+    let mut y_sum = vec![0.0f64; cp];
+    let mut y_sq = vec![0.0f64; cp];
+    // One block, pair-major: entries `p * tp + i` and `p * cp + k`. The
+    // padding stays zero.
+    let mut features = vec![0.0f64; BLOCK * tp];
+    let mut ys = vec![0.0f64; BLOCK * cp];
+    for a in i8::MIN..=i8::MAX {
+        let xp = &table[usize::from(a as u8)];
+        let rows = features.chunks_exact_mut(tp).zip(ys.chunks_exact_mut(cp));
+        for (b, (row, y)) in (i8::MIN..=i8::MAX).zip(rows) {
+            let yp = &table[usize::from(b as u8)];
+            for (slot, &(i, j)) in row.iter_mut().zip(&terms) {
+                *slot = xp[usize::from(i)] * yp[usize::from(j)];
             }
-            row += width;
+            outputs(a, b, &mut y[..count]);
         }
-        for ((s, q), &y) in y_sum.iter_mut().zip(&mut y_sq).zip(&ys) {
-            *s += y;
-            *q += y * y;
+        if let Some(at) = ys.iter().position(|y| !y.is_finite()) {
+            let b = i32::from(i8::MIN) + (at / cp) as i32;
+            return Err(FitError::Numeric(format!(
+                "operator {} returned {} at ({a}, {b}), not a finite value",
+                at % cp,
+                ys[at]
+            )));
         }
-        n += 1.0;
+        for i in (0..t).step_by(ROWS) {
+            // The tiles that hold an entry on or right of the diagonal.
+            for c in (i - i % TILE..t).step_by(TILE) {
+                add_tile(&mut xx, tp, &features, i, &features, c);
+            }
+            for c in (0..count).step_by(TILE) {
+                add_tile(&mut xy, cp, &features, i, &ys, c);
+            }
+        }
+        add_moments(&mut y_sum, &mut y_sq, &ys);
     }
+    // Every pair counted once (an exact integer).
+    let n = (BLOCK * BLOCK) as f64;
     let mut gram = Mat::zeros(t, t);
-    let mut next = 0;
     for i in 0..t {
         for j in i..t {
-            gram[(i, j)] = upper[next];
-            gram[(j, i)] = upper[next];
-            next += 1;
+            gram[(i, j)] = xx[i * tp + j];
+            gram[(j, i)] = xx[i * tp + j];
         }
         // Tiny ridge for numerical robustness of near-collinear bases.
         gram[(i, i)] += 1e-9;
@@ -368,7 +396,7 @@ fn fit_pass(
     let cholesky = Cholesky::factor(&gram).map_err(numeric)?;
     (0..count)
         .map(|k| {
-            let rhs: Vec<f64> = (0..t).map(|i| rhs[i * count + k]).collect();
+            let rhs: Vec<f64> = (0..t).map(|i| xy[i * cp + k]).collect();
             let coeffs = cholesky.solve(&rhs).map_err(numeric)?;
             // R^2 = 1 - SSE/SST; SSE = y'y - 2 c'X'y + c'X'X c.
             let mut cxx = 0.0;
@@ -388,6 +416,54 @@ fn fit_pass(
             })
         })
         .collect()
+}
+
+/// Adds `lhs[p][r] · rhs[p][c]` for every pair `p` of a block, in pair
+/// order, to `dst[r * stride + c]` for the tile of rows `i..i + 2` and
+/// columns `c..c + TILE`. `lhs` and `rhs` are pair-major blocks. The
+/// tile is loaded before the block and stored after it, not once per
+/// pair.
+#[inline]
+fn add_tile(dst: &mut [f64], stride: usize, lhs: &[f64], i: usize, rhs: &[f64], c: usize) {
+    let (ls, rs) = (lhs.len() / BLOCK, rhs.len() / BLOCK);
+    assert!(i + ROWS <= ls && c + TILE <= rs && i + ROWS <= dst.len() / stride);
+    let mut acc = [[0.0f64; TILE]; ROWS];
+    for (r, tile) in acc.iter_mut().enumerate() {
+        let at = (i + r) * stride + c;
+        tile.copy_from_slice(&dst[at..at + TILE]);
+    }
+    for (l, v) in lhs.chunks_exact(ls).zip(rhs.chunks_exact(rs)) {
+        let (l, v) = (&l[i..i + ROWS], &v[c..c + TILE]);
+        for (tile, &f) in acc.iter_mut().zip(l) {
+            for (s, &y) in tile.iter_mut().zip(v) {
+                *s += f * y;
+            }
+        }
+    }
+    for (r, tile) in acc.iter().enumerate() {
+        let at = (i + r) * stride + c;
+        dst[at..at + TILE].copy_from_slice(tile);
+    }
+}
+
+/// Adds each operator's outputs `y` and squares `y²` over one block, in
+/// pair order, to `y_sum` and `y_sq`, `TILE` operators at a time.
+fn add_moments(y_sum: &mut [f64], y_sq: &mut [f64], ys: &[f64]) {
+    let cp = y_sum.len();
+    for k in (0..cp).step_by(TILE) {
+        let mut s = [0.0f64; TILE];
+        let mut q = [0.0f64; TILE];
+        s.copy_from_slice(&y_sum[k..k + TILE]);
+        q.copy_from_slice(&y_sq[k..k + TILE]);
+        for v in ys.chunks_exact(cp) {
+            for ((s, q), &y) in s.iter_mut().zip(&mut q).zip(&v[k..k + TILE]) {
+                *s += y;
+                *q += y * y;
+            }
+        }
+        y_sum[k..k + TILE].copy_from_slice(&s);
+        y_sq[k..k + TILE].copy_from_slice(&q);
+    }
 }
 
 /// Standard deviation of the monomial `x^i y^j` over the normalized
@@ -450,6 +526,24 @@ mod tests {
         }
         assert!(pr.r2() > 0.999_999_9);
         assert_eq!(pr.predict_i16(-128, 127), -16_256);
+    }
+
+    #[test]
+    fn a_non_finite_output_is_an_error() {
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let f = |a: i8, b: i8| {
+                if (a, b) == (0, 5) {
+                    bad
+                } else {
+                    f64::from(a) * f64::from(b)
+                }
+            };
+            let err = PrModel::fit_one(&f, 2, canonical_terms(2)).unwrap_err();
+            assert!(
+                matches!(err, FitError::Numeric(ref m) if m.contains("at (0, 5)")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
