@@ -12,7 +12,12 @@
 //! # Crash safety
 //!
 //! Every phase boundary persists the session checkpoint and then the
-//! job record, both via tmp-file + atomic rename. A `kill -9` at any
+//! job record, both via tmp-file + atomic rename, and only then puts
+//! the job back on the queue; a submission, too, is persisted before
+//! it is queued. So only the thread holding a job writes its record,
+//! and a job's records land in the order they were made. A job that is
+//! persisted but not yet queued when the daemon drains or dies has a
+//! non-terminal record, which recovery re-enqueues. A `kill -9` at any
 //! instant therefore loses at most the phase in flight: on restart the
 //! server reloads the records, re-enqueues every non-terminal job and
 //! resumes each from its last checkpoint — bit-exactly, because the
@@ -348,11 +353,13 @@ fn handle_request(shared: &Arc<Shared>, request: Request) -> Reply {
                     pareto: Vec::new(),
                     deadline,
                 };
-                core.jobs.insert(id.clone(), record.clone());
-                core.queue.push(&tenant, id);
+                core.jobs.insert(id, record.clone());
                 record
             };
+            // Persisted before it is queued: no worker can step the job,
+            // and so write a newer record of it, before this one lands.
             shared.persist_record(&record);
+            lock(&shared.core).queue.push(&record.tenant, record.id.clone());
             shared.emit_job_event(&record);
             shared.work.notify_all();
             Reply::Submitted { job: record.id }
@@ -471,11 +478,12 @@ fn step_job(shared: &Arc<Shared>, job_id: &str) {
                     record.evaluations_planned = progress.evaluations_planned as u64;
                     record.iterations_done = progress.iterations_done as u64;
                     record.hypervolume = progress.hypervolume;
-                    let record = record.clone();
-                    core.queue.push(&tenant, job_id.to_string());
-                    record
+                    record.clone()
                 };
+                // Persisted before the job is queued again, as on submit,
+                // so a job's records land in the order they were made.
                 shared.persist_record(&record);
+                lock(&shared.core).queue.push(&tenant, job_id.to_string());
                 shared.emit_job_event(&record);
                 shared.work.notify_all();
             }
