@@ -78,8 +78,11 @@ impl Client {
     /// I/O failures, or [`ServeError::Protocol`] if the reply line does
     /// not decode.
     pub fn roundtrip_raw(&mut self, line: &str) -> Result<Reply> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write for the line and its newline: over TCP, Nagle's
+        // algorithm holds a second small write until the daemon ACKs the
+        // first, and the daemon delays that ACK while it waits for the
+        // rest of the line (about 40 ms a request).
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         self.writer.flush()?;
         let mut reply_line = String::new();
         let n = self.reader.read_line(&mut reply_line)?;
